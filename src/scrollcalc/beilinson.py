@@ -46,10 +46,6 @@ class Collection:
     objects: tuple  # tuple[Summand, ...], position i holds E_i
     shifts: tuple  # tuple[int, ...]
 
-    @property
-    def is_geometric_side(self) -> bool:
-        return self.index % 2 == 1
-
 
 def collection(e: int, index: int) -> Collection:
     """The six standard collections, numbered as the three dual pairs
@@ -449,7 +445,10 @@ def beilinson_table(
     h^1 cells below them hold the base values still owed their corrections.
     """
     if not gamma_zero and variant != 1:
-        raise ValueError("the non-earnest table is only laid out for variant 1")
+        raise Inadmissible(
+            "the non-earnest table is only laid out for variant 1",
+            bound="variant == 1",
+        )
     if gamma_zero:
         values = h1_values(e, alpha, beta, variant)
     else:
@@ -562,13 +561,6 @@ class Monad:
             out["C1"] = self.c_tail.to_dict()["terms"]
         if self.extra is not None:
             out["gamma"], out["delta"], out["eta"] = self.extra
-        rep = monad_consistency(self)
-        out["checks"] = {
-            "rank": rep.rank_ok,
-            "c1": rep.c1_ok,
-            "c2": rep.c2_ok,
-            "chi": rep.chi_ok,
-        }
         return out
 
     @staticmethod

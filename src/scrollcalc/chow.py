@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple
 
 from .errors import NonIntegralValue, ParameterMismatch
@@ -120,9 +121,12 @@ class ChowClass(NamedTuple):
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not defined in the Chow ring")
-        out = unit(self.e)
-        for _ in range(n):
-            out = out * self
+        out, base = unit(self.e), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
         return out
 
     def homogeneous_part(self, codim: int) -> "ChowClass":
@@ -242,10 +246,6 @@ def exceptional_divisor(e: int) -> ChowClass:
     return ChowClass(e, xi=1, f=-e)
 
 
-def degree(x: ChowClass) -> int:
-    return x.degree()
-
-
 @dataclass(frozen=True)
 class ChernData:
     """Rank and Chern classes (c1, c2, c3) of a sheaf on X_e.
@@ -285,22 +285,14 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     r = data.rank
     d2 = div * div
     c1 = data.c1 + r * div
-    c2 = data.c2 + (r - 1) * (data.c1 * div) + _binom(r, 2) * d2
+    c2 = data.c2 + (r - 1) * (data.c1 * div) + comb(r, 2) * d2
     c3 = (
         data.c3
         + (r - 2) * (data.c2 * div)
-        + _binom(r - 1, 2) * (data.c1 * d2)
-        + _binom(r, 3) * (d2 * div)
+        + comb(r - 1, 2) * (data.c1 * d2)
+        + comb(r, 3) * (d2 * div)
     )
     return ChernData(r, c1, c2, c3)
-
-
-def _binom(n: int, k: int) -> int:
-    if k == 2:
-        return n * (n - 1) // 2
-    if k == 3:
-        return n * (n - 1) * (n - 2) // 6
-    raise ValueError(k)
 
 
 def chi_rr(data: ChernData) -> int:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import beilinson, chow, cohomology, instanton, verification
 from .errors import ScrollcalcError
@@ -224,7 +225,8 @@ def _cmd_monad(args) -> int:
             "checks: " + ("all pass" if rep.ok else "FAILED"),
         ]
     )
-    _emit(args, m.to_dict(), text)
+    checks = {"rank": rep.rank_ok, "c1": rep.c1_ok, "c2": rep.c2_ok, "chi": rep.chi_ok}
+    _emit(args, {**m.to_dict(), "checks": checks}, text)
     return 0 if rep.ok else 1
 
 
@@ -238,13 +240,7 @@ def _cmd_table(args) -> int:
         "beta": args.beta,
         "variant": args.variant,
         "gamma_zero": not args.gamma_nonzero,
-        "cells": [
-            [
-                {"kind": c.kind, "value": c.value, "tag": c.tag}
-                for c in row
-            ]
-            for row in table.cells
-        ],
+        "cells": [[c._asdict() for c in row] for row in table.cells],
         "top": [s.render(True) for s in table.top_labels],
         "bottom": [s.render(True) for s in table.bottom_labels],
         "shifts": list(table.shifts),
@@ -320,35 +316,20 @@ def _cmd_verify(args) -> int:
     results = verification.run_all(args.seed)
     total = sum(r.cases for r in results)
     failed = [r for r in results if not r.ok]
-    if args.format == "json":
-        payload = {
-            "seed": args.seed,
-            "total_cases": total,
-            "suites": [
-                {
-                    "name": r.name,
-                    "cases": r.cases,
-                    "failures": r.failures,
-                    "findings": r.findings,
-                }
-                for r in results
-            ],
-            "passed": not failed,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"scrollcalc verify  (seed={args.seed})")
-        for r in results:
-            mark = "ok  " if r.ok else "FAIL"
-            print(f"{mark} {r.name:32s} ({r.cases} cases)")
-            for msg in r.failures[:5]:
-                print(f"     failure: {msg}")
-            for msg in r.findings:
-                print(f"     finding: {msg}")
-        print(
-            f"{'all suites passed' if not failed else 'FAILURES in ' + str(len(failed)) + ' suite(s)'}"
-            f" ({total} cases)"
-        )
+    payload = {
+        "seed": args.seed,
+        "total_cases": total,
+        "suites": [asdict(r) for r in results],
+        "passed": not failed,
+    }
+    lines = [f"scrollcalc verify  (seed={args.seed})"]
+    for r in results:
+        lines.append(f"{'ok  ' if r.ok else 'FAIL'} {r.name:32s} ({r.cases} cases)")
+        lines += [f"     failure: {msg}" for msg in r.failures[:5]]
+        lines += [f"     finding: {msg}" for msg in r.findings]
+    status = f"FAILURES in {len(failed)} suite(s)" if failed else "all suites passed"
+    lines.append(f"{status} ({total} cases)")
+    _emit(args, payload, "\n".join(lines))
     return 0 if not failed else 1
 
 

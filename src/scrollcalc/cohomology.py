@@ -117,7 +117,7 @@ class FormalSheaf:
     def total_chern(self) -> ChowClass:
         out = chow.unit(self.e)
         for s, m in self.terms:
-            out = out * _power(s.total_chern(self.e), m)
+            out = out * s.total_chern(self.e) ** m
         return out
 
     def chern_data(self) -> ChernData:
@@ -169,17 +169,6 @@ class FormalSheaf:
                 for t in data["terms"]
             ],
         )
-
-
-def _power(x: ChowClass, n: int) -> ChowClass:
-    out = chow.unit(x.e)
-    base = x
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +242,6 @@ def h_summand(e: int, i: int, s: Summand) -> int:
     if s.kind == LINE:
         return h_line(e, i, s.a, s.b)
     return h_omega_twist(e, i, s.a, s.b)
-
-
-def h_formal(sheaf: FormalSheaf, i: int) -> int:
-    return sheaf.h(i)
-
-
-def coh_vector(sheaf: FormalSheaf) -> CohVector:
-    return sheaf.coh_vector()
-
-
-def chi_formal(sheaf: FormalSheaf) -> int:
-    return sheaf.chi()
 
 
 def chi_line(e: int, a: int, b: int) -> int:

@@ -18,7 +18,7 @@ class NonIntegralValue(ScrollcalcError, ArithmeticError):
 
 
 class Inadmissible(ScrollcalcError, ValueError):
-    """Parameters violate a non-negativity bound required by a monad variant.
+    """Parameters violate a bound of the package's domain or of a monad variant.
 
     The ``bound`` attribute spells out the violated inequality.
     """

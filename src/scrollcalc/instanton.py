@@ -12,13 +12,13 @@ is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple, Optional
 
 from . import chow, cohomology
 from .chow import ChernData, ChowClass
-from .errors import NonIntegralValue
+from .errors import Inadmissible, NonIntegralValue
 
 BUNDLE = "bundle"
 OMEGA_TENSOR = "omega"
@@ -42,7 +42,9 @@ class InstantonParams:
 
     def __post_init__(self):
         if self.e < 0:
-            raise ValueError("the scroll parameter e must be non-negative")
+            raise Inadmissible(
+                "the scroll parameter e must be non-negative", bound="e >= 0"
+            )
 
     @property
     def charge(self) -> int:
@@ -309,25 +311,11 @@ class ExistenceReport:
     route: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "ext1": self.ext1,
-            "ext2": self.ext2,
-            "ext3": self.ext3,
-            "earnest": self.earnest,
-            "route": self.route,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ExistenceReport":
-        return ExistenceReport(
-            data["status"],
-            data.get("ext1"),
-            data.get("ext2"),
-            data.get("ext3"),
-            data.get("earnest"),
-            data.get("route"),
-        )
+        return ExistenceReport(**data)
 
 
 def existence_report(p: InstantonParams) -> ExistenceReport:

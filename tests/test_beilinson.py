@@ -375,8 +375,10 @@ def test_monad_general_h2_terms_placement():
 
 def test_monad_serialization_and_checks():
     m = monad_shape(1, 1, 2, 1)
+    rep = monad_consistency(m)
+    assert (rep.rank_ok, rep.c1_ok, rep.c2_ok, rep.chi_ok) == (True, True, True, True)
     data = m.to_dict()
-    assert data["checks"] == {"rank": True, "c1": True, "c2": True, "chi": True}
+    assert "checks" not in data
     assert Monad.from_dict(data) == m
     g = monad_general(1, 1, 2, 1, 1, 1)
     assert Monad.from_dict(g.to_dict()) == g

@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from scrollcalc import cli
+from scrollcalc.beilinson import Monad, monad_shape
 from scrollcalc.chow import ChowClass
 from scrollcalc.cohomology import FormalSheaf
+from scrollcalc.instanton import ExistenceReport, InstantonParams, existence_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +69,7 @@ def test_monad_json_checks(capsys):
     assert code == 0
     assert data["checks"] == {"rank": True, "c1": True, "c2": True, "chi": True}
     assert {t["kind"] for t in data["B"]} == {"line", "omega"}
+    assert Monad.from_dict(data) == monad_shape(1, 1, 2, 1)
 
 
 def test_monad_golden_display():
@@ -87,6 +92,7 @@ def test_existence_subcommand(capsys):
     code, data = run_json(["existence", "--e", "2", "--alpha", "3", "--beta", "0"], capsys)
     assert code == 0
     assert data["status"] == "exists" and data["ext1"] == 26
+    assert ExistenceReport.from_dict(data) == existence_report(InstantonParams(2, 3, 0))
 
 
 def test_stability_subcommand(capsys):
@@ -127,16 +133,56 @@ def test_ascii_fallback():
     assert "Omega" in out and "Ω" not in out and "ξ" not in out
 
 
-def test_verify_runs_clean_and_deterministic():
-    code1, out1, _ = run_cli(["verify"])
-    code2, out2, _ = run_cli(["verify"])
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert "seed=" in out1 and "all suites passed" in out1
+JSON_GOLDENS = {
+    "chow_e2_a1_b-2": ["chow", "--e", "2", "--a", "1", "--b", "-2"],
+    "coh_e2_a-4_b2_omega": ["coh", "--e", "2", "--a", "-4", "--b", "2", "--omega"],
+    "monad_e1_v1": ["monad", "--e", "1", "--alpha", "1", "--beta", "2"],
+    "monad_e1_general": [
+        "monad", "--e", "1", "--alpha", "2", "--beta", "5",
+        "--gamma", "1", "--delta", "2", "--eta", "1",
+    ],
+    "table_e3_gamma_nonzero": [
+        "table", "--e", "3", "--alpha", "1", "--beta", "4", "--gamma-nonzero"
+    ],
+    "existence_e2_a3_b0": ["existence", "--e", "2", "--alpha", "3", "--beta", "0"],
+    "curves_e2": ["curves", "--e", "2"],
+    "stability_e2": ["stability", "--e", "2", "--window", "-3", "3", "-3", "3"],
+}
 
 
-def test_verify_json_shape(capsys):
-    code, data = run_json(["verify"], capsys)
-    assert code == 0 and data["passed"] is True
+@pytest.mark.parametrize("name", sorted(JSON_GOLDENS))
+def test_json_golden(name, capsys):
+    assert cli.main([*JSON_GOLDENS[name], "--format", "json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_bad_domain_exits_2_without_traceback():
+    for args in (
+        ["existence", "--e", "-1", "--alpha", "1", "--beta", "0"],
+        ["table", "--e", "1", "--alpha", "1", "--beta", "2", "--variant", "2",
+         "--gamma-nonzero"],
+    ):
+        code, _, err = run_cli(args)
+        assert code == 2
+        assert "violated bound" in err and "Traceback" not in err
+
+
+def test_verify_runs_clean_and_deterministic(
+    verify_results, verify_subprocess, render_verify
+):
+    # A fresh-process run reproduces the session's in-process run byte for byte.
+    code, out = verify_subprocess
+    assert (code, out) == render_verify()
+    assert code == 0
+    assert len(verify_results) == 18 and all(r.ok for r in verify_results)
+    assert "seed=" in out and "all suites passed" in out
+
+
+def test_verify_json_shape(render_verify):
+    code, out = render_verify("--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / "verify.json").read_text()
+    data = json.loads(out)
+    assert data["passed"] is True
     names = {s["name"] for s in data["suites"]}
     assert "chow-riemann-roch-cross" in names and "serialization-roundtrip" in names

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from scrollcalc import cohomology as coh
+from scrollcalc import verification
 from scrollcalc.cohomology import (
     ChaseResult,
     CohVector,
@@ -120,13 +121,10 @@ def test_line_pushforward_values():
 
 
 def test_line_serre_self_duality():
-    for e in range(7):
-        for a in range(-10, 11):
-            for b in range(-10, 11):
-                for i in range(4):
-                    assert coh.h_line(e, i, a, b) == coh.h_line(
-                        e, 3 - i, -a - 2, e - 3 - b
-                    )
+    # h^i(a, b) = h^{3-i}(-a-2, e-3-b) for e <= 6, |a|, |b| <= 10.
+    result = verification.coh_serre_duality(verification.DEFAULT_SEED)
+    assert result.ok, result.failures[:5]
+    assert result.cases == 3087
 
 
 def test_omega_twist_values():
@@ -203,11 +201,10 @@ def test_relative_euler_chi_relation():
 
 
 def test_chi_additivity_all_sequences():
-    for e in range(6):
-        for a in range(-6, 7):
-            for b in range(-6, 7):
-                for fn in coh.NAMED_SEQUENCES.values():
-                    assert coh.chi_alternating(fn(e, a, b)) == 0
+    # Every named sequence, e <= 5, |a|, |b| <= 6.
+    result = verification.coh_chi_additivity(verification.DEFAULT_SEED)
+    assert result.ok, result.failures[:5]
+    assert result.cases == 4056
 
 
 def test_omega_chi_from_euler_sequence():
@@ -294,12 +291,10 @@ def test_chase_rejects_bad_inputs():
 
 
 def test_nonnegativity_everywhere():
-    for e in range(6):
-        for a in range(-10, 11):
-            for b in range(-10, 11):
-                for i in range(4):
-                    assert coh.h_line(e, i, a, b) >= 0
-                    assert coh.h_omega_twist(e, i, a, b) >= 0
+    # Line bundles and Omega twists, e <= 5, |a|, |b| <= 10; h3 = 0 for a >= 0.
+    result = verification.coh_nonnegativity(verification.DEFAULT_SEED)
+    assert result.ok, result.failures[:5]
+    assert result.cases == 4032
 
 
 def test_formal_sheaf_serialization():

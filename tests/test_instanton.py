@@ -4,6 +4,7 @@ import pytest
 
 from scrollcalc import chow
 from scrollcalc import instanton as inst
+from scrollcalc import verification
 from scrollcalc.instanton import ExistenceReport, InstantonParams
 
 
@@ -83,14 +84,10 @@ def test_stability_region_boundary_cases():
 
 
 def test_stability_region_against_chow_degrees():
-    for e in range(7):
-        h2 = chow.hyperplane(e) ** 2
-        mu2 = (chow.divisor(e, 0, e - 1) * h2).degree()
-        region = set(inst.stability_test_region(e, (-10, 10, -10, 10)))
-        for a in range(-10, 11):
-            for b in range(-10, 11):
-                want = 2 * (chow.divisor(e, a, b) * h2).degree() <= -mu2
-                assert ((a, b) in region) == want
+    # Region membership against Chow degrees, e <= 6, |a|, |b| <= 10.
+    result = verification.instanton_stability_region(verification.DEFAULT_SEED)
+    assert result.ok, result.failures[:5]
+    assert result.cases == 3087
 
 
 def test_curve_info():
