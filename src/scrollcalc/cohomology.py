@@ -203,39 +203,86 @@ def h_omega_p2(i: int, k: int) -> int:
 # Closed forms on X_e
 
 
+def _j_range(e: int, b: int, a: int, c: int) -> tuple:
+    """The j in 0..a with d_j = j*e + b >= c, as (first, last).
+
+    The set is an interval because d_j is monotone in j; it is empty when
+    first > last.  For d_j <= c, call with (-e, -b, a, -c).
+    """
+    if e > 0:
+        return max(0, -((b - c) // e)), a  # ceil((c - b) / e)
+    if e < 0:
+        return 0, min(a, (b - c) // -e)
+    return (0, a) if b >= c else (0, -1)
+
+
+def _plane_sum(h_p2, i: int, e: int, b: int, span: tuple) -> int:
+    """Sum of h_p2(i, d_j), d_j = j*e + b, over j = first..last.
+
+    On the span h_p2(i, d_j) must be a quadratic p(j).  The sum of a
+    quadratic over n consecutive j is n*p0 + C(n,2)*(p1 - p0) +
+    C(n,3)*(p2 - 2*p1 + p0), from its first three values (Newton's forward
+    differences).  A value past the span has coefficient 0, so any n >= 0
+    is exact.
+    """
+    first, last = span
+    n = max(0, last - first + 1)
+    d = first * e + b
+    p0, p1, p2 = h_p2(i, d), h_p2(i, d + e), h_p2(i, d + 2 * e)
+    return n * p0 + comb(n, 2) * (p1 - p0) + comb(n, 3) * (p2 - 2 * p1 + p0)
+
+
 def h_line(e: int, i: int, a: int, b: int) -> int:
     """h^i(X_e, O(a*xi + b*f)).
 
-    a >= 0:  pushforward splits as the sum of O(j*e + b) over j = 0..a.
+    a >= 0:  pi_* O(a*xi + b*f) splits as the sum of O(d_j), d_j = j*e + b,
+             over j = 0..a (Hartshorne, Algebraic Geometry, III Ex. 8.4),
+             so h^i sums h^i(P², O(d_j)).  Those terms are nonzero, and
+             equal to (d+1)(d+2)/2, on one j-interval of 0..a: d_j >= 0
+             for h0, d_j <= -3 for h2.  Its ends are one floor or ceiling
+             division (all or nothing when e = 0), and the quadratic is
+             summed there in closed form, so h^i costs the same whatever
+             |a|.  h1 = h3 = 0.
     a = -1:  all direct images vanish, so every group is zero.
-    a <= -2: Serre duality back into the first branch.
+    a <= -2: Serre duality back into the first branch, at the twist
+             (-2-a, e-3-b).
     """
-    if not 0 <= i <= 3:
+    if not 0 <= i <= 3 or a == -1:
         return 0
-    if a >= 0:
-        if i == 3:
-            return 0
-        return sum(h_line_p2(i, j * e + b) for j in range(a + 1))
-    if a == -1:
-        return 0
-    return sum(h_line_p2(3 - i, j * e + e - b - 3) for j in range(-a - 1))
+    if a <= -2:
+        i, a, b = 3 - i, -2 - a, e - 3 - b
+    if i == 0:
+        return _plane_sum(h_line_p2, 0, e, b, _j_range(e, b, a, 0))
+    if i == 2:
+        return _plane_sum(h_line_p2, 2, e, b, _j_range(-e, -b, a, 3))
+    return 0
 
 
 def h_omega_twist(e: int, i: int, a: int, b: int) -> int:
     """h^i(X_e, pi^* Omega^1_{P²} ⊗ O(a*xi + b*f)).
 
-    Same three branches as ``h_line``; the a <= -2 branch dualizes with
+    Same three branches as ``h_line``.  For a >= 0 the pushforward is the
+    sum of Omega^1(d_j), d_j = j*e + b, j = 0..a, and the Bott numbers
+    (Okonek-Schneider-Spindler, Vector Bundles on Complex Projective
+    Spaces, Ch. I) give h0 = the closed-form sum of d²-1 over the
+    j-interval with d_j >= 2, h2 = the same where d_j <= -2, and h1 = the
+    number of j with d_j = 0: one divisibility test, or a+1 when
+    e = b = 0.  The a <= -2 branch dualizes with
     (pi^* Omega^1)^dual = pi^* Omega^1 (3f), giving the twist (-2-a, e-b).
     """
-    if not 0 <= i <= 3:
+    if not 0 <= i <= 3 or a == -1:
         return 0
-    if a >= 0:
-        if i == 3:
-            return 0
-        return sum(h_omega_p2(i, j * e + b) for j in range(a + 1))
-    if a == -1:
-        return 0
-    return h_omega_twist(e, 3 - i, -2 - a, e - b)
+    if a <= -2:
+        i, a, b = 3 - i, -2 - a, e - b
+    if i == 0:
+        return _plane_sum(h_omega_p2, 0, e, b, _j_range(e, b, a, 2))
+    if i == 2:
+        return _plane_sum(h_omega_p2, 2, e, b, _j_range(-e, -b, a, 2))
+    if i == 1:
+        if e == 0:
+            return a + 1 if b == 0 else 0
+        return 1 if b % e == 0 and 0 <= -b // e <= a else 0
+    return 0
 
 
 def h_summand(e: int, i: int, s: Summand) -> int:

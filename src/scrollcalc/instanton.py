@@ -118,9 +118,18 @@ def stability_test_region(e, window, strict: bool = False):
     The criterion on a rank-2 bundle over a variety with free Picard group:
     mu-(semi)stability is equivalent to h0(E(B)) = 0 for every divisor B
     with delta_H(B) <= -mu_H(E) (strict: <).  The window is a finite box
-    (a_min, a_max, b_min, b_max); the underlying region is infinite.
+    (a_min, a_max, b_min, b_max); the underlying region is infinite.  An
+    empty window is ``Inadmissible``.
     """
     a_min, a_max, b_min, b_max = window
+    if a_min > a_max:
+        raise Inadmissible(
+            f"empty window: a_min = {a_min} > a_max = {a_max}", bound="a_min <= a_max"
+        )
+    if b_min > b_max:
+        raise Inadmissible(
+            f"empty window: b_min = {b_min} > b_max = {b_max}", bound="b_min <= b_max"
+        )
     # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.
     two_mu = e * e + e - 2
     out = []

@@ -4,6 +4,9 @@ The full ``verify`` self-check is the slowest thing the suite runs, so it
 runs twice per session: once in-process and once as a ``python -m
 scrollcalc verify`` subprocess.  Tests that need its report, the CLI
 rendering of that report, or the subprocess output take them from here.
+
+Property tests run under a derandomized hypothesis profile, so every run
+draws the same examples; deadlines and example counts keep their defaults.
 """
 
 import contextlib
@@ -12,8 +15,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
-from scrollcalc import cli, verification
+from scrollcalc import chow, cli, verification
+from scrollcalc.cohomology import LINE, FormalSheaf, line
+
+settings.register_profile("scrollcalc", derandomize=True)
+settings.load_profile("scrollcalc")
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +68,18 @@ def render_verify(verify_results, monkeypatch):
         return code, out.getvalue()
 
     return render
+
+
+@pytest.fixture(scope="session")
+def rr_chi():
+    """``rr_chi(e, summand)``: chi of one line bundle or Omega twist by
+    Riemann-Roch (``chow.chi_rr``), independent of the cohomology closed
+    forms.  A line bundle L goes in as the rank-2 sum L + O, minus chi(O) = 1."""
+
+    def chi(e, s):
+        if s.kind == LINE:
+            pair = FormalSheaf.of(e, [(s, 1), (line(0, 0), 1)])
+            return chow.chi_rr(pair.chern_data()) - 1
+        return chow.chi_rr(FormalSheaf.of(e, [(s, 1)]).chern_data())
+
+    return chi

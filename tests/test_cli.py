@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from scrollcalc import cli
 from scrollcalc.beilinson import Monad, monad_shape
 from scrollcalc.chow import ChowClass
-from scrollcalc.cohomology import FormalSheaf
+from scrollcalc.cohomology import FormalSheaf, line, omega
 from scrollcalc.instanton import ExistenceReport, InstantonParams, existence_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -161,10 +162,31 @@ def test_bad_domain_exits_2_without_traceback():
         ["existence", "--e", "-1", "--alpha", "1", "--beta", "0"],
         ["table", "--e", "1", "--alpha", "1", "--beta", "2", "--variant", "2",
          "--gamma-nonzero"],
+        ["stability", "--e", "1", "--window", "5", "-5", "0", "0"],
+        ["stability", "--e", "1", "--window", "0", "0", "3", "-3"],
     ):
         code, _, err = run_cli(args)
         assert code == 2
         assert "violated bound" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coh", "--e", "1", "--a", "30000000", "--b", "0"],
+        ["coh", "--e", "1", "--a", "30000000", "--b", "0", "--omega"],
+        ["chi", "--e", "2", "--a", "-30000000", "--b", "7"],
+        ["coh", "--e", "5", "--a", "1000000000000000000", "--b", "-3"],
+    ],
+)
+def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
+    start = time.perf_counter()
+    code, data = run_json(args, capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and elapsed < 0.5
+    e, a, b = (int(args[args.index(flag) + 1]) for flag in ("--e", "--a", "--b"))
+    summand = (omega if "--omega" in args else line)(a, b)
+    assert data["chi"] == rr_chi(e, summand)
 
 
 def test_verify_runs_clean_and_deterministic(

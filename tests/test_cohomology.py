@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scrollcalc import cohomology as coh
 from scrollcalc import verification
@@ -155,6 +157,85 @@ def test_chi_line_vanishing_band():
     for e in range(7):
         for b in range(-10, 11):
             assert coh.chi_line(e, -1, b) == 0
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the pushforward sums, and at large |a| against RR
+
+
+def _h_line_loop(e, i, a, b):
+    """h^i(O(a*xi + b*f)) summed term by term over the pushforward."""
+    if not 0 <= i <= 3:
+        return 0
+    if a >= 0:
+        if i == 3:
+            return 0
+        return sum(coh.h_line_p2(i, j * e + b) for j in range(a + 1))
+    if a == -1:
+        return 0
+    return sum(coh.h_line_p2(3 - i, j * e + e - b - 3) for j in range(-a - 1))
+
+
+def _h_omega_loop(e, i, a, b):
+    """h^i(Omega twist (a, b)) summed term by term over the pushforward."""
+    if not 0 <= i <= 3:
+        return 0
+    if a >= 0:
+        if i == 3:
+            return 0
+        return sum(coh.h_omega_p2(i, j * e + b) for j in range(a + 1))
+    if a == -1:
+        return 0
+    return _h_omega_loop(e, 3 - i, -2 - a, e - b)
+
+
+CLOSED_VS_LOOP = (
+    (coh.h_line, _h_line_loop),
+    (coh.h_omega_twist, _h_omega_loop),
+)
+
+
+@given(
+    st.integers(-3, 8),
+    st.integers(-1, 4),
+    st.integers(-200, 200),
+    st.integers(-300, 300),
+)
+def test_closed_forms_match_pushforward_loops(e, i, a, b):
+    for closed, loop in CLOSED_VS_LOOP:
+        assert closed(e, i, a, b) == loop(e, i, a, b)
+
+
+def test_closed_forms_match_loops_at_branch_edges():
+    # Every sign branch of a, and b placed so that d_j = j*e + b crosses the
+    # cut points -3 and 0 (line) and -2, 0 and 2 (Omega) inside 0..a, at
+    # e = 0, with b divisible by e and not.
+    for e in range(-3, 7):
+        for a in (-3, -2, -1, 0, 1, 2, 5):
+            for b in range(-3 * abs(e) - 6, 3 * abs(e) + 7):
+                for i in range(-1, 5):
+                    for closed, loop in CLOSED_VS_LOOP:
+                        assert closed(e, i, a, b) == loop(e, i, a, b), (e, i, a, b)
+    # h1 of an Omega twist counts the j with d_j = 0.
+    assert coh.h_omega_twist(0, 1, 7, 0) == 8
+    assert coh.h_omega_twist(0, 1, 7, 1) == 0
+    assert coh.h_omega_twist(3, 1, 4, -12) == 1
+    assert coh.h_omega_twist(3, 1, 3, -12) == 0
+    assert coh.h_omega_twist(3, 1, 4, -11) == 0
+    assert coh.h_omega_twist(-2, 1, 5, 6) == 1
+
+
+@pytest.mark.parametrize("size", [10**6, 10**9, 10**12, 10**18])
+def test_closed_forms_at_large_twists_against_riemann_roch(size, rr_chi):
+    for e in range(6):
+        for a in (size, -size):
+            for b in (-7, 0, 5, e - 3):
+                for s in (line(a, b), omega(a, b)):
+                    vec = CohVector(*(coh.h_summand(e, i, s) for i in range(4)))
+                    assert min(vec) >= 0
+                    if a >= 0:
+                        assert vec.h3 == 0
+                    assert vec.chi == rr_chi(e, s), (e, s)
 
 
 def test_serre_dual_twist_involution():
