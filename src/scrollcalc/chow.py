@@ -18,12 +18,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NonIntegralValue, ParameterMismatch
 
 _BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
+# Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
+# and a getter for the others (four or five, so the getter returns a tuple).
+_CODIM_AT = dict(enumerate(_BASIS_CODIM.values(), 1))
+_INDICES_OF_CODIM = {k: [i for i, c in _CODIM_AT.items() if c == k] for k in range(4)}
+_ALL_COEFFS = itemgetter(*_CODIM_AT)
+_OTHER_COEFFS = {
+    k: itemgetter(*(i for i, c in _CODIM_AT.items() if c != k)) for k in range(4)
+}
+_new = tuple.__new__
 
 # JSON keys follow the serialized schema: {"1", "xi", "f", "xif", "ff", "pt"}.
 _JSON_KEYS = ("1", "xi", "f", "xif", "ff", "pt")
@@ -51,72 +62,52 @@ class ChowClass(NamedTuple):
                 f"cannot combine classes on X_{self.e} and X_{other.e}"
             )
 
+    # The operators are hot: they unpack tuples and build with tuple.__new__.
     def __add__(self, other):
-        self._check(other)
-        return ChowClass(
-            self.e,
-            self.one + other.one,
-            self.xi + other.xi,
-            self.f + other.f,
-            self.xif + other.xif,
-            self.ff + other.ff,
-            self.pt + other.pt,
-        )
+        e, a0, a1, a2, a3, a4, a5 = self
+        e2, b0, b1, b2, b3, b4, b5 = other
+        if e != e2:
+            self._check(other)
+        return _new(ChowClass, (e, a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
 
     def __sub__(self, other):
-        self._check(other)
-        return ChowClass(
-            self.e,
-            self.one - other.one,
-            self.xi - other.xi,
-            self.f - other.f,
-            self.xif - other.xif,
-            self.ff - other.ff,
-            self.pt - other.pt,
-        )
+        e, a0, a1, a2, a3, a4, a5 = self
+        e2, b0, b1, b2, b3, b4, b5 = other
+        if e != e2:
+            self._check(other)
+        return _new(ChowClass, (e, a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
 
     def __neg__(self):
-        return ChowClass(
-            self.e, -self.one, -self.xi, -self.f, -self.xif, -self.ff, -self.pt
-        )
+        e, a0, a1, a2, a3, a4, a5 = self
+        return _new(ChowClass, (e, -a0, -a1, -a2, -a3, -a4, -a5))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
         if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._check(other)
-        e = self.e
-        a0, a1, a2, a3, a4, a5 = self[1:]
-        b0, b1, b2, b3, b4, b5 = other[1:]
+            return self.scale(other) if isinstance(other, int) else NotImplemented
+        e, a0, a1, a2, a3, a4, a5 = self
+        e2, b0, b1, b2, b3, b4, b5 = other
+        if e != e2:
+            self._check(other)
         # Normal-form products of basis monomials:
         #   xi*xi = e*xif, xi*f = xif, f*f = ff,
         #   xi*xif = e*pt, xi*ff = pt, f*xif = pt, f*ff = 0.
-        return ChowClass(
+        return _new(ChowClass, (
             e,
             a0 * b0,
             a0 * b1 + a1 * b0,
             a0 * b2 + a2 * b0,
             a0 * b3 + a3 * b0 + e * a1 * b1 + a1 * b2 + a2 * b1,
             a0 * b4 + a4 * b0 + a2 * b2,
-            a0 * b5
-            + a5 * b0
-            + e * (a1 * b3 + a3 * b1)
-            + a1 * b4
-            + a4 * b1
-            + a2 * b3
-            + a3 * b2,
-        )
+            a0 * b5 + a5 * b0 + e * (a1 * b3 + a3 * b1)
+            + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
+        ))
 
     def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other) if isinstance(other, int) else NotImplemented
 
     def scale(self, n: int) -> "ChowClass":
-        return ChowClass(
-            self.e, n * self.one, n * self.xi, n * self.f, n * self.xif, n * self.ff, n * self.pt
-        )
+        e, a0, a1, a2, a3, a4, a5 = self
+        return _new(ChowClass, (e, n * a0, n * a1, n * a2, n * a3, n * a4, n * a5))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -131,19 +122,13 @@ class ChowClass(NamedTuple):
 
     def homogeneous_part(self, codim: int) -> "ChowClass":
         """The codimension-``codim`` component, all other coefficients dropped."""
-        kw = {
-            name: getattr(self, name)
-            for name, c in _BASIS_CODIM.items()
-            if c == codim
-        }
-        return ChowClass(self.e, **kw)
+        out = [self[0], 0, 0, 0, 0, 0, 0]
+        for i in _INDICES_OF_CODIM.get(codim, ()):
+            out[i] = self[i]
+        return _new(ChowClass, out)
 
     def is_homogeneous(self, codim: int) -> bool:
-        return all(
-            getattr(self, name) == 0
-            for name, c in _BASIS_CODIM.items()
-            if c != codim
-        )
+        return not any(_OTHER_COEFFS.get(codim, _ALL_COEFFS)(self))
 
     def degree(self) -> int:
         """Coefficient of the point class xi*f^2 (other components ignored)."""
@@ -264,7 +249,7 @@ class ChernData:
         if not (self.c1.e == self.c2.e == self.c3.e):
             raise ParameterMismatch("Chern classes live on different scrolls")
         for i, c in ((1, self.c1), (2, self.c2), (3, self.c3)):
-            if not c.is_homogeneous(i):
+            if any(_OTHER_COEFFS[i](c)):  # not c.is_homogeneous(i), inlined
                 raise ValueError(f"c{i} is not homogeneous of codimension {i}")
 
     @property
@@ -283,16 +268,26 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     if div.e != data.e:
         raise ParameterMismatch("twisting divisor lives on a different scroll")
     r = data.rank
+    # Terms with a zero coefficient are skipped: at rank 2 that leaves two
+    # ring products (D^2 and c1*D) of the five.
     d2 = div * div
     c1 = data.c1 + r * div
-    c2 = data.c2 + (r - 1) * (data.c1 * div) + comb(r, 2) * d2
-    c3 = (
-        data.c3
-        + (r - 2) * (data.c2 * div)
-        + comb(r - 1, 2) * (data.c1 * d2)
-        + comb(r, 3) * (d2 * div)
-    )
+    c2 = data.c2 + comb(r, 2) * d2
+    if r != 1:
+        c2 += (r - 1) * (data.c1 * div)
+    c3 = data.c3
+    if r != 2:
+        c3 += (r - 2) * (data.c2 * div)
+    if r >= 3:
+        c3 += comb(r - 1, 2) * (data.c1 * d2) + comb(r, 3) * (d2 * div)
     return ChernData(r, c1, c2, c3)
+
+
+@lru_cache(maxsize=16)
+def _rr_constants(e: int) -> tuple:
+    """(K, 3K, K^2 + c2(Omega^1)) on X_e, the e-only inputs of ``chi_rr``."""
+    k = canonical_class(e)
+    return k, 3 * k, k * k + c2_cotangent(e)
 
 
 def chi_rr(data: ChernData) -> int:
@@ -304,19 +299,22 @@ def chi_rr(data: ChernData) -> int:
                 - (K c1^2 - 2 K c2)/4
                 + (K^2 c1 + c2(Omega^1) c1)/12
 
-    The result must be an integer for integral Chern data; a fractional
-    value raises ``NonIntegralValue``.
+    It is evaluated regrouped, with three ring products:
+
+        12 chi = 24 + c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1))
+                    - 6 c2 (c1 - K) + 6 c3
+
+    K, 3K and K^2 + c2(Omega^1) depend only on e and come from a small
+    per-e cache (``_rr_constants``).  The result must be an integer for
+    integral Chern data; a fractional value raises ``NonIntegralValue``.
     """
     if data.rank != 2:
         raise ValueError("chi_rr is the rank-2 specialization")
     e = data.e
-    k = canonical_class(e)
+    k, k3, k2_c2omega = _rr_constants(e)
     c1, c2, c3 = data.c1, data.c2, data.c3
-    c1sq = c1 * c1
-    a = (c1sq * c1).pt - 3 * (c1 * c2).pt + 3 * c3.pt
-    b = (k * c1sq).pt - 2 * (k * c2).pt
-    c = (k * k * c1).pt + (c2_cotangent(e) * c1).pt
-    num = 24 + 2 * a - 3 * b + c
+    cubic = c1 * (c1 * (c1 + c1 - k3) + k2_c2omega)
+    num = 24 + cubic.pt - 6 * (c2 * (c1 - k)).pt + 6 * c3.pt
     if num % 12 != 0:
         raise NonIntegralValue(
             f"chi came out {Fraction(num, 12)} on X_{e}; Chern data is not integral"
@@ -331,7 +329,7 @@ def instanton_chern(e: int, alpha: int, beta: int) -> ChernData:
     with vanishing c3, and the kernel-sheaf modification keeps it 0.
     """
     return ChernData(
-        2, ChowClass(e, f=e - 1), ChowClass(e, xif=alpha, ff=beta), zero(e)
+        2, ChowClass(e, f=e - 1), ChowClass(e, xif=alpha, ff=beta), ChowClass(e)
     )
 
 

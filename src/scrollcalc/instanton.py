@@ -119,7 +119,8 @@ def stability_test_region(e, window, strict: bool = False):
     mu-(semi)stability is equivalent to h0(E(B)) = 0 for every divisor B
     with delta_H(B) <= -mu_H(E) (strict: <).  The window is a finite box
     (a_min, a_max, b_min, b_max); the underlying region is infinite.  An
-    empty window is ``Inadmissible``.
+    empty window is ``Inadmissible``.  delta_H is linear in b, so each row a
+    is cut by one division and costs the same whatever the window's width.
     """
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
@@ -130,14 +131,20 @@ def stability_test_region(e, window, strict: bool = False):
         raise Inadmissible(
             f"empty window: b_min = {b_min} > b_max = {b_max}", bound="b_min <= b_max"
         )
-    # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.
+    # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.  With
+    # 2*delta = 2*delta_H(a, 0) + m*b, a row keeps the b with m*b <= c.
     two_mu = e * e + e - 2
+    m = 2 * chow.delta_H(e, 0, 1)
     out = []
     for a in range(a_min, a_max + 1):
-        for b in range(b_min, b_max + 1):
-            d2 = 2 * chow.delta_H(e, a, b)
-            if (d2 < -two_mu) if strict else (d2 <= -two_mu):
-                out.append((a, b))
+        c = -two_mu - 2 * chow.delta_H(e, a, 0) - (1 if strict else 0)
+        if m > 0:
+            lo, hi = b_min, min(b_max, c // m)
+        elif m < 0:
+            lo, hi = max(b_min, -(c // -m)), b_max
+        else:
+            lo, hi = b_min, (b_max if c >= 0 else b_min - 1)
+        out.extend((a, b) for b in range(lo, hi + 1))
     return out
 
 

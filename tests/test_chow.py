@@ -1,6 +1,8 @@
 """Chow-ring arithmetic against an independent rewriting oracle."""
 
+import operator
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,20 @@ def oracle_mul(x: ChowClass, y: ChowClass) -> ChowClass:
     return from_poly(poly_reduce(poly_mul(to_poly(x), to_poly(y)), x.e), x.e)
 
 
+def poly_lin(e, *terms):
+    """The class of sum(n * x) over ``(n, x)`` terms, added as polynomials."""
+    out = {}
+    for n, x in terms:
+        for key, c in to_poly(x).items():
+            out[key] = out.get(key, 0) + n * c
+    return from_poly(out, e)
+
+
+def oracle_part(x: ChowClass, codim: int) -> ChowClass:
+    # The monomial xi^i f^j has codimension i + j.
+    return from_poly({k: v for k, v in to_poly(x).items() if sum(k) == codim}, x.e)
+
+
 coeffs = st.integers(min_value=-50, max_value=50)
 chow_classes = st.builds(
     ChowClass,
@@ -89,6 +105,28 @@ def paired(strategy, n):
 def test_mul_matches_rewriting_oracle(xy):
     x, y = xy
     assert x * y == oracle_mul(x, y)
+
+
+@given(paired(chow_classes, 2), st.integers(min_value=-20, max_value=20))
+@settings(max_examples=150)
+def test_linear_ops_match_polynomial_oracle(xy, n):
+    x, y = xy
+    e = x.e
+    assert x + y == poly_lin(e, (1, x), (1, y))
+    assert x - y == poly_lin(e, (1, x), (-1, y))
+    assert -x == poly_lin(e, (-1, x))
+    assert x.scale(n) == n * x == x * n == poly_lin(e, (n, x))
+    for r in (x + y, x - y, -x, n * x):
+        assert type(r) is ChowClass and r.e == e
+
+
+@given(chow_classes, st.integers(min_value=-1, max_value=4))
+@settings(max_examples=150)
+def test_homogeneity_matches_polynomial_oracle(x, codim):
+    part = oracle_part(x, codim)
+    assert x.homogeneous_part(codim) == part
+    assert x.is_homogeneous(codim) == (part == x)
+    assert part.is_homogeneous(codim)
 
 
 @given(paired(chow_classes, 3))
@@ -171,6 +209,11 @@ def test_parameter_mismatch_rejected():
         chow.xi_class(1) * chow.xi_class(2)
     with pytest.raises(ParameterMismatch):
         chow.xi_class(1) + chow.f_class(0)
+    x, y = chow.hyperplane(1), ChowClass(3, one=1, xi=2, pt=-1)
+    for op in (operator.add, operator.sub, operator.mul):
+        for lhs, rhs in ((x, y), (y, x)):
+            with pytest.raises(ParameterMismatch):
+                op(lhs, rhs)
 
 
 def test_unit_inverse():
@@ -220,6 +263,45 @@ def test_twist_general_rank_reduces_to_rank2():
     assert got.c3 == data.c3
 
 
+def _binom(n, k):
+    """C(n, k) for any integer n (n may be negative) and k >= 0."""
+    return prod(range(n - k + 1, n + 1)) // prod(range(1, k + 1))
+
+
+def _homogeneous(draw, e, codim):
+    names = {1: ("xi", "f"), 2: ("xif", "ff"), 3: ("pt",)}[codim]
+    return ChowClass(e, **{n: draw(st.integers(-9, 9)) for n in names})
+
+
+@st.composite
+def twist_cases(draw):
+    e = draw(st.integers(min_value=0, max_value=6))
+    rank = draw(st.sampled_from([1, 2, 3, 4]))
+    cs = [_homogeneous(draw, e, k) for k in (1, 2, 3)]
+    return ChernData(rank, *cs), _homogeneous(draw, e, 1)
+
+
+@given(twist_cases())
+@settings(max_examples=200)
+def test_twist_matches_full_binomial_sum(case):
+    # c_k(E(D)) = sum_i C(r-i, k-i) c_i D^(k-i), with every term kept.
+    data, d = case
+    e, r = data.e, data.rank
+    chern = (chow.unit(e), data.c1, data.c2, data.c3)
+    powers = [chow.unit(e)]
+    for _ in range(3):
+        powers.append(oracle_mul(powers[-1], d))
+    got = chow.twist_chern(data, d)
+    assert got.rank == r
+    for k, have in ((1, got.c1), (2, got.c2), (3, got.c3)):
+        terms = [
+            (_binom(r - i, k - i), oracle_mul(chern[i], powers[k - i]))
+            for i in range(k + 1)
+        ]
+        want = poly_lin(e, *terms)
+        assert have == want, (r, k)
+
+
 # ---------------------------------------------------------------------------
 # Riemann-Roch
 
@@ -249,6 +331,33 @@ def test_chi_rr_matches_closed_cubic():
             chow.instanton_chern(e, alpha, beta), chow.divisor(e, a, b)
         )
         assert chow.chi_rr(data) == chow.chi_instanton(e, alpha, beta, a, b)
+
+
+def test_chi_rr_per_scroll_cache_does_not_leak():
+    # Each e evaluated first, on a cold cache, against one shuffled pass
+    # that interleaves all scrolls; e runs past the cache size so entries
+    # are evicted and rebuilt in between.
+    rng = random.Random(11)
+    cases = [
+        (e, rng.randint(0, 8), rng.randint(0, 8), rng.randint(-6, 6), rng.randint(-6, 6))
+        for e in range(21)
+        for _ in range(12)
+    ]
+
+    def chi(case):
+        e, alpha, beta, a, b = case
+        data = chow.twist_chern(chow.instanton_chern(e, alpha, beta), chow.divisor(e, a, b))
+        return chow.chi_rr(data)
+
+    first = {}
+    for e in range(21):
+        chow._rr_constants.cache_clear()
+        first.update((c, chi(c)) for c in cases if c[0] == e)
+    chow._rr_constants.cache_clear()
+    shuffled = cases[:]
+    rng.shuffle(shuffled)
+    assert {c: chi(c) for c in shuffled} == first
+    assert all(v == chow.chi_instanton(*c) for c, v in first.items())
 
 
 def test_chi_rr_integrality_guard():

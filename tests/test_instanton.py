@@ -1,6 +1,10 @@
 """Instanton predicates, stability, curves, Ext formulas, existence."""
 
+import time
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scrollcalc import chow
 from scrollcalc import instanton as inst
@@ -81,6 +85,51 @@ def test_stability_region_boundary_cases():
     assert inst.stability_test_region(0, (0, 0, 0, 0), strict=True) == [(0, 0)]
     # strict drops the boundary: at e = 1, delta(0,0) = 0 = -mu
     assert inst.stability_test_region(1, (0, 0, 0, 0), strict=True) == []
+
+
+def _region_cells(e, window, strict):
+    """Oracle: test every cell of the window against delta_H."""
+    a_min, a_max, b_min, b_max = window
+    two_mu = e * e + e - 2
+    out = []
+    for a in range(a_min, a_max + 1):
+        for b in range(b_min, b_max + 1):
+            d2 = 2 * chow.delta_H(e, a, b)
+            if (d2 < -two_mu) if strict else (d2 <= -two_mu):
+                out.append((a, b))
+    return out
+
+
+windows = st.tuples(
+    st.integers(-40, 40), st.integers(0, 8), st.integers(-400, 400), st.integers(0, 60)
+).map(lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3]))
+
+
+@given(st.integers(-4, 8), windows, st.booleans())
+def test_stability_row_cut_matches_cell_scan(e, window, strict):
+    # e = -2 makes delta_H constant in b, and e < -2 flips its direction.
+    got = inst.stability_test_region(e, window, strict)
+    assert got == _region_cells(e, window, strict)
+
+
+def test_stability_row_cut_straddling_windows():
+    for e in range(-4, 9):
+        for strict in (False, True):
+            window = (-6, 6, -70, 70)
+            got = inst.stability_test_region(e, window, strict)
+            assert got == _region_cells(e, window, strict)
+
+
+def test_stability_huge_window_small_region_is_fast():
+    start = time.perf_counter()
+    assert inst.stability_test_region(1, (-1000, 1000, 10**6, 2 * 10**6)) == []
+    assert inst.stability_test_region(-4, (-1000, 1000, -2 * 10**6, -(10**6))) == []
+    # Only rows a = -1000..-998 reach b >= 1330 at e = 1.
+    corner = inst.stability_test_region(1, (-1000, 1000, 1330, 10**9))
+    elapsed = time.perf_counter() - start
+    assert corner == _region_cells(1, (-1000, -990, 1330, 1400), False)
+    assert len(corner) == 8
+    assert elapsed < 0.5
 
 
 def test_stability_region_against_chow_degrees():
