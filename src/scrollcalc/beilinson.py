@@ -17,7 +17,6 @@ monad in which the h^2 groups enter as free parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import chow, cohomology, instanton
@@ -37,8 +36,7 @@ GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 DUAL_PAIRS = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(NamedTuple):
     """One of the six built-in collections, entries listed as E_0..E_5."""
 
     e: int
@@ -117,8 +115,7 @@ def tensor_summands(x: Summand, y: Summand) -> Summand:
     return Summand(kind, x.a + y.a, x.b + y.b)
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
+class OrthogonalityReport(NamedTuple):
     e: int
     pair: tuple
     cells: dict  # (i, j, m) -> dimension of H^m(E_i ⊗ F_j)
@@ -212,8 +209,7 @@ def _end_omega_item(e, src, tgt):
     return StrongnessItem(src, tgt, label, "chase-only", vals, all(vals.values()))
 
 
-@dataclass(frozen=True)
-class StrongnessReport:
+class StrongnessReport(NamedTuple):
     e: int
     items: tuple
 
@@ -373,8 +369,7 @@ class Cell(NamedTuple):
 STAR = Cell("star")
 
 
-@dataclass(frozen=True)
-class BeilinsonTable:
+class BeilinsonTable(NamedTuple):
     """The 6x6 first-page table of an instanton against a dual pair.
 
     Rows follow the displayed staircase: shifted columns stack H^3..H^0 in
@@ -516,8 +511,7 @@ def beilinson_table(
 # Monads
 
 
-@dataclass(frozen=True)
-class Monad:
+class Monad(NamedTuple):
     """A three-term complex A -> B -> C with the instanton as middle
     cohomology.  For the non-earnest variant C is the kernel of a surjection
     C -> C1 of sheaves, stored as the pair (C, C1); plain monads have
@@ -651,8 +645,7 @@ def monad_general(
     )
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     rank_defect: int
     c1_defect: ChowClass
     c2_defect: ChowClass

@@ -16,8 +16,6 @@ integral before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
@@ -231,24 +229,22 @@ def exceptional_divisor(e: int) -> ChowClass:
     return ChowClass(e, xi=1, f=-e)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple("ChernData", [
+    ("rank", int), ("c1", ChowClass), ("c2", ChowClass), ("c3", ChowClass)
+])):
     """Rank and Chern classes (c1, c2, c3) of a sheaf on X_e.
 
     Each c_i must be homogeneous of codimension i.
     """
 
-    rank: int
-    c1: ChowClass
-    c2: ChowClass
-    c3: ChowClass
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank, c1, c2, c3):
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if not (self.c1.e == self.c2.e == self.c3.e):
+        if not (c1.e == c2.e == c3.e):
             raise ParameterMismatch("Chern classes live on different scrolls")
-        for i, c in ((1, self.c1), (2, self.c2), (3, self.c3)):
+        for i, c in ((1, c1), (2, c2), (3, c3)):
             if any(_OTHER_COEFFS[i](c)):  # not c.is_homogeneous(i), inlined
                 raise ValueError(f"c{i} is not homogeneous of codimension {i}")
 
@@ -316,6 +312,7 @@ def chi_rr(data: ChernData) -> int:
     cubic = c1 * (c1 * (c1 + c1 - k3) + k2_c2omega)
     num = 24 + cubic.pt - 6 * (c2 * (c1 - k)).pt + 6 * c3.pt
     if num % 12 != 0:
+        from fractions import Fraction
         raise NonIntegralValue(
             f"chi came out {Fraction(num, 12)} on X_{e}; Chern data is not integral"
         )
@@ -355,6 +352,7 @@ def chi_instanton(e: int, alpha: int, beta: int, a: int, b: int) -> int:
 
 def slope_mu_H(e: int) -> Fraction:
     """Slope of an instanton bundle with respect to H: c1·H²/rank = (e²+e-2)/2."""
+    from fractions import Fraction
     return Fraction(e * e + e - 2, 2)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import beilinson, chow, cohomology, instanton, verification
 from .errors import ScrollcalcError
@@ -319,7 +318,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "seed": args.seed,
         "total_cases": total,
-        "suites": [asdict(r) for r in results],
+        "suites": [vars(r) for r in results],  # name, cases, failures, findings
         "passed": not failed,
     }
     lines = [f"scrollcalc verify  (seed={args.seed})"]
@@ -350,6 +349,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "e"):
+            instanton.require_scroll(args.e)
         return _HANDLERS[args.command](args)
     except ScrollcalcError as exc:
         bound = getattr(exc, "bound", "")

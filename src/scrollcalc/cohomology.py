@@ -16,7 +16,6 @@ sequence chase that never guesses connecting-map ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -90,8 +89,7 @@ class CohVector(NamedTuple):
         return self.h0 - self.h1 + self.h2 - self.h3
 
 
-@dataclass(frozen=True)
-class FormalSheaf:
+class FormalSheaf(NamedTuple):
     """A finite direct sum of summands with positive multiplicities on X_e."""
 
     e: int

@@ -12,7 +12,6 @@ is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -31,20 +30,24 @@ UNKNOWN = "unknown"
 ROUTE_SERRE = "hartshorne-serre"
 ROUTE_PULLBACK = "pullback"
 
+REGION_CELLS_MAX = 1_000_000  # twists in one stability_test_region answer
 
-@dataclass(frozen=True)
-class InstantonParams:
+
+def require_scroll(e: int) -> None:
+    """The package's domain e >= 0, checked by ``InstantonParams`` and the CLI."""
+    if e < 0:
+        raise Inadmissible("the scroll parameter e must be non-negative", bound="e >= 0")
+
+
+class InstantonParams(
+    NamedTuple("InstantonParams", [("e", int), ("alpha", int), ("beta", int)])
+):
     """Discrete data (e, alpha, beta) of an instanton; charge is derived."""
 
-    e: int
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.e < 0:
-            raise Inadmissible(
-                "the scroll parameter e must be non-negative", bound="e >= 0"
-            )
+    def __init__(self, e, alpha, beta):
+        require_scroll(e)
 
     @property
     def charge(self) -> int:
@@ -121,6 +124,7 @@ def stability_test_region(e, window, strict: bool = False):
     (a_min, a_max, b_min, b_max); the underlying region is infinite.  An
     empty window is ``Inadmissible``.  delta_H is linear in b, so each row a
     is cut by one division and costs the same whatever the window's width.
+    A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
     """
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
@@ -135,7 +139,10 @@ def stability_test_region(e, window, strict: bool = False):
     # 2*delta = 2*delta_H(a, 0) + m*b, a row keeps the b with m*b <= c.
     two_mu = e * e + e - 2
     m = 2 * chow.delta_H(e, 0, 1)
-    out = []
+
+    # Non-empty rows are kept as (a, lo, hi), at most one per twist, and the
+    # twists are built only once the whole region is known to fit the cap.
+    rows, cells = [], 0
     for a in range(a_min, a_max + 1):
         c = -two_mu - 2 * chow.delta_H(e, a, 0) - (1 if strict else 0)
         if m > 0:
@@ -144,16 +151,22 @@ def stability_test_region(e, window, strict: bool = False):
             lo, hi = max(b_min, -(c // -m)), b_max
         else:
             lo, hi = b_min, (b_max if c >= 0 else b_min - 1)
-        out.extend((a, b) for b in range(lo, hi + 1))
-    return out
+        if hi >= lo:
+            cells += hi - lo + 1
+            if cells > REGION_CELLS_MAX:
+                raise Inadmissible(
+                    f"the test region has more than {REGION_CELLS_MAX} twists",
+                    bound=f"region cells <= {REGION_CELLS_MAX}",
+                )
+            rows.append((a, lo, hi))
+    return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
 # Curve classes of the two rulings
 
 
-@dataclass(frozen=True)
-class CurveClassInfo:
+class CurveClassInfo(NamedTuple):
     curve_class: str  # "xif" | "ff"
     degree_H: int
     chi_O: int
@@ -317,8 +330,7 @@ def plane_moduli_dim(e: int, beta: int) -> int:
     return 4 * c2 - 3 if e % 2 == 1 else 4 * c2 - 4
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     status: str
     ext1: Optional[int] = None
     ext2: Optional[int] = None
@@ -327,7 +339,7 @@ class ExistenceReport:
     route: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @staticmethod
     def from_dict(data: dict) -> "ExistenceReport":

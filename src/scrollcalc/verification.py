@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 
 from . import beilinson, chow, cohomology, instanton
 from .chow import ChowClass
@@ -29,12 +28,9 @@ AB_MAX = 10
 PARAM_MAX = 8
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.cases, self.failures, self.findings = name, 0, [], []
 
     @property
     def ok(self) -> bool:

@@ -157,9 +157,31 @@ def test_json_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
-def test_bad_domain_exits_2_without_traceback():
+NEGATIVE_E = [
+    ["chow", "--e", "-1"],
+    ["coh", "--e", "-1", "--a", "1", "--b", "0"],
+    ["chi", "--e", "-2", "--a", "1", "--b", "0", "--alpha", "1", "--beta", "0"],
+    ["monad", "--e", "-1", "--alpha", "1", "--beta", "2"],
+    ["table", "--e", "-1", "--alpha", "1", "--beta", "2"],
+    ["stability", "--e", "-3"],
+    ["existence", "--e", "-1", "--alpha", "1", "--beta", "0"],
+    ["curves", "--e", "-1"],
+]
+
+
+def test_bad_domain_exits_2_without_traceback(capsys):
+    # Every subcommand with --e shares the e >= 0 check of InstantonParams.
+    # In-process, an escaping exception would fail the test outright.
+    assert sorted(a[0] for a in NEGATIVE_E) == sorted(set(cli._HANDLERS) - {"verify"})
+    for args in NEGATIVE_E:
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: the scroll parameter e must be non-negative "
+            "[violated bound: e >= 0]\n"
+        )
     for args in (
-        ["existence", "--e", "-1", "--alpha", "1", "--beta", "0"],
         ["table", "--e", "1", "--alpha", "1", "--beta", "2", "--variant", "2",
          "--gamma-nonzero"],
         ["stability", "--e", "1", "--window", "5", "-5", "0", "0"],
@@ -168,6 +190,15 @@ def test_bad_domain_exits_2_without_traceback():
         code, _, err = run_cli(args)
         assert code == 2
         assert "violated bound" in err and "Traceback" not in err
+
+
+def test_huge_stability_region_refused_in_bounded_time(capsys):
+    start = time.perf_counter()
+    code = cli.main(["stability", "--e", "1", "--window", "-3000", "3000", "-3000", "3000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "") and elapsed < 0.5
+    assert err.endswith("[violated bound: region cells <= 1000000]\n")
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scrollcalc import chow
 from scrollcalc import instanton as inst
 from scrollcalc import verification
+from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams
 
 
@@ -130,6 +131,19 @@ def test_stability_huge_window_small_region_is_fast():
     assert corner == _region_cells(1, (-1000, -990, 1330, 1400), False)
     assert len(corner) == 8
     assert elapsed < 0.5
+
+
+def test_stability_region_cap(monkeypatch):
+    # e = -2: delta_H(a, b) = a, so row a is all of b_min..b_max when a <= 0.
+    with pytest.raises(Inadmissible) as info:
+        inst.stability_test_region(-2, (0, 0, 1, 10**6 + 1))
+    assert info.value.bound == "region cells <= 1000000"
+    monkeypatch.setattr(inst, "REGION_CELLS_MAX", 10)
+    assert len(inst.stability_test_region(-2, (-1, 9, 1, 5))) == 10
+    assert len(inst.stability_test_region(-2, (0, 0, 1, 10))) == 10
+    for window in ((-2, 9, 1, 4), (0, 0, 1, 11), (-10, 0, 1, 1)):
+        with pytest.raises(Inadmissible, match="more than 10 twists"):
+            inst.stability_test_region(-2, window)
 
 
 def test_stability_region_against_chow_degrees():

@@ -1,0 +1,105 @@
+"""Record semantics: validation, immutability, serialization, import cost."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+from scrollcalc import beilinson as bl
+from scrollcalc import chow
+from scrollcalc import cohomology as coh
+from scrollcalc import instanton as inst
+from scrollcalc.chow import ChernData, ChowClass
+from scrollcalc.errors import Inadmissible, ParameterMismatch
+
+
+def test_chern_data_checks():
+    c1, c2, c3 = chow.divisor(1, 0, 0), ChowClass(1, xif=2, ff=3), chow.zero(1)
+    assert ChernData(2, c1, c2, c3) == (2, c1, c2, c3)
+    assert ChernData(rank=2, c1=c1, c2=c2, c3=c3) == chow.instanton_chern(1, 2, 3)
+    for rank in (0, -1):
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            ChernData(rank, c1, c2, c3)
+    bad = {1: ChowClass(1, one=1, f=1), 2: ChowClass(1, xi=1), 3: ChowClass(1, ff=1)}
+    for i, cls in bad.items():
+        args = [c1, c2, c3]
+        args[i - 1] = cls
+        with pytest.raises(ValueError) as info:
+            ChernData(2, *args)
+        assert info.type is ValueError
+        assert str(info.value) == f"c{i} is not homogeneous of codimension {i}"
+    for args in ((ChowClass(2, f=1), c2, c3), (c1, c2, chow.zero(0))):
+        with pytest.raises(ParameterMismatch, match="^Chern classes live on different"):
+            ChernData(2, *args)
+
+
+def test_instanton_params_check():
+    assert inst.InstantonParams(0, 0, 0) == (0, 0, 0)
+    for args in ((-1, 0, 0), (-7, 3, 2)):
+        with pytest.raises(Inadmissible) as info:
+            inst.InstantonParams(*args)
+        assert str(info.value) == "the scroll parameter e must be non-negative"
+        assert info.value.bound == "e >= 0"
+    with pytest.raises(Inadmissible):
+        inst.InstantonParams(e=-1, alpha=0, beta=0)
+
+
+def _records():
+    m = bl.monad_shape(1, 1, 2, 1)
+    return [
+        chow.instanton_chern(1, 2, 3),
+        inst.InstantonParams(1, 2, 0),
+        bl.collection(1, 2),
+        bl.orthogonality_check(1, 1),
+        bl.strongness_check(1),
+        bl.beilinson_table(1, 1, 2),
+        m,
+        bl.monad_consistency(m),
+        coh.FormalSheaf.of(1, [(coh.line(1, 0), 2)]),
+        inst.curve_info(1, "xif"),
+        inst.existence_report(inst.InstantonParams(1, 2, 0)),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+
+
+def test_existence_report_dict_order_and_roundtrip():
+    keys = ["status", "ext1", "ext2", "ext3", "earnest", "route"]
+    for args in ((1, 2, 0), (2, 0, 4), (5, 6, 0), (0, -2, 0)):
+        rep = inst.existence_report(inst.InstantonParams(*args))
+        data = rep.to_dict()
+        assert list(data) == keys
+        assert inst.ExistenceReport.from_dict(json.loads(json.dumps(data))) == rep
+
+
+def test_monad_json_roundtrip():
+    monads = [bl.monad_shape(1, 1, 2, v) for v in (1, 2)]
+    monads += [bl.monad_shape(2, 0, 5, 3), bl.monad_general(1, 2, 5, 1, 2, 1)]
+    for m in monads:
+        back = bl.Monad.from_dict(json.loads(json.dumps(m.to_dict())))
+        assert back == m
+        assert type(back.A) is coh.FormalSheaf
+        assert back.extra is None or type(back.extra) is tuple
+
+
+def test_cli_import_skips_dataclasses_inspect_and_fractions():
+    # Measured against the modules this interpreter has before the import,
+    # so that whatever site hooks load is not charged to the package.
+    probe = (
+        "import sys; before = set(sys.modules); import scrollcalc.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stdout.split())
+    assert "scrollcalc.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions"}
