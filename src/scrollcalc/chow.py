@@ -100,6 +100,17 @@ class ChowClass(NamedTuple):
             + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
         ))
 
+    def pairing(self, other: "ChowClass") -> int:
+        """deg(self * other), from the complementary coefficients alone."""
+        e, a0, a1, a2, a3, a4, a5 = self
+        e2, b0, b1, b2, b3, b4, b5 = other
+        if e != e2:
+            self._check(other)
+        return (
+            a0 * b5 + a5 * b0 + e * (a1 * b3 + a3 * b1)
+            + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2
+        )
+
     def __rmul__(self, other):
         return self.scale(other) if isinstance(other, int) else NotImplemented
 
@@ -248,6 +259,10 @@ class ChernData(NamedTuple("ChernData", [
             if any(_OTHER_COEFFS[i](c)):  # not c.is_homogeneous(i), inlined
                 raise ValueError(f"c{i} is not homogeneous of codimension {i}")
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
+
     @property
     def e(self) -> int:
         return self.c1.e
@@ -264,16 +279,16 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     if div.e != data.e:
         raise ParameterMismatch("twisting divisor lives on a different scroll")
     r = data.rank
-    # Terms with a zero coefficient are skipped: at rank 2 that leaves two
-    # ring products (D^2 and c1*D) of the five.
+    # Terms with a zero coefficient are skipped: rank 2 keeps two ring
+    # products (D^2 and c1*D) of the five, and every coefficient is 1.
     d2 = div * div
+    if r == 2:
+        return ChernData(2, data.c1 + div + div, data.c2 + d2 + data.c1 * div, data.c3)
     c1 = data.c1 + r * div
     c2 = data.c2 + comb(r, 2) * d2
     if r != 1:
         c2 += (r - 1) * (data.c1 * div)
-    c3 = data.c3
-    if r != 2:
-        c3 += (r - 2) * (data.c2 * div)
+    c3 = data.c3 + (r - 2) * (data.c2 * div)
     if r >= 3:
         c3 += comb(r - 1, 2) * (data.c1 * d2) + comb(r, 3) * (d2 * div)
     return ChernData(r, c1, c2, c3)
@@ -295,7 +310,8 @@ def chi_rr(data: ChernData) -> int:
                 - (K c1^2 - 2 K c2)/4
                 + (K^2 c1 + c2(Omega^1) c1)/12
 
-    It is evaluated regrouped, with three ring products:
+    It is evaluated regrouped, with one ring product and two pairings
+    (``ChowClass.pairing``, the degree of a product):
 
         12 chi = 24 + c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1))
                     - 6 c2 (c1 - K) + 6 c3
@@ -309,8 +325,8 @@ def chi_rr(data: ChernData) -> int:
     e = data.e
     k, k3, k2_c2omega = _rr_constants(e)
     c1, c2, c3 = data.c1, data.c2, data.c3
-    cubic = c1 * (c1 * (c1 + c1 - k3) + k2_c2omega)
-    num = 24 + cubic.pt - 6 * (c2 * (c1 - k)).pt + 6 * c3.pt
+    cubic = c1.pairing(c1 * (c1 + c1 - k3) + k2_c2omega)
+    num = 24 + cubic - 6 * c2.pairing(c1 - k) + 6 * c3.pt
     if num % 12 != 0:
         from fractions import Fraction
         raise NonIntegralValue(
@@ -333,21 +349,16 @@ def instanton_chern(e: int, alpha: int, beta: int) -> ChernData:
 def chi_instanton(e: int, alpha: int, beta: int, a: int, b: int) -> int:
     """chi(E(a*xi + b*f)) for a bundle with the instanton Chern data.
 
-    Closed cubic polynomial; always an integer for integer inputs.
+    Closed cubic polynomial; always an integer for integer inputs.  Its
+    (alpha, beta)-free part is evaluated as a cubic in a by Horner's rule;
+    alpha and beta enter linearly.
     """
     six = (
-        2 * e * e * a**3
-        + 6 * e * a * a * b
-        + 6 * a * b * b
-        + 6 * (e * e + e) * a * a
-        + 6 * b * b
-        + (12 * e + 12) * a * b
-        + (7 * e * e + 9 * e - 6 * e * alpha - 6 * beta + 6) * a
-        + 6 * (e - alpha + 2) * b
-        + (3 * e * e + 3 * e - 6 * e * alpha - 6 * alpha - 6 * beta + 6)
-    )
+        (2 * e * e * a + 6 * e * (b + e + 1)) * a
+        + 6 * b * b + 12 * (e + 1) * b + 7 * e * e + 9 * e + 6
+    ) * a + 6 * b * (b + e + 2) + 3 * e * e + 3 * e + 6
     assert six % 6 == 0
-    return six // 6
+    return six // 6 - alpha * (e * a + b + e + 1) - beta * (a + 1)
 
 
 def slope_mu_H(e: int) -> Fraction:

@@ -16,6 +16,7 @@ sequence chase that never guesses connecting-map ranks.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -76,6 +77,12 @@ def _twist_str(a: int, b: int, ascii_only: bool) -> str:
     return "".join(parts)
 
 
+@lru_cache(maxsize=1024)
+def _summand_chern_power(e: int, s: Summand, m: int) -> ChowClass:
+    """c(s)^m on X_e; monads repeat the same summands across a grid."""
+    return s.total_chern(e) ** m
+
+
 class CohVector(NamedTuple):
     """Dimensions (h0, h1, h2, h3) of the four cohomology groups."""
 
@@ -115,7 +122,7 @@ class FormalSheaf(NamedTuple):
     def total_chern(self) -> ChowClass:
         out = chow.unit(self.e)
         for s, m in self.terms:
-            out = out * s.total_chern(self.e) ** m
+            out = out * _summand_chern_power(self.e, s, m)
         return out
 
     def chern_data(self) -> ChernData:
@@ -136,7 +143,11 @@ class FormalSheaf(NamedTuple):
         return CohVector(self.h(0), self.h(1), self.h(2), self.h(3))
 
     def chi(self) -> int:
-        return self.coh_vector().chi
+        e, out = self.e, 0
+        for s, m in self.terms:
+            h, a, b = (h_line if s.kind == LINE else h_omega_twist), s.a, s.b
+            out += m * (h(e, 0, a, b) - h(e, 1, a, b) + h(e, 2, a, b) - h(e, 3, a, b))
+        return out
 
     def render(self, ascii_only: bool = False) -> str:
         if not self.terms:

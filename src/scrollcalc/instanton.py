@@ -49,6 +49,10 @@ class InstantonParams(
     def __init__(self, e, alpha, beta):
         require_scroll(e)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
+
     @property
     def charge(self) -> int:
         return (self.e + 1) * self.alpha + self.beta
@@ -124,7 +128,9 @@ def stability_test_region(e, window, strict: bool = False):
     (a_min, a_max, b_min, b_max); the underlying region is infinite.  An
     empty window is ``Inadmissible``.  delta_H is linear in b, so each row a
     is cut by one division and costs the same whatever the window's width.
-    A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
+    delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows are one
+    interval, found by one more division; no other row is visited.  A region
+    of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
     """
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
@@ -136,29 +142,30 @@ def stability_test_region(e, window, strict: bool = False):
             f"empty window: b_min = {b_min} > b_max = {b_max}", bound="b_min <= b_max"
         )
     # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.  With
-    # 2*delta = 2*delta_H(a, 0) + m*b, a row keeps the b with m*b <= c.
-    two_mu = e * e + e - 2
-    m = 2 * chow.delta_H(e, 0, 1)
+    # 2*delta = q*a + m*b, a row keeps the b with m*b <= c = k0 - q*a.
+    k0 = -(e * e + e - 2) - (1 if strict else 0)
+    q, m = 2 * chow.delta_H(e, 1, 0), 2 * chow.delta_H(e, 0, 1)
+    # A row is non-empty iff its best b (b_min when m > 0, else b_max) is
+    # kept: q*a <= k.  q = 2(e+1)^2 >= 0, and at q = 0 one test decides all.
+    k = k0 - m * (b_min if m > 0 else b_max)
+    a_hi = min(a_max, k // q) if q else (a_max if k >= 0 else a_min - 1)
 
-    # Non-empty rows are kept as (a, lo, hi), at most one per twist, and the
-    # twists are built only once the whole region is known to fit the cap.
+    # Rows are kept as (a, lo, hi), each with at least one twist, so the cap
+    # bounds the loop; the twists are built only once the region fits it.
     rows, cells = [], 0
-    for a in range(a_min, a_max + 1):
-        c = -two_mu - 2 * chow.delta_H(e, a, 0) - (1 if strict else 0)
+    for a in range(a_min, a_hi + 1):
+        c, lo, hi = k0 - q * a, b_min, b_max
         if m > 0:
-            lo, hi = b_min, min(b_max, c // m)
+            hi = min(b_max, c // m)
         elif m < 0:
-            lo, hi = max(b_min, -(c // -m)), b_max
-        else:
-            lo, hi = b_min, (b_max if c >= 0 else b_min - 1)
-        if hi >= lo:
-            cells += hi - lo + 1
-            if cells > REGION_CELLS_MAX:
-                raise Inadmissible(
-                    f"the test region has more than {REGION_CELLS_MAX} twists",
-                    bound=f"region cells <= {REGION_CELLS_MAX}",
-                )
-            rows.append((a, lo, hi))
+            lo = max(b_min, -(c // -m))
+        cells += hi - lo + 1
+        if cells > REGION_CELLS_MAX:
+            raise Inadmissible(
+                f"the test region has more than {REGION_CELLS_MAX} twists",
+                bound=f"region cells <= {REGION_CELLS_MAX}",
+            )
+        rows.append((a, lo, hi))
     return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
 
 
@@ -304,14 +311,9 @@ def min_pullback_beta(e: int) -> int:
     """Least beta with a pullback instanton of c2 = beta f^2: (e^2+e)/2 + 1.
 
     This is the bound forced by the pullback monad's first exponent and
-    matched by the plane moduli count; a weaker bound ((e^2+e)/2 - 1) is
-    also quotable but is not used as the gate.
+    matched by the plane moduli count.
     """
     return (e * e + e) // 2 + 1
-
-
-def stated_pullback_beta_bound(e: int) -> int:
-    return (e * e + e) // 2 - 1
 
 
 def pullback_moduli_dim(e: int, beta: int) -> int:

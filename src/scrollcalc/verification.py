@@ -109,13 +109,11 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     r = SuiteResult("chow-riemann-roch-cross")
     probes = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (8, 8)]
     for e in range(E_MAX + 1):
+        probe_data = [(p, chow.instanton_chern(e, *p)) for p in probes]
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 d = chow.divisor(e, a, b)
-                vals = {}
-                for al, be in probes:
-                    data = chow.twist_chern(chow.instanton_chern(e, al, be), d)
-                    vals[(al, be)] = chow.chi_rr(data)
+                vals = {p: chow.chi_rr(chow.twist_chern(data, d)) for p, data in probe_data}
                 c0 = vals[(0, 0)]
                 da = vals[(1, 0)] - c0
                 db = vals[(0, 1)] - c0

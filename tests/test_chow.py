@@ -107,6 +107,22 @@ def test_mul_matches_rewriting_oracle(xy):
     assert x * y == oracle_mul(x, y)
 
 
+@given(paired(chow_classes, 2))
+@settings(max_examples=150)
+def test_pairing_is_degree_of_product(xy):
+    x, y = xy
+    assert ChowClass.pairing(x, y) == (x * y).degree() == oracle_mul(x, y).pt
+
+
+@given(chow_classes, chow_classes)
+def test_pairing_rejects_mixed_scrolls(x, y):
+    if x.e == y.e:
+        y = y._replace(e=x.e + 1)
+    for lhs, rhs in ((x, y), (y, x)):
+        with pytest.raises(ParameterMismatch):
+            ChowClass.pairing(lhs, rhs)
+
+
 @given(paired(chow_classes, 2), st.integers(min_value=-20, max_value=20))
 @settings(max_examples=150)
 def test_linear_ops_match_polynomial_oracle(xy, n):
@@ -371,6 +387,33 @@ def test_chi_rr_integrality_guard():
 def test_chi_rr_rejects_other_ranks():
     with pytest.raises(ValueError):
         chow.chi_rr(ChernData(3, chow.zero(1), chow.zero(1), chow.zero(1)))
+
+
+def _chi_instanton_expanded(e, alpha, beta, a, b):
+    """The closed cubic written out term by term, as first encoded."""
+    six = (
+        2 * e * e * a**3
+        + 6 * e * a * a * b
+        + 6 * a * b * b
+        + 6 * (e * e + e) * a * a
+        + 6 * b * b
+        + (12 * e + 12) * a * b
+        + (7 * e * e + 9 * e - 6 * e * alpha - 6 * beta + 6) * a
+        + 6 * (e - alpha + 2) * b
+        + (3 * e * e + 3 * e - 6 * e * alpha - 6 * alpha - 6 * beta + 6)
+    )
+    assert six % 6 == 0
+    return six // 6
+
+
+big = st.integers(-(10**6), 10**6)
+
+
+@given(st.integers(0, 8), big, big, big, big)
+def test_chi_instanton_matches_expanded_polynomial(e, alpha, beta, a, b):
+    assert chow.chi_instanton(e, alpha, beta, a, b) == _chi_instanton_expanded(
+        e, alpha, beta, a, b
+    )
 
 
 def test_chi_instanton_special_twists():

@@ -1,12 +1,14 @@
 """Cohomology closed forms against counting and linear-algebra oracles."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scrollcalc import chow
 from scrollcalc import cohomology as coh
 from scrollcalc import verification
 from scrollcalc.cohomology import (
@@ -265,8 +267,6 @@ def test_formal_sheaf_chern_of_omega_twist():
     e, a, b = 2, 1, -2
     s = FormalSheaf.of(e, [(omega(a, b), 1)])
     data = s.chern_data()
-    from scrollcalc import chow
-
     d = chow.divisor(e, a, b)
     m3f = chow.ChowClass(e, f=-3)
     assert data.c1 == m3f + 2 * d
@@ -302,6 +302,57 @@ def test_coh_vector_chi():
     assert v.chi == 0
     sheaf = FormalSheaf.of(1, [(line(1, 0), 2)])
     assert sheaf.coh_vector() == CohVector(8, 0, 0, 0)
+
+
+summands = st.builds(
+    lambda kind, a, b: kind(a, b),
+    st.sampled_from([line, omega]),
+    st.integers(-8, 8),
+    st.integers(-10, 10),
+)
+sheaves = st.builds(
+    FormalSheaf.of,
+    st.integers(0, 6),
+    st.lists(st.tuples(summands, st.integers(0, 5)), max_size=5),
+)
+
+
+@given(sheaves)
+def test_chi_matches_coh_vector(sheaf):
+    assert sheaf.chi() == sheaf.coh_vector().chi
+
+
+def test_summand_chern_power_cache_does_not_leak():
+    # Each e on a cold cache, against one shuffled pass over all scrolls
+    # that holds more keys than the cache, so entries are evicted and rebuilt.
+    rng = random.Random(5)
+
+    def summand():
+        kind = line if rng.random() < 0.5 else omega
+        return kind(rng.randint(-3, 3), rng.randint(-4, 4)), rng.randint(1, 4)
+
+    scrolls = range(40)
+    cases = [
+        FormalSheaf.of(e, [summand() for _ in range(rng.randint(1, 3))])
+        for e in scrolls
+        for _ in range(30)
+    ]
+    cached = coh._summand_chern_power
+    first = {}
+    for e in scrolls:
+        cached.cache_clear()
+        first.update((s, s.total_chern()) for s in cases if s.e == e)
+    cached.cache_clear()
+    shuffled = cases[:]
+    rng.shuffle(shuffled)
+    assert {s: s.total_chern() for s in shuffled} == first
+    assert cached.cache_info().misses > cached.cache_info().maxsize
+    for s, c in first.items():
+        want = chow.unit(s.e)
+        for term, m in s.terms:
+            for _ in range(m):
+                want = want * term.total_chern(s.e)
+        assert c == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scrollcalc import chow
+from scrollcalc import beilinson, chow
 from scrollcalc import instanton as inst
 from scrollcalc import verification
 from scrollcalc.errors import Inadmissible
@@ -133,6 +133,14 @@ def test_stability_huge_window_small_region_is_fast():
     assert elapsed < 0.5
 
 
+def test_stability_empty_rows_cost_nothing():
+    start = time.perf_counter()
+    assert inst.stability_test_region(1, (-500000, 500000, 10**9, 10**9 + 1)) == []
+    # 10^9 rows, of which only a = 0 reaches b = 0 at e = 1.
+    assert inst.stability_test_region(1, (0, 10**9, 0, 10)) == [(0, 0)]
+    assert time.perf_counter() - start < 0.5
+
+
 def test_stability_region_cap(monkeypatch):
     # e = -2: delta_H(a, b) = a, so row a is all of b_min..b_max when a <= 0.
     with pytest.raises(Inadmissible) as info:
@@ -231,7 +239,14 @@ def test_pullback_moduli_dims_agree():
         for beta in range(-3, 25):
             assert inst.pullback_moduli_dim(e, beta) == inst.plane_moduli_dim(e, beta)
     assert inst.min_pullback_beta(2) == 4
-    assert inst.stated_pullback_beta_bound(2) == 2
+
+
+def test_min_pullback_beta_is_the_variant3_gate():
+    firsts = [
+        next(b for b in range(-3, 50) if beilinson.is_admissible(e, 0, b, 3))
+        for e in range(6)
+    ]
+    assert firsts == [inst.min_pullback_beta(e) for e in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
 def test_existence_report_branches():

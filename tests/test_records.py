@@ -45,6 +45,22 @@ def test_instanton_params_check():
         inst.InstantonParams(e=-1, alpha=0, beta=0)
 
 
+def test_replace_and_make_run_the_checks():
+    data = chow.instanton_chern(1, 2, 3)
+    assert data._replace(c3=chow.zero(1)) == data
+    assert ChernData._make(data) == data
+    with pytest.raises(ValueError, match="^rank must be positive$"):
+        data._replace(rank=0)
+    with pytest.raises(ValueError, match="^c1 is not homogeneous"):
+        ChernData._make([2, ChowClass(1, one=1), data.c2, data.c3])
+    p = inst.InstantonParams(1, 2, 0)
+    assert p._replace(beta=4) == inst.InstantonParams._make([1, 2, 4])
+    for build in (lambda: inst.InstantonParams._make([-1, 0, 0]), lambda: p._replace(e=-1)):
+        with pytest.raises(Inadmissible) as info:
+            build()
+        assert info.value.bound == "e >= 0"
+
+
 def _records():
     m = bl.monad_shape(1, 1, 2, 1)
     return [
