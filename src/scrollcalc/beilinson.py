@@ -13,6 +13,11 @@ in the h^1 row and their dimensions are minus the twisted Euler
 characteristic.  Three monad variants are produced (one per pair; the third
 needs alpha = 0 and is a pullback from the plane), plus the non-earnest
 monad in which the h^2 groups enter as free parameters.
+
+Every layout comes from the collections: the five twists of a variant are
+E_4..E_0 of its geometric collection, their dual sheaves are F_4..F_0 of
+the partner, and the monad positions are the same in every variant.  The
+table, the h^1 values and both monad builders read that one layout.
 """
 
 from __future__ import annotations
@@ -283,32 +288,69 @@ class TableTwist(NamedTuple):
     position: int
 
 
-def _variant_twists(e: int, variant: int):
-    if variant == 1:
-        return [
-            TableTwist("-xi", False, -1, 0, omega(-1, e), -1),
-            TableTwist("-xi+f", False, -1, 1, line(-1, e - 1), 0),
-            TableTwist("-(e+1)f", False, 0, -(e + 1), line(0, e - 2), -1),
-            TableTwist("-ef", False, 0, -e, omega(0, e), 0),
-            TableTwist("-(e-1)f", False, 0, -(e - 1), line(0, e - 1), 1),
-        ]
-    if variant == 2:
-        return [
-            TableTwist("omega(-xi+f)", True, -1, 1, line(-1, e - 1), -1),
-            TableTwist("-xi", False, -1, 0, line(-1, e), 0),
-            TableTwist("-(e+1)f", False, 0, -(e + 1), line(0, e - 2), -1),
-            TableTwist("omega(-(e-1)f)", True, 0, -(e - 1), line(0, e - 1), 0),
-            TableTwist("-ef", False, 0, -e, line(0, e), 1),
-        ]
-    if variant == 3:
-        return [
-            TableTwist("omega(-xi+f)", True, -1, 1, line(-1, e - 1), -1),
-            TableTwist("-xi", False, -1, 0, line(-1, e), 0),
-            TableTwist("-(e+2)f", False, 0, -(e + 2), line(0, e - 1), -1),
-            TableTwist("omega(-ef)", True, 0, -e, line(0, e), 0),
-            TableTwist("-(e+1)f", False, 0, -(e + 1), line(0, e + 1), 1),
-        ]
-    raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
+# Twist i of variant v is E_(4-i) of the geometric collection of
+# DUAL_PAIRS[v], with dual F_(4-i) and monad position MONAD_POSITIONS[i];
+# only its label, a key of ``h1_values``, is written out.
+VARIANT_LABELS = {
+    1: ("-xi", "-xi+f", "-(e+1)f", "-ef", "-(e-1)f"),
+    2: ("omega(-xi+f)", "-xi", "-(e+1)f", "omega(-(e-1)f)", "-ef"),
+    3: ("omega(-xi+f)", "-xi", "-(e+2)f", "omega(-ef)", "-(e+1)f"),
+}
+MONAD_POSITIONS = (-1, 0, -1, 0, 1)
+
+# The h^2 parameters of the non-earnest first variant, by twist index:
+# gamma at -(e+1)f, eta at -ef, delta at -(e-1)f.
+H2_PARAMS = {2: "gamma", 3: "eta", 4: "delta"}
+
+
+class Layout(NamedTuple):
+    ecoll: Collection
+    fcoll: Collection
+    twists: tuple  # tuple[TableTwist, ...], five columns in order
+
+
+def _layout(e: int, variant: int) -> Layout:
+    if variant not in VARIANT_LABELS:
+        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
+    ei, fi = DUAL_PAIRS[variant]
+    ecoll, fcoll = collection(e, ei), collection(e, fi)
+    twists = tuple(
+        TableTwist(label, s.kind == cohomology.OMEGA, s.a, s.b, dual, position)
+        for label, s, dual, position in zip(
+            VARIANT_LABELS[variant],
+            ecoll.objects[4::-1],
+            fcoll.objects[4::-1],
+            MONAD_POSITIONS,
+        )
+    )
+    return Layout(ecoll, fcoll, twists)
+
+
+def _candidates(e: int, alpha: int, beta: int, twists) -> dict:
+    """-chi at every twist, keyed by label in column order; no gate."""
+    return {
+        tw.label: (h1_omega_candidate if tw.is_omega else h1_line_candidate)(
+            e, alpha, beta, tw.a, tw.b
+        )
+        for tw in twists
+    }
+
+
+def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
+    if variant == 3 and alpha != 0:
+        raise Inadmissible(
+            f"the pullback variant requires alpha = 0, got alpha = {alpha}",
+            bound="alpha == 0",
+        )
+    values = _candidates(e, alpha, beta, twists)
+    for label, cand in values.items():
+        if cand < 0:
+            raise Inadmissible(
+                f"h1 at twist {label} is {cand} < 0 for "
+                f"(e, alpha, beta) = ({e}, {alpha}, {beta})",
+                bound=f"h1[{label}] >= 0",
+            )
+    return values
 
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
@@ -319,32 +361,7 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     candidate means no earnest instanton with these parameters exists, and
     is reported as ``Inadmissible`` carrying the violated bound.
     """
-    if variant == 3 and alpha != 0:
-        raise Inadmissible(
-            f"the pullback variant requires alpha = 0, got alpha = {alpha}",
-            bound="alpha == 0",
-        )
-    out = {}
-    for tw in _variant_twists(e, variant):
-        cand = (h1_omega_candidate if tw.is_omega else h1_line_candidate)(
-            e, alpha, beta, tw.a, tw.b
-        )
-        if cand < 0:
-            raise Inadmissible(
-                f"h1 at twist {tw.label} is {cand} < 0 for "
-                f"(e, alpha, beta) = ({e}, {alpha}, {beta})",
-                bound=f"h1[{tw.label}] >= 0",
-            )
-        out[tw.label] = cand
-    return out
-
-
-def is_admissible(e: int, alpha: int, beta: int, variant: int) -> bool:
-    try:
-        h1_values(e, alpha, beta, variant)
-    except Inadmissible:
-        return False
-    return True
+    return _gated_h1(e, alpha, beta, variant, _layout(e, variant).twists)
 
 
 # ---------------------------------------------------------------------------
@@ -444,36 +461,27 @@ def beilinson_table(
             "the non-earnest table is only laid out for variant 1",
             bound="variant == 1",
         )
+    ecoll, fcoll, twists = _layout(e, variant)
     if gamma_zero:
-        values = h1_values(e, alpha, beta, variant)
+        values = _gated_h1(e, alpha, beta, variant, twists)
     else:
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", bound="alpha >= 0")
-        values = {
-            tw.label: (h1_omega_candidate if tw.is_omega else h1_line_candidate)(
-                e, alpha, beta, tw.a, tw.b
-            )
-            for tw in _variant_twists(e, variant)
-        }
+        values = _candidates(e, alpha, beta, twists)
 
-    twists = _variant_twists(e, variant)
-    ei, fi = DUAL_PAIRS[variant]
-    ecoll, fcoll = collection(e, ei), collection(e, fi)
     top = tuple(fcoll.objects[5 - c] for c in range(6))
     bottom = tuple(ecoll.objects[5 - c] for c in range(6))
     shifts = tuple(ecoll.shifts[5 - c] for c in range(6))
 
-    h2_symbols = {2: "gamma", 1: "eta", 0: "delta"}  # by collection index
     cells = [[STAR] * 6 for _ in range(6)]
     for c in range(6):
-        i = 5 - c
         si = shifts[c]
         rows = range(0, 4) if si else range(2, 6)
-        if i == 5:
+        if c == 0:
             for r in rows:
                 cells[r][c] = Cell("zero", tag="minus-h")
             continue
-        tw = twists[4 - i]
+        tw = twists[c - 1]
         kind = instanton.OMEGA_TENSOR if tw.is_omega else instanton.BUNDLE
         for r in rows:
             m = (3 - r) if si else (5 - r)
@@ -489,7 +497,7 @@ def beilinson_table(
                 if variant == 3:
                     tag = "alpha-zero-chain"
                 elif not gamma_zero:
-                    cells[r][c] = Cell("unknown", tag=h2_symbols[i])
+                    cells[r][c] = Cell("unknown", tag=H2_PARAMS[c - 1])
                     continue
                 else:
                     tag = "gamma-hypothesis" if tw.b == -(e + 1) else "gamma-chain"
@@ -580,22 +588,25 @@ class Monad(NamedTuple):
         )
 
 
+def _monad_sheaves(e: int, twists, exponents: dict, params: dict) -> list:
+    """A, B, C and the tail C1: each twist's dual sheaf enters its own
+    position with the twist's exponent, and a parameter at twist index i
+    reenters one position later (position 2 is the tail)."""
+    buckets = {-1: [], 0: [], 1: [], 2: []}
+    for tw in twists:
+        buckets[tw.position].append((tw.dual, exponents[tw.label]))
+    for i, val in params.items():
+        buckets[twists[i].position + 1].append((twists[i].dual, val))
+    return [FormalSheaf.of(e, buckets[p]) for p in (-1, 0, 1, 2)]
+
+
 def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     """The variant's monad, multiplicities taken from ``h1_values`` (the
     Riemann-Roch route), never from display strings."""
-    values = h1_values(e, alpha, beta, variant)
-    buckets = {-1: [], 0: [], 1: []}
-    for tw in _variant_twists(e, variant):
-        buckets[tw.position].append((tw.dual, values[tw.label]))
-    return Monad(
-        e,
-        alpha,
-        beta,
-        variant,
-        FormalSheaf.of(e, buckets[-1]),
-        FormalSheaf.of(e, buckets[0]),
-        FormalSheaf.of(e, buckets[1]),
-    )
+    twists = _layout(e, variant).twists
+    values = _gated_h1(e, alpha, beta, variant, twists)
+    A, B, C, _ = _monad_sheaves(e, twists, values, {})
+    return Monad(e, alpha, beta, variant, A, B, C)
 
 
 def monad_general(
@@ -609,40 +620,24 @@ def monad_general(
     correction cancels out of the rank, Chern and chi defects.  At
     gamma = delta = eta = 0 this degenerates to the first variant.
     """
-    for name, val in (("gamma", gamma), ("delta", delta), ("eta", eta)):
+    given = {"gamma": gamma, "delta": delta, "eta": eta}
+    for name, val in given.items():
         if val < 0:
             raise Inadmissible(f"{name} = {val} < 0", bound=f"{name} >= 0")
     if alpha < 0:
         raise Inadmissible(f"alpha = {alpha} < 0", bound="alpha >= 0")
-    bumps = {"-(e+1)f": gamma, "-ef": eta, "-(e-1)f": delta}
-    exponents = {}
-    for tw in _variant_twists(e, 1):
-        cand = h1_line_candidate(e, alpha, beta, tw.a, tw.b) + bumps.get(tw.label, 0)
-        if cand < 0:
+    twists = _layout(e, 1).twists
+    params = {i: given[name] for i, name in H2_PARAMS.items()}
+    exponents = _candidates(e, alpha, beta, twists)
+    for i, tw in enumerate(twists):
+        exponents[tw.label] += params.get(i, 0)
+        if exponents[tw.label] < 0:
             raise Inadmissible(
-                f"exponent at twist {tw.label} is {cand} < 0",
+                f"exponent at twist {tw.label} is {exponents[tw.label]} < 0",
                 bound=f"h1[{tw.label}] >= 0",
             )
-        exponents[tw.label] = cand
-    a_terms = [(omega(-1, e), exponents["-xi"]), (line(0, e - 2), exponents["-(e+1)f"])]
-    b_terms = [
-        (line(-1, e - 1), exponents["-xi+f"]),
-        (omega(0, e), exponents["-ef"]),
-        (line(0, e - 2), gamma),
-    ]
-    c_terms = [(line(0, e - 1), exponents["-(e-1)f"]), (omega(0, e), eta)]
-    tail = [(line(0, e - 1), delta)]
-    return Monad(
-        e,
-        alpha,
-        beta,
-        None,
-        FormalSheaf.of(e, a_terms),
-        FormalSheaf.of(e, b_terms),
-        FormalSheaf.of(e, c_terms),
-        FormalSheaf.of(e, tail),
-        (gamma, delta, eta),
-    )
+    A, B, C, tail = _monad_sheaves(e, twists, exponents, params)
+    return Monad(e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta))
 
 
 class ConsistencyReport(NamedTuple):
@@ -685,8 +680,7 @@ def monad_consistency(m: Monad) -> ConsistencyReport:
     total = (
         m.B.total_chern()
         * tail.total_chern()
-        * m.A.total_chern().inverse()
-        * m.C.total_chern().inverse()
+        * (m.A.total_chern() * m.C.total_chern()).inverse()
     )
     chi = m.B.chi() + tail.chi() - m.A.chi() - m.C.chi()
     return ConsistencyReport(

@@ -211,10 +211,6 @@ def f_class(e: int) -> ChowClass:
     return ChowClass(e, f=1)
 
 
-def point_class(e: int) -> ChowClass:
-    return ChowClass(e, pt=1)
-
-
 def divisor(e: int, a: int, b: int) -> ChowClass:
     """The divisor class a*xi + b*f."""
     return ChowClass(e, xi=a, f=b)

@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import beilinson, chow, cohomology, instanton, verification
-from .errors import ScrollcalcError
+from .errors import Inadmissible, ScrollcalcError
 
 
 def _common(sub):
@@ -201,6 +201,11 @@ def _cmd_chi(args) -> int:
 def _cmd_monad(args) -> int:
     general = [x for x in (args.gamma, args.delta, args.eta) if x is not None]
     if general:
+        if args.variant != 1:
+            raise Inadmissible(
+                "the non-earnest monad is only laid out for variant 1",
+                bound="variant == 1",
+            )
         m = beilinson.monad_general(
             args.e,
             args.alpha,

@@ -101,17 +101,6 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
     return None
 
 
-def divisor_globally_generated(e: int, a: int, b: int) -> bool:
-    """O(a xi + b f) is globally generated exactly when a, b >= 0."""
-    return a >= 0 and b >= 0
-
-
-def smooth_integral_class(e: int, a: int, b: int) -> bool:
-    """|a xi + b f| contains a smooth integral divisor iff a, b >= 0, or it
-    is the contracted divisor class xi - e f."""
-    return (a >= 0 and b >= 0) or (a == 1 and b == -e)
-
-
 def earnest_criterion(h2_at_minus_e1f: int) -> bool:
     """Earnestness of an instanton is equivalent to h2(E(-(e+1)f)) = 0."""
     if h2_at_minus_e1f < 0:
@@ -225,13 +214,6 @@ def curve_info(e: int, curve_class: str) -> CurveClassInfo:
 
 # ---------------------------------------------------------------------------
 # The section construction and its Ext bookkeeping
-
-
-# Restriction of a section-construction bundle to a generic ruling line is
-# balanced (the twist degrees (-1, 1) with two sections force the trivial
-# splitting); recorded as a pair of line degrees.  Computing splitting types
-# elsewhere is out of scope.
-GENERIC_LINE_SPLITTING = (0, 0)
 
 
 class SerreBundle(NamedTuple):

@@ -132,6 +132,7 @@ def test_criterion_5_monad_consistency():
                     assert rep.c2_defect == chow.ChowClass(e, xif=alpha, ff=beta)
                     assert rep.chi_defect == chow.chi_instanton(e, alpha, beta, 0, 0)
                     checked += 1
+    assert checked > 500
     # golden monad at e = 1 (the classical three-term display)
     m = bl.monad_shape(1, 1, 2, 1)
     assert dict(m.A.terms) == {omega(-1, 1): 1, line(0, -1): 2}

@@ -159,9 +159,10 @@ def test_table_value_positions_fixed():
             for alpha, beta in ((2, 3), (3, 6), (0, 8)):
                 if variant == 3:
                     alpha = 0
-                if not bl.is_admissible(e, alpha, beta, variant):
+                try:
+                    table = beilinson_table(e, alpha, beta, variant)
+                except Inadmissible:
                     continue
-                table = beilinson_table(e, alpha, beta, variant)
                 assert table.value_positions() == expected
 
 
@@ -219,9 +220,10 @@ def test_table_boundary_tag_only_at_e_zero():
         for variant in (1, 2, 3):
             alpha = 0 if variant == 3 else 2
             beta = (e * e + e) // 2 + 2
-            if not bl.is_admissible(e, alpha, beta, variant):
+            try:
+                table = beilinson_table(e, alpha, beta, variant)
+            except Inadmissible:
                 continue
-            table = beilinson_table(e, alpha, beta, variant)
             tags = {cell.tag for row in table.cells for cell in row}
             assert "h0-small-e" not in tags, (e, variant)
 
@@ -281,35 +283,57 @@ def test_monad_variant3_minimal_beta_pullback_ranks():
 
 
 def test_monad_multiplicities_are_minus_chi():
+    # Each h1 value is -chi of E at the twist shown under its column, an
+    # Omega twist through chi(Omega ⊗ E(a, b)) = 3 chi(E(a, b-1)) - chi(E(a, b)).
     for e in range(5):
         for alpha in range(7):
             for beta in range(9):
                 for variant in (1, 2, 3):
-                    if not bl.is_admissible(e, alpha, beta, variant):
+                    try:
+                        values = h1_values(e, alpha, beta, variant)
+                    except Inadmissible:
                         continue
-                    values = h1_values(e, alpha, beta, variant)
-                    for tw in bl._variant_twists(e, variant):
-                        if tw.is_omega:
-                            cand = bl.h1_omega_candidate(e, alpha, beta, tw.a, tw.b)
+                    table = beilinson_table(e, alpha, beta, variant)
+                    twists = table.bottom_labels[1:]
+                    assert len(values) == len(twists) == 5
+                    for value, s in zip(values.values(), twists):
+                        chi = [
+                            chow.chi_instanton(e, alpha, beta, s.a, s.b - k)
+                            for k in (0, 1)
+                        ]
+                        if s.kind == coh.OMEGA:
+                            assert value == chi[0] - 3 * chi[1]
                         else:
-                            cand = -chow.chi_instanton(e, alpha, beta, tw.a, tw.b)
-                        assert values[tw.label] == cand
+                            assert value == -chi[0]
 
 
-def test_monad_consistency_grid():
+# Table column c (c = 1..5) feeds this term of the monad in every variant.
+MONAD_SHEAF_OF_COLUMN = {1: "A", 2: "B", 3: "A", 4: "B", 5: "C"}
+
+
+def test_table_and_monad_agree():
+    # Each value cell (r, c) of the table is the term (top_labels[c], value)
+    # of the matching monad sheaf, and the monad has no other terms.
     checked = 0
-    for e in range(5):
+    for e in range(9):
         for alpha in range(9):
             for beta in range(9):
                 for variant in (1, 2, 3):
                     try:
-                        m = monad_shape(e, alpha, beta, variant)
+                        table = beilinson_table(e, alpha, beta, variant)
                     except Inadmissible:
                         continue
-                    rep = monad_consistency(m)
-                    assert rep.ok, (e, alpha, beta, variant)
+                    m = monad_shape(e, alpha, beta, variant)
+                    want = {"A": {}, "B": {}, "C": {}}
+                    for r, c in table.value_positions():
+                        value = table.cells[r][c].value
+                        if value:
+                            want[MONAD_SHEAF_OF_COLUMN[c]][table.top_labels[c]] = value
+                    got = {"A": m.A, "B": m.B, "C": m.C}
+                    for name, sheaf in got.items():
+                        assert dict(sheaf.terms) == want[name], (e, alpha, beta, variant)
                     checked += 1
-    assert checked > 500
+    assert checked > 600
 
 
 def test_monad_c2_quotient_frozen_case():

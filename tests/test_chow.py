@@ -159,7 +159,7 @@ def test_defining_relations():
         xi, f = chow.xi_class(e), chow.f_class(e)
         assert xi * xi == e * (xi * f)
         assert f * f * f == chow.zero(e)
-        assert (xi * f) * f == chow.point_class(e)
+        assert (xi * f) * f == ChowClass(e, pt=1)
 
 
 def test_cube_of_hyperplane_class():
@@ -379,7 +379,7 @@ def test_chi_rr_per_scroll_cache_does_not_leak():
 def test_chi_rr_integrality_guard():
     # A bare odd point class in c3 is not the Chern data of any sheaf and
     # must trip the integrality assertion.
-    data = ChernData(2, chow.zero(1), chow.zero(1), chow.point_class(1))
+    data = ChernData(2, chow.zero(1), chow.zero(1), ChowClass(1, pt=1))
     with pytest.raises(NonIntegralValue):
         chow.chi_rr(data)
 

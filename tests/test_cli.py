@@ -186,10 +186,18 @@ def test_bad_domain_exits_2_without_traceback(capsys):
          "--gamma-nonzero"],
         ["stability", "--e", "1", "--window", "5", "-5", "0", "0"],
         ["stability", "--e", "1", "--window", "0", "0", "3", "-3"],
+        ["monad", "--e", "1", "--alpha", "1", "--beta", "2", "--variant", "3",
+         "--gamma", "0"],
     ):
         code, _, err = run_cli(args)
         assert code == 2
         assert "violated bound" in err and "Traceback" not in err
+    # the non-earnest monad is laid out for the first variant only
+    code = cli.main(["monad", "--e", "1", "--alpha", "1", "--beta", "2",
+                     "--variant", "2", "--delta", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.endswith("[violated bound: variant == 1]\n")
 
 
 def test_huge_stability_region_refused_in_bounded_time(capsys):

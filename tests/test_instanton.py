@@ -57,16 +57,6 @@ def test_forced_vanishing_regions():
         inst.forced_vanishing(2, "nope", 0, 0, 0)
 
 
-def test_divisor_predicates():
-    for e in range(6):
-        assert inst.divisor_globally_generated(e, 1, 0)
-        assert inst.smooth_integral_class(e, 1, 0)
-        assert not inst.divisor_globally_generated(e, 1, -e) or e == 0
-        assert inst.smooth_integral_class(e, 1, -e)
-        assert not inst.divisor_globally_generated(e, -1, 5)
-        assert not inst.smooth_integral_class(e, -1, 5)
-
-
 def test_earnest_criterion():
     assert inst.earnest_criterion(0)
     assert not inst.earnest_criterion(1)
@@ -186,10 +176,6 @@ def test_curve_degrees_from_intersection_numbers():
         assert (L * chow.ChowClass(e, xif=1)).degree() == e + 1
 
 
-def test_generic_line_splitting_recorded():
-    assert inst.GENERIC_LINE_SPLITTING == (0, 0)
-
-
 def test_serre_construction():
     for e in range(5):
         for alpha in range(8):
@@ -242,10 +228,15 @@ def test_pullback_moduli_dims_agree():
 
 
 def test_min_pullback_beta_is_the_variant3_gate():
-    firsts = [
-        next(b for b in range(-3, 50) if beilinson.is_admissible(e, 0, b, 3))
-        for e in range(6)
-    ]
+    def first_admitted(e):
+        for b in range(-3, 50):
+            try:
+                beilinson.h1_values(e, 0, b, 3)
+            except Inadmissible:
+                continue
+            return b
+
+    firsts = [first_admitted(e) for e in range(6)]
     assert firsts == [inst.min_pullback_beta(e) for e in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
