@@ -41,6 +41,15 @@ GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 DUAL_PAIRS = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
 
 
+def _dual_pair(variant: int) -> tuple:
+    """The collection indices of the variant's dual pair."""
+    if variant not in DUAL_PAIRS:
+        raise Inadmissible(
+            f"variant must be 1, 2 or 3, got {variant}", bound="variant in (1, 2, 3)"
+        )
+    return DUAL_PAIRS[variant]
+
+
 class Collection(NamedTuple):
     """One of the six built-in collections, entries listed as E_0..E_5."""
 
@@ -108,7 +117,9 @@ def collection(e: int, index: int) -> Collection:
             line(-1, e - 2),
         )
     else:
-        raise ValueError(f"collection index must be 1..6, got {index}")
+        raise Inadmissible(
+            f"collection index must be 1..6, got {index}", bound="index in 1..6"
+        )
     shifts = GEOMETRIC_SHIFTS if index % 2 == 1 else (0,) * 6
     return Collection(e, index, objs, shifts)
 
@@ -152,7 +163,7 @@ def orthogonality_report(ecoll: Collection, fcoll: Collection) -> OrthogonalityR
 
 def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
     """Verify the dual orthogonality of pair 1, 2 or 3; raise on any bad cell."""
-    ei, fi = DUAL_PAIRS[pair]
+    ei, fi = _dual_pair(pair)
     report = orthogonality_report(collection(e, ei), collection(e, fi))
     if not report.ok:
         raise OrthogonalityFailure(report.violations)
@@ -178,24 +189,20 @@ class StrongnessItem(NamedTuple):
     ok: bool
 
 
-def _line_item(e, src, tgt, a, b):
-    vals = {i: cohomology.h_line(e, i, a, b) == 0 for i in (1, 2, 3)}
-    return StrongnessItem(
-        src, tgt, line(a, b).render(), "closed-form", vals, all(vals.values())
-    )
+def _line_item(e, src, tgt, g):
+    vals = {i: cohomology.h_line(e, i, g.a, g.b) == 0 for i in (1, 2, 3)}
+    return StrongnessItem(src, tgt, g.render(), "closed-form", vals, all(vals.values()))
 
 
-def _omega_item(e, src, tgt, a, b):
+def _omega_item(e, src, tgt, g):
     # Dual route: the chase along the dualized Euler sequence twisted to end
-    # at Omega(a xi + b f), cross-checked against the closed form.
-    seq = seq_euler_dual(e, a, b)
+    # at the group g = Omega(a xi + b f), cross-checked against the closed form.
+    seq = seq_euler_dual(e, g.a, g.b)
     vals = {}
     for i in (1, 2, 3):
         chased = les_chase(seq, 2, i)
-        vals[i] = chased.is_zero and cohomology.h_omega_twist(e, i, a, b) == 0
-    return StrongnessItem(
-        src, tgt, omega(a, b).render(), "chase", vals, all(vals.values())
-    )
+        vals[i] = chased.is_zero and cohomology.h_omega_twist(e, i, g.a, g.b) == 0
+    return StrongnessItem(src, tgt, g.render(), "chase", vals, all(vals.values()))
 
 
 def _end_omega_item(e, src, tgt):
@@ -229,28 +236,19 @@ def strongness_check(e: int) -> StrongnessReport:
     coll = collection(e, 2)
     names = [s.render() for s in coll.objects]
     items = []
-    # (source index, target index, reduced group): the Ext between F_i and
-    # F_j, i > j in collection order, equals H^*(F_i^dual ⊗ F_j).
+    # The Ext between F_i and F_j, i > j in collection order, equals
+    # H^*(F_i^dual ⊗ F_j), one summand unless both are Omega twists.
     for i in range(5, 0, -1):
         for j in range(i - 1, -1, -1):
             src, tgt = coll.objects[i], coll.objects[j]
-            if src.kind == cohomology.LINE and tgt.kind == cohomology.LINE:
-                items.append(
-                    _line_item(e, names[i], names[j], tgt.a - src.a, tgt.b - src.b)
-                )
-            elif src.kind == cohomology.LINE:
-                items.append(
-                    _omega_item(e, names[i], names[j], tgt.a - src.a, tgt.b - src.b)
-                )
-            elif tgt.kind == cohomology.LINE:
-                # Omega^dual(D) = Omega(D + 3f)
-                items.append(
-                    _omega_item(
-                        e, names[i], names[j], tgt.a - src.a, tgt.b - src.b + 3
-                    )
-                )
-            else:
+            if src.kind == tgt.kind == cohomology.OMEGA:
                 items.append(_end_omega_item(e, names[i], names[j]))
+                continue
+            # Omega^dual = Omega(3f), so Omega(D)^dual = Omega(3f - D).
+            shift = 3 if src.kind == cohomology.OMEGA else 0
+            g = tensor_summands(Summand(src.kind, -src.a, shift - src.b), tgt)
+            item = _line_item if g.kind == cohomology.LINE else _omega_item
+            items.append(item(e, names[i], names[j], g))
     report = StrongnessReport(e, tuple(items))
     if not report.ok:
         raise StrongnessFailure([it for it in report.items if not it.ok])
@@ -266,24 +264,20 @@ def strongness_check(e: int) -> StrongnessReport:
 # additivity:  chi(Omega ⊗ E(a, b)) = 3 chi(E(a, b-1)) - chi(E(a, b)).
 
 
-def h1_line_candidate(e: int, alpha: int, beta: int, a: int, b: int) -> int:
-    return -chow.chi_instanton(e, alpha, beta, a, b)
-
-
-def h1_omega_candidate(e: int, alpha: int, beta: int, a: int, b: int) -> int:
-    return 3 * h1_line_candidate(e, alpha, beta, a, b - 1) - h1_line_candidate(
-        e, alpha, beta, a, b
-    )
+def _h1_candidate(e: int, alpha: int, beta: int, s: Summand) -> int:
+    """-chi of E twisted by the summand s (E(D) or Omega ⊗ E(D))."""
+    chi = chow.chi_instanton(e, alpha, beta, s.a, s.b)
+    if s.kind == cohomology.LINE:
+        return -chi
+    return chi - 3 * chow.chi_instanton(e, alpha, beta, s.a, s.b - 1)
 
 
 class TableTwist(NamedTuple):
-    """One table column: the twist of E, its label, and the matching dual
+    """One table column: its label, the twist of E, and the matching dual
     sheaf with its position in the monad (-1 = A, 0 = B, +1 = C)."""
 
     label: str
-    is_omega: bool
-    a: int
-    b: int
+    twist: Summand
     dual: Summand
     position: int
 
@@ -310,30 +304,20 @@ class Layout(NamedTuple):
 
 
 def _layout(e: int, variant: int) -> Layout:
-    if variant not in VARIANT_LABELS:
-        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
-    ei, fi = DUAL_PAIRS[variant]
+    ei, fi = _dual_pair(variant)
     ecoll, fcoll = collection(e, ei), collection(e, fi)
-    twists = tuple(
-        TableTwist(label, s.kind == cohomology.OMEGA, s.a, s.b, dual, position)
-        for label, s, dual, position in zip(
-            VARIANT_LABELS[variant],
-            ecoll.objects[4::-1],
-            fcoll.objects[4::-1],
-            MONAD_POSITIONS,
-        )
+    columns = zip(
+        VARIANT_LABELS[variant],
+        ecoll.objects[4::-1],
+        fcoll.objects[4::-1],
+        MONAD_POSITIONS,
     )
-    return Layout(ecoll, fcoll, twists)
+    return Layout(ecoll, fcoll, tuple(TableTwist(*column) for column in columns))
 
 
 def _candidates(e: int, alpha: int, beta: int, twists) -> dict:
     """-chi at every twist, keyed by label in column order; no gate."""
-    return {
-        tw.label: (h1_omega_candidate if tw.is_omega else h1_line_candidate)(
-            e, alpha, beta, tw.a, tw.b
-        )
-        for tw in twists
-    }
+    return {tw.label: _h1_candidate(e, alpha, beta, tw.twist) for tw in twists}
 
 
 def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
@@ -474,21 +458,15 @@ def beilinson_table(
     shifts = tuple(ecoll.shifts[5 - c] for c in range(6))
 
     cells = [[STAR] * 6 for _ in range(6)]
-    for c in range(6):
+    for c, s in enumerate(bottom):
         si = shifts[c]
-        rows = range(0, 4) if si else range(2, 6)
-        if c == 0:
-            for r in rows:
-                cells[r][c] = Cell("zero", tag="minus-h")
-            continue
-        tw = twists[c - 1]
-        kind = instanton.OMEGA_TENSOR if tw.is_omega else instanton.BUNDLE
-        for r in rows:
+        for r in range(0, 4) if si else range(2, 6):
             m = (3 - r) if si else (5 - r)
-            if m == 1:
-                cells[r][c] = Cell("value", value=values[tw.label])
+            # Column 0 is -H, where every group is tagged minus-h.
+            tag = instanton.forced_vanishing(e, s.kind, m, s.a, s.b)
+            if tag is None and m == 1:
+                cells[r][c] = Cell("value", value=values[twists[c - 1].label])
                 continue
-            tag = instanton.forced_vanishing(e, kind, m, tw.a, tw.b)
             if tag is None and m == 0:
                 # Lone low-e boundary cells (only e = 0 reaches here, where
                 # the region predicates stop short of b = 1).
@@ -500,7 +478,7 @@ def beilinson_table(
                     cells[r][c] = Cell("unknown", tag=H2_PARAMS[c - 1])
                     continue
                 else:
-                    tag = "gamma-hypothesis" if tw.b == -(e + 1) else "gamma-chain"
+                    tag = "gamma-hypothesis" if s.b == -(e + 1) else "gamma-chain"
             cells[r][c] = Cell("zero", tag=tag)
     return BeilinsonTable(
         e,

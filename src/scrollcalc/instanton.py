@@ -19,9 +19,6 @@ from . import chow, cohomology
 from .chow import ChernData, ChowClass
 from .errors import Inadmissible, NonIntegralValue
 
-BUNDLE = "bundle"
-OMEGA_TENSOR = "omega"
-
 EXISTS = "exists"
 EXISTS_PULLBACK = "exists_pullback"
 INADMISSIBLE = "inadmissible"
@@ -67,6 +64,9 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
     """Vanishing of h^i(E(a xi + b f)) or h^i(Omega ⊗ E(a xi + b f)) forced
     purely by the instanton axioms, independent of (alpha, beta).
 
+    ``kind`` is the kind of the twist summand: ``cohomology.LINE`` for E(D),
+    ``cohomology.OMEGA`` for Omega ⊗ E(D).
+
     Returns the tag of the region that forces the zero, or None when no
     region applies.  Tags:
 
@@ -80,24 +80,24 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
     ``h2-omega``   h2 = 0 for a >= -1, b >= 1
     =============  ========================================================
     """
-    if kind not in (BUNDLE, OMEGA_TENSOR):
-        raise ValueError(f"unknown kind {kind!r}")
-    if kind == BUNDLE and (a, b) == (-1, -1):
-        return "minus-h"
-    if kind == BUNDLE:
+    if kind == cohomology.LINE:
+        if a == -1 and b == -1:
+            return "minus-h"
         if i == 0 and ((a <= -1 and b <= e) or (a == 0 and b <= 0)):
             return "h0-bundle"
         if i == 3 and ((a >= -1 and b >= -(e + 2)) or (a == -2 and b >= -2)):
             return "h3-bundle"
         if i == 2 and a >= -1 and b >= -1:
             return "h2-bundle"
-    else:
+    elif kind == cohomology.OMEGA:
         if i == 0 and ((a <= -1 and b <= e + 1) or (a == 0 and b <= 1)):
             return "h0-omega"
         if i == 3 and ((a >= -1 and b >= -e) or (a == -2 and b >= 0)):
             return "h3-omega"
         if i == 2 and a >= -1 and b >= 1:
             return "h2-omega"
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
     return None
 
 
@@ -348,7 +348,7 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     if e <= 3 and alpha > e and beta >= 0:
         return ExistenceReport(
             EXISTS,
-            ext1=(2 * e + 6) * alpha + 4 * beta - (e - 1) ** 2 - 3,
+            ext1=ext_dimensions(e, alpha, beta).ext1_minus_ext2,
             ext2=0,
             ext3=0,
             earnest=True,

@@ -116,23 +116,13 @@ def test_criterion_4_h1_values():
     _report(4, f"displayed h1 values reproduced at {checked} admissible points")
 
 
-def test_criterion_5_monad_consistency():
-    checked = 0
-    for e in range(5):
-        for alpha in range(9):
-            for beta in range(9):
-                for variant in (1, 2, 3):
-                    try:
-                        m = bl.monad_shape(e, alpha, beta, variant)
-                    except Inadmissible:
-                        continue
-                    rep = bl.monad_consistency(m)
-                    assert rep.rank_defect == 2, (e, alpha, beta, variant)
-                    assert rep.c1_defect == chow.divisor(e, 0, e - 1)
-                    assert rep.c2_defect == chow.ChowClass(e, xif=alpha, ff=beta)
-                    assert rep.chi_defect == chow.chi_instanton(e, alpha, beta, 0, 0)
-                    checked += 1
-    assert checked > 500
+def test_criterion_5_monad_consistency(verify_results):
+    # The beilinson-monads suite checks rank/c1/c2/chi consistency and the
+    # table positions of every admissible monad of e < 5, alpha, beta <= 8,
+    # variants 1-3.
+    (suite,) = [r for r in verify_results if r.name == "beilinson-monads"]
+    assert suite.ok, suite.failures[:5]
+    assert suite.cases == 1308
     # golden monad at e = 1 (the classical three-term display)
     m = bl.monad_shape(1, 1, 2, 1)
     assert dict(m.A.terms) == {omega(-1, 1): 1, line(0, -1): 2}
@@ -143,7 +133,7 @@ def test_criterion_5_monad_consistency():
         m = bl.monad_shape(e, 0, (e * e + e) // 2 + 1, 3)
         assert m.A.terms == ()
         assert m.B.rank() == e + 3 and m.C.rank() == e + 1
-    _report(5, f"rank/c1/c2/chi defects correct on {checked} admissible monads")
+    _report(5, f"monad consistency and table positions in {suite.cases} cases")
 
 
 def test_criterion_6_orthogonality_and_strongness():

@@ -38,6 +38,22 @@ def test_collection_shapes():
         collection(1, 7)
 
 
+def test_bad_pair_or_index_is_inadmissible():
+    with pytest.raises(Inadmissible) as exc:
+        orthogonality_check(0, 4)
+    assert str(exc.value) == "variant must be 1, 2 or 3, got 4"
+    assert exc.value.bound == "variant in (1, 2, 3)"
+    for build in (h1_values, monad_shape, beilinson_table):
+        with pytest.raises(Inadmissible) as exc:
+            build(1, 1, 2, 0)
+        assert str(exc.value) == "variant must be 1, 2 or 3, got 0"
+        assert exc.value.bound == "variant in (1, 2, 3)"
+    with pytest.raises(Inadmissible) as exc:
+        collection(1, 7)
+    assert str(exc.value) == "collection index must be 1..6, got 7"
+    assert exc.value.bound == "index in 1..6"
+
+
 @pytest.mark.parametrize("e", range(6))
 @pytest.mark.parametrize("pair", (1, 2, 3))
 def test_orthogonality(e, pair):
@@ -84,6 +100,52 @@ def test_strongness(e):
     routes = {it.route for it in report.items}
     assert routes == {"closed-form", "chase", "chase-only"}
     assert sum(it.route == "chase-only" for it in report.items) == 1
+
+
+# (source, target, reduced group, route) of the fifteen forward pairs.
+STRONGNESS_ITEMS = {
+    0: (
+        ("O(-ξ-2f)", "Ω(-ξ)", "Ω(2f)", "chase"),
+        ("O(-ξ-2f)", "O(-ξ-f)", "O(f)", "closed-form"),
+        ("O(-ξ-2f)", "O(-2f)", "O(ξ)", "closed-form"),
+        ("O(-ξ-2f)", "Ω", "Ω(ξ+2f)", "chase"),
+        ("O(-ξ-2f)", "O(-f)", "O(ξ+f)", "closed-form"),
+        ("Ω(-ξ)", "O(-ξ-f)", "Ω(2f)", "chase"),
+        ("Ω(-ξ)", "O(-2f)", "Ω(ξ+f)", "chase"),
+        ("Ω(-ξ)", "Ω", "Ω^∨⊗Ω(ξ)", "chase-only"),
+        ("Ω(-ξ)", "O(-f)", "Ω(ξ+2f)", "chase"),
+        ("O(-ξ-f)", "O(-2f)", "O(ξ-f)", "closed-form"),
+        ("O(-ξ-f)", "Ω", "Ω(ξ+f)", "chase"),
+        ("O(-ξ-f)", "O(-f)", "O(ξ)", "closed-form"),
+        ("O(-2f)", "Ω", "Ω(2f)", "chase"),
+        ("O(-2f)", "O(-f)", "O(f)", "closed-form"),
+        ("Ω", "O(-f)", "Ω(2f)", "chase"),
+    ),
+    2: (
+        ("O(-ξ)", "Ω(-ξ+2f)", "Ω(2f)", "chase"),
+        ("O(-ξ)", "O(-ξ+f)", "O(f)", "closed-form"),
+        ("O(-ξ)", "O", "O(ξ)", "closed-form"),
+        ("O(-ξ)", "Ω(2f)", "Ω(ξ+2f)", "chase"),
+        ("O(-ξ)", "O(f)", "O(ξ+f)", "closed-form"),
+        ("Ω(-ξ+2f)", "O(-ξ+f)", "Ω(2f)", "chase"),
+        ("Ω(-ξ+2f)", "O", "Ω(ξ+f)", "chase"),
+        ("Ω(-ξ+2f)", "Ω(2f)", "Ω^∨⊗Ω(ξ)", "chase-only"),
+        ("Ω(-ξ+2f)", "O(f)", "Ω(ξ+2f)", "chase"),
+        ("O(-ξ+f)", "O", "O(ξ-f)", "closed-form"),
+        ("O(-ξ+f)", "Ω(2f)", "Ω(ξ+f)", "chase"),
+        ("O(-ξ+f)", "O(f)", "O(ξ)", "closed-form"),
+        ("O", "Ω(2f)", "Ω(2f)", "chase"),
+        ("O", "O(f)", "O(f)", "closed-form"),
+        ("Ω(2f)", "O(f)", "Ω(2f)", "chase"),
+    ),
+}
+
+
+@pytest.mark.parametrize("e", sorted(STRONGNESS_ITEMS))
+def test_strongness_reduced_groups(e):
+    items = strongness_check(e).items
+    got = tuple((it.source, it.target, it.group, it.route) for it in items)
+    assert got == STRONGNESS_ITEMS[e]
 
 
 def test_strongness_specific_groups():
@@ -188,6 +250,31 @@ def test_table_zero_tags():
     # h0/h3 cells carry region tags
     assert table.cells[5][3].tag == "h0-bundle"
     assert table.cells[0][1].tag == "h3-bundle"
+
+
+def test_minus_h_is_exactly_column_zero():
+    # Column 0 is the twist by -H: every non-star cell there is tagged
+    # minus-h by the forced-vanishing rule, and no other cell is.
+    minus_h = bl.Cell("zero", tag="minus-h")
+    tables = 0
+    for e in range(9):
+        for alpha in range(9):
+            for beta in range(9):
+                for variant in (1, 2, 3):
+                    for gamma_zero in (True, False):
+                        try:
+                            table = beilinson_table(
+                                e, alpha, beta, variant, gamma_zero
+                            )
+                        except Inadmissible:
+                            continue
+                        tables += 1
+                        for row in table.cells:
+                            assert row[0] in (bl.STAR, minus_h), (e, alpha, beta)
+                            assert minus_h not in row[1:], (e, alpha, beta)
+                        column0 = [row[0] for row in table.cells]
+                        assert column0.count(minus_h) == 4
+    assert tables == 1372
 
 
 def test_table_gamma_nonzero_unknowns():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scrollcalc import beilinson, chow
 from scrollcalc import instanton as inst
 from scrollcalc import verification
+from scrollcalc.cohomology import LINE, OMEGA
 from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams
 
@@ -40,19 +41,19 @@ def test_ulrich_twist():
 
 
 def test_forced_vanishing_regions():
-    assert inst.forced_vanishing(3, inst.BUNDLE, 0, -1, 3) == "h0-bundle"
-    assert inst.forced_vanishing(3, inst.BUNDLE, 2, 0, 0) == "h2-bundle"
-    assert inst.forced_vanishing(3, inst.BUNDLE, 1, 5, 5) is None
-    assert inst.forced_vanishing(3, inst.BUNDLE, 0, 0, -2) == "h0-bundle"
-    assert inst.forced_vanishing(3, inst.BUNDLE, 3, 0, -5) == "h3-bundle"
-    assert inst.forced_vanishing(3, inst.BUNDLE, 3, -2, -2) == "h3-bundle"
-    assert inst.forced_vanishing(3, inst.BUNDLE, 0, -1, 4) is None  # b > e
+    assert inst.forced_vanishing(3, LINE, 0, -1, 3) == "h0-bundle"
+    assert inst.forced_vanishing(3, LINE, 2, 0, 0) == "h2-bundle"
+    assert inst.forced_vanishing(3, LINE, 1, 5, 5) is None
+    assert inst.forced_vanishing(3, LINE, 0, 0, -2) == "h0-bundle"
+    assert inst.forced_vanishing(3, LINE, 3, 0, -5) == "h3-bundle"
+    assert inst.forced_vanishing(3, LINE, 3, -2, -2) == "h3-bundle"
+    assert inst.forced_vanishing(3, LINE, 0, -1, 4) is None  # b > e
     for i in range(4):
-        assert inst.forced_vanishing(3, inst.BUNDLE, i, -1, -1) == "minus-h"
-    assert inst.forced_vanishing(2, inst.OMEGA_TENSOR, 0, -1, 3) == "h0-omega"
-    assert inst.forced_vanishing(2, inst.OMEGA_TENSOR, 3, 0, -2) == "h3-omega"
-    assert inst.forced_vanishing(2, inst.OMEGA_TENSOR, 2, 0, 1) == "h2-omega"
-    assert inst.forced_vanishing(2, inst.OMEGA_TENSOR, 2, 0, 0) is None
+        assert inst.forced_vanishing(3, LINE, i, -1, -1) == "minus-h"
+    assert inst.forced_vanishing(2, OMEGA, 0, -1, 3) == "h0-omega"
+    assert inst.forced_vanishing(2, OMEGA, 3, 0, -2) == "h3-omega"
+    assert inst.forced_vanishing(2, OMEGA, 2, 0, 1) == "h2-omega"
+    assert inst.forced_vanishing(2, OMEGA, 2, 0, 0) is None
     with pytest.raises(ValueError):
         inst.forced_vanishing(2, "nope", 0, 0, 0)
 
