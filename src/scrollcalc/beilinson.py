@@ -34,7 +34,7 @@ from .cohomology import (
     omega,
     seq_euler_dual,
 )
-from .errors import Inadmissible, OrthogonalityFailure, StrongnessFailure
+from .errors import Inadmissible
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 
@@ -44,9 +44,7 @@ DUAL_PAIRS = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
 def _dual_pair(variant: int) -> tuple:
     """The collection indices of the variant's dual pair."""
     if variant not in DUAL_PAIRS:
-        raise Inadmissible(
-            f"variant must be 1, 2 or 3, got {variant}", bound="variant in (1, 2, 3)"
-        )
+        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}", "variant in (1, 2, 3)")
     return DUAL_PAIRS[variant]
 
 
@@ -62,6 +60,7 @@ class Collection(NamedTuple):
 def collection(e: int, index: int) -> Collection:
     """The six standard collections, numbered as the three dual pairs
     (1, 2), (3, 4), (5, 6); odd indices carry the shifted entries."""
+    instanton.require_scroll(e)
     if index == 1:
         objs = (
             line(0, -(e - 1)),
@@ -117,16 +116,14 @@ def collection(e: int, index: int) -> Collection:
             line(-1, e - 2),
         )
     else:
-        raise Inadmissible(
-            f"collection index must be 1..6, got {index}", bound="index in 1..6"
-        )
+        raise Inadmissible(f"collection index must be 1..6, got {index}", "index in 1..6")
     shifts = GEOMETRIC_SHIFTS if index % 2 == 1 else (0,) * 6
     return Collection(e, index, objs, shifts)
 
 
 def tensor_summands(x: Summand, y: Summand) -> Summand:
     if x.kind == cohomology.OMEGA and y.kind == cohomology.OMEGA:
-        raise ValueError("Omega ⊗ Omega products have no closed form here")
+        raise Inadmissible("Omega ⊗ Omega products have no closed form here", "at most one omega")
     kind = cohomology.OMEGA if cohomology.OMEGA in (x.kind, y.kind) else cohomology.LINE
     return Summand(kind, x.a + y.a, x.b + y.b)
 
@@ -162,12 +159,10 @@ def orthogonality_report(ecoll: Collection, fcoll: Collection) -> OrthogonalityR
 
 
 def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
-    """Verify the dual orthogonality of pair 1, 2 or 3; raise on any bad cell."""
+    """The dual orthogonality report of pair 1, 2 or 3; bad cells are its
+    ``violations``."""
     ei, fi = _dual_pair(pair)
-    report = orthogonality_report(collection(e, ei), collection(e, fi))
-    if not report.ok:
-        raise OrthogonalityFailure(report.violations)
-    return report
+    return orthogonality_report(collection(e, ei), collection(e, fi))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +226,8 @@ class StrongnessReport(NamedTuple):
 
 
 def strongness_check(e: int) -> StrongnessReport:
-    """Verify Ext^i = 0 (i > 0) between all forward pairs of the mixed
-    collection of the first dual pair; raise on any failure."""
+    """Check Ext^i = 0 (i > 0) between all forward pairs of the mixed
+    collection of the first dual pair; a failed pair is an item not ``ok``."""
     coll = collection(e, 2)
     names = [s.render() for s in coll.objects]
     items = []
@@ -249,10 +244,7 @@ def strongness_check(e: int) -> StrongnessReport:
             g = tensor_summands(Summand(src.kind, -src.a, shift - src.b), tgt)
             item = _line_item if g.kind == cohomology.LINE else _omega_item
             items.append(item(e, names[i], names[j], g))
-    report = StrongnessReport(e, tuple(items))
-    if not report.ok:
-        raise StrongnessFailure([it for it in report.items if not it.ok])
-    return report
+    return StrongnessReport(e, tuple(items))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +316,7 @@ def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
     if variant == 3 and alpha != 0:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}",
-            bound="alpha == 0",
+            "alpha == 0",
         )
     values = _candidates(e, alpha, beta, twists)
     for label, cand in values.items():
@@ -332,7 +324,7 @@ def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
             raise Inadmissible(
                 f"h1 at twist {label} is {cand} < 0 for "
                 f"(e, alpha, beta) = ({e}, {alpha}, {beta})",
-                bound=f"h1[{label}] >= 0",
+                f"h1[{label}] >= 0",
             )
     return values
 
@@ -441,16 +433,13 @@ def beilinson_table(
     h^1 cells below them hold the base values still owed their corrections.
     """
     if not gamma_zero and variant != 1:
-        raise Inadmissible(
-            "the non-earnest table is only laid out for variant 1",
-            bound="variant == 1",
-        )
+        raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
     ecoll, fcoll, twists = _layout(e, variant)
     if gamma_zero:
         values = _gated_h1(e, alpha, beta, variant, twists)
     else:
         if alpha < 0:
-            raise Inadmissible("alpha must be non-negative", bound="alpha >= 0")
+            raise Inadmissible("alpha must be non-negative", "alpha >= 0")
         values = _candidates(e, alpha, beta, twists)
 
     top = tuple(fcoll.objects[5 - c] for c in range(6))
@@ -601,9 +590,9 @@ def monad_general(
     given = {"gamma": gamma, "delta": delta, "eta": eta}
     for name, val in given.items():
         if val < 0:
-            raise Inadmissible(f"{name} = {val} < 0", bound=f"{name} >= 0")
+            raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
     if alpha < 0:
-        raise Inadmissible(f"alpha = {alpha} < 0", bound="alpha >= 0")
+        raise Inadmissible(f"alpha = {alpha} < 0", "alpha >= 0")
     twists = _layout(e, 1).twists
     params = {i: given[name] for i, name in H2_PARAMS.items()}
     exponents = _candidates(e, alpha, beta, twists)
@@ -612,7 +601,7 @@ def monad_general(
         if exponents[tw.label] < 0:
             raise Inadmissible(
                 f"exponent at twist {tw.label} is {exponents[tw.label]} < 0",
-                bound=f"h1[{tw.label}] >= 0",
+                f"h1[{tw.label}] >= 0",
             )
     A, B, C, tail = _monad_sheaves(e, twists, exponents, params)
     return Monad(e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta))

@@ -21,7 +21,7 @@ from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import NonIntegralValue, ParameterMismatch
+from .errors import Inadmissible, NonIntegralValue
 
 _BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
 # Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
@@ -56,9 +56,7 @@ class ChowClass(NamedTuple):
 
     def _check(self, other: "ChowClass") -> None:
         if self.e != other.e:
-            raise ParameterMismatch(
-                f"cannot combine classes on X_{self.e} and X_{other.e}"
-            )
+            raise Inadmissible(f"cannot combine classes on X_{self.e} and X_{other.e}", "same e")
 
     # The operators are hot: they unpack tuples and build with tuple.__new__.
     def __add__(self, other):
@@ -120,7 +118,7 @@ class ChowClass(NamedTuple):
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative powers are not defined in the Chow ring")
+            raise Inadmissible("negative powers are not defined in the Chow ring", "n >= 0")
         out, base = unit(self.e), self
         while n:
             if n & 1:
@@ -149,7 +147,7 @@ class ChowClass(NamedTuple):
         Used for total-Chern-class quotients.  Requires constant term 1.
         """
         if self.one != 1:
-            raise ValueError("only classes with constant term 1 are invertible")
+            raise Inadmissible("only classes with constant term 1 are invertible", "one == 1")
         u1 = self.homogeneous_part(1)
         u2 = self.homogeneous_part(2)
         u3 = self.homogeneous_part(3)
@@ -248,12 +246,15 @@ class ChernData(NamedTuple("ChernData", [
 
     def __init__(self, rank, c1, c2, c3):
         if rank < 1:
-            raise ValueError("rank must be positive")
+            raise Inadmissible("rank must be positive", "rank >= 1")
         if not (c1.e == c2.e == c3.e):
-            raise ParameterMismatch("Chern classes live on different scrolls")
+            raise Inadmissible("Chern classes live on different scrolls", "same e")
         for i, c in ((1, c1), (2, c2), (3, c3)):
             if any(_OTHER_COEFFS[i](c)):  # not c.is_homogeneous(i), inlined
-                raise ValueError(f"c{i} is not homogeneous of codimension {i}")
+                raise Inadmissible(
+                    f"c{i} is not homogeneous of codimension {i}",
+                    f"c{i} homogeneous of codimension {i}",
+                )
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make too
@@ -271,9 +272,9 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     D = c1(L) and r = rank E.
     """
     if not div.is_homogeneous(1):
-        raise ValueError("twisting divisor must be a codimension-1 class")
+        raise Inadmissible("twisting divisor must be a codimension-1 class", "codim(div) == 1")
     if div.e != data.e:
-        raise ParameterMismatch("twisting divisor lives on a different scroll")
+        raise Inadmissible("twisting divisor lives on a different scroll", "same e")
     r = data.rank
     # Terms with a zero coefficient are skipped: rank 2 keeps two ring
     # products (D^2 and c1*D) of the five, and every coefficient is 1.
@@ -317,7 +318,7 @@ def chi_rr(data: ChernData) -> int:
     integral Chern data; a fractional value raises ``NonIntegralValue``.
     """
     if data.rank != 2:
-        raise ValueError("chi_rr is the rank-2 specialization")
+        raise Inadmissible("chi_rr is the rank-2 specialization", "rank == 2")
     e = data.e
     k, k3, k2_c2omega = _rr_constants(e)
     c1, c2, c3 = data.c1, data.c2, data.c3

@@ -149,7 +149,7 @@ def _cmd_chow(args) -> int:
     lines.append(f"  deg(H^3)      {payload['degree_H3']}")
     if args.a is not None or args.b is not None:
         if args.a is None or args.b is None:
-            raise ScrollcalcError("--a and --b must be given together")
+            raise Inadmissible("--a and --b must be given together", "--a iff --b")
         d = chow.divisor(e, args.a, args.b)
         payload.update(
             {
@@ -187,7 +187,7 @@ def _cmd_coh(args) -> int:
 
 def _cmd_chi(args) -> int:
     if (args.alpha is None) != (args.beta is None):
-        raise ScrollcalcError("--alpha and --beta must be given together")
+        raise Inadmissible("--alpha and --beta must be given together", "--alpha iff --beta")
     if args.alpha is None:
         value = cohomology.chi_line(args.e, args.a, args.b)
         what = f"chi(O({args.a},{args.b}))"
@@ -203,8 +203,7 @@ def _cmd_monad(args) -> int:
     if general:
         if args.variant != 1:
             raise Inadmissible(
-                "the non-earnest monad is only laid out for variant 1",
-                bound="variant == 1",
+                "the non-earnest monad is only laid out for variant 1", "variant == 1"
             )
         m = beilinson.monad_general(
             args.e,

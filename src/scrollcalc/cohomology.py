@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import chow
 from .chow import ChernData, ChowClass
-from .errors import ChaseUnsupported
+from .errors import Inadmissible
 
 LINE = "line"
 OMEGA = "omega"
@@ -111,7 +111,7 @@ class FormalSheaf(NamedTuple):
         merged: dict = {}
         for s, m in terms:
             if m < 0:
-                raise ValueError(f"negative multiplicity {m} for {s}")
+                raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
             if m:
                 merged[s] = merged.get(s, 0) + m
         return FormalSheaf(e, tuple(sorted(merged.items())))
@@ -127,7 +127,7 @@ class FormalSheaf(NamedTuple):
 
     def chern_data(self) -> ChernData:
         if self.rank() == 0:
-            raise ValueError("the zero sheaf has no Chern data record")
+            raise Inadmissible("the zero sheaf has no Chern data record", "rank >= 1")
         c = self.total_chern()
         return ChernData(
             self.rank(),
@@ -171,6 +171,9 @@ class FormalSheaf(NamedTuple):
 
     @staticmethod
     def from_dict(data: dict) -> "FormalSheaf":
+        for t in data["terms"]:
+            if t["kind"] not in (LINE, OMEGA):
+                raise Inadmissible(f"unknown kind {t['kind']!r}", "kind in (line, omega)")
         return FormalSheaf.of(
             int(data["e"]),
             [
@@ -414,12 +417,12 @@ def les_chase(entries: Sequence[Entry], target_position: int, i: int) -> ChaseRe
     guessed.
     """
     if len(entries) != 3:
-        raise ChaseUnsupported("only three-term exact sequences are chased")
+        raise Inadmissible("only three-term exact sequences are chased", "len(entries) == 3")
     if not 0 <= target_position <= 2:
-        raise ChaseUnsupported(f"bad target position {target_position}")
+        raise Inadmissible(f"bad target position {target_position}", "target_position in 0..2")
     known = [x for p, x in enumerate(entries) if p != target_position]
     if any(x is None for x in known):
-        raise ChaseUnsupported("sequence has more than one non-computable entry")
+        raise Inadmissible("sequence has more than one non-computable entry", "one unknown entry")
 
     sub, mid, quot = entries
     # Neighbors of H^i(target) in the long exact sequence, outward in both

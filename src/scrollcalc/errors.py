@@ -1,12 +1,15 @@
-"""Exception types shared across the package."""
+"""The package's error model: three classes.
+
+Every rejected input raises ``Inadmissible``, whose ``bound`` names the
+violated rule.  A checked invariant (orthogonality, strongness, monad
+consistency, the verify suites) returns a report with ``ok`` instead of
+raising.  ``NonIntegralValue`` is raised only for Chern data whose Euler
+characteristic comes out fractional.  ``ScrollcalcError`` is their base.
+"""
 
 
 class ScrollcalcError(Exception):
     """Base class for all structured errors raised by this package."""
-
-
-class ParameterMismatch(ScrollcalcError, ValueError):
-    """Two quantities living on scrolls with different parameters were combined."""
 
 
 class NonIntegralValue(ScrollcalcError, ArithmeticError):
@@ -18,41 +21,12 @@ class NonIntegralValue(ScrollcalcError, ArithmeticError):
 
 
 class Inadmissible(ScrollcalcError, ValueError):
-    """Parameters violate a bound of the package's domain or of a monad variant.
+    """An input violates a bound of the package's domain, of a monad variant
+    or of a function's own contract.
 
-    The ``bound`` attribute spells out the violated inequality.
+    The ``bound`` attribute spells out the violated rule.
     """
 
-    def __init__(self, message: str, bound: str = ""):
+    def __init__(self, message: str, bound: str):
         super().__init__(message)
         self.bound = bound
-
-
-class ChaseUnsupported(ScrollcalcError, ValueError):
-    """A long-exact-sequence chase was requested on an unsupported input."""
-
-
-class OrthogonalityFailure(ScrollcalcError, AssertionError):
-    """A dual-collection orthogonality cell came out wrong.
-
-    ``violations`` is a list of ``(i, j, m, got, expected)`` tuples.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        head = ", ".join(
-            f"(i={i}, j={j}, m={m}): got {got}, expected {want}"
-            for i, j, m, got, want in self.violations[:4]
-        )
-        more = "" if len(self.violations) <= 4 else f" (+{len(self.violations) - 4} more)"
-        super().__init__(f"orthogonality violated at {head}{more}")
-
-
-class StrongnessFailure(ScrollcalcError, AssertionError):
-    """A higher Ext group that must vanish could not be shown to vanish."""
-
-    def __init__(self, items):
-        self.items = list(items)
-        super().__init__(
-            "strongness check failed for: " + ", ".join(str(it) for it in self.items)
-        )

@@ -31,9 +31,10 @@ REGION_CELLS_MAX = 1_000_000  # twists in one stability_test_region answer
 
 
 def require_scroll(e: int) -> None:
-    """The package's domain e >= 0, checked by ``InstantonParams`` and the CLI."""
+    """The package's domain e >= 0, checked by ``InstantonParams``, every
+    Beilinson collection and the CLI."""
     if e < 0:
-        raise Inadmissible("the scroll parameter e must be non-negative", bound="e >= 0")
+        raise Inadmissible("the scroll parameter e must be non-negative", "e >= 0")
 
 
 class InstantonParams(
@@ -97,14 +98,14 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
         if i == 2 and a >= -1 and b >= 1:
             return "h2-omega"
     else:
-        raise ValueError(f"unknown kind {kind!r}")
+        raise Inadmissible(f"unknown kind {kind!r}", "kind in (line, omega)")
     return None
 
 
 def earnest_criterion(h2_at_minus_e1f: int) -> bool:
     """Earnestness of an instanton is equivalent to h2(E(-(e+1)f)) = 0."""
     if h2_at_minus_e1f < 0:
-        raise ValueError("a cohomology dimension cannot be negative")
+        raise Inadmissible("a cohomology dimension cannot be negative", "h2 >= 0")
     return h2_at_minus_e1f == 0
 
 
@@ -123,13 +124,9 @@ def stability_test_region(e, window, strict: bool = False):
     """
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
-        raise Inadmissible(
-            f"empty window: a_min = {a_min} > a_max = {a_max}", bound="a_min <= a_max"
-        )
+        raise Inadmissible(f"empty window: a_min = {a_min} > a_max = {a_max}", "a_min <= a_max")
     if b_min > b_max:
-        raise Inadmissible(
-            f"empty window: b_min = {b_min} > b_max = {b_max}", bound="b_min <= b_max"
-        )
+        raise Inadmissible(f"empty window: b_min = {b_min} > b_max = {b_max}", "b_min <= b_max")
     # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.  With
     # 2*delta = q*a + m*b, a row keeps the b with m*b <= c = k0 - q*a.
     k0 = -(e * e + e - 2) - (1 if strict else 0)
@@ -152,7 +149,7 @@ def stability_test_region(e, window, strict: bool = False):
         if cells > REGION_CELLS_MAX:
             raise Inadmissible(
                 f"the test region has more than {REGION_CELLS_MAX} twists",
-                bound=f"region cells <= {REGION_CELLS_MAX}",
+                f"region cells <= {REGION_CELLS_MAX}",
             )
         rows.append((a, lo, hi))
     return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
@@ -193,7 +190,7 @@ def curve_resolution(e: int, curve_class: str):
             F(e, [(ln(0, -1), 2)]),
             F(e, [(ln(0, 0), 1)]),
         ]
-    raise ValueError(f"unknown curve class {curve_class!r}")
+    raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
 
 
 def chi_curve(e: int, curve_class: str) -> int:
@@ -209,7 +206,7 @@ def curve_info(e: int, curve_class: str) -> CurveClassInfo:
         return CurveClassInfo("xif", e + 1, 1, (1, e), e + 3, 0, e + 3)
     if curve_class == "ff":
         return CurveClassInfo("ff", 1, 1, (0, 0), 2, 0, 2)
-    raise ValueError(f"unknown curve class {curve_class!r}")
+    raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from scrollcalc import beilinson as bl
 from scrollcalc import chow
 from scrollcalc import cohomology as coh
+from scrollcalc import verification
 from scrollcalc.beilinson import (
     Monad,
     beilinson_table,
@@ -18,7 +19,7 @@ from scrollcalc.beilinson import (
     strongness_check,
 )
 from scrollcalc.cohomology import line, omega
-from scrollcalc.errors import Inadmissible, OrthogonalityFailure
+from scrollcalc.errors import Inadmissible
 
 # ---------------------------------------------------------------------------
 # Collections and orthogonality
@@ -73,8 +74,46 @@ def test_orthogonality_detects_corruption():
     assert not report.ok
     i, j, m, got, want = report.violations[0]
     assert (i, j) == (0, 5) or (i, j) == (5, 5) or got != want
-    with pytest.raises(OrthogonalityFailure):
-        raise OrthogonalityFailure(report.violations)
+
+
+def test_invariant_failures_surface_as_reports(monkeypatch):
+    # Collection 2 with entry 5 replaced by O(ef): the checks return the bad
+    # cells and groups, and both verify suites turn them into failures.
+    build = bl.collection
+
+    def corrupted(e, index):
+        coll = build(e, index)
+        if index != 2:
+            return coll
+        return coll._replace(objects=coll.objects[:5] + (line(0, e),))
+
+    monkeypatch.setattr(bl, "collection", corrupted)
+    report = orthogonality_check(2, 1)
+    assert report.ok is False
+    assert report.violations and all(got != want for *_, got, want in report.violations)
+    assert {(i, j) for i, j, *_ in report.violations} & {(0, 5), (5, 5)}
+    assert not strongness_check(2).ok
+    orth = verification.beilinson_orthogonality(0)
+    assert orth.cases == 18 and len(orth.failures) == 6
+    assert str(orthogonality_check(0, 1).violations[:4]) in orth.failures[0]
+    strong = verification.beilinson_strongness(0)
+    assert strong.cases == 90 and strong.failures
+
+
+def test_beilinson_entry_points_refuse_negative_e():
+    calls = (
+        lambda: orthogonality_check(-1, 1),
+        lambda: strongness_check(-3),
+        lambda: h1_values(-1, 1, 2),
+        lambda: beilinson_table(-1, 1, 2),
+        lambda: monad_shape(-2, 3, 8, 1),
+        lambda: monad_general(-1, 1, 2, 0, 0, 0),
+    )
+    for call in calls:
+        with pytest.raises(Inadmissible) as exc:
+            call()
+        assert str(exc.value) == "the scroll parameter e must be non-negative"
+        assert exc.value.bound == "e >= 0"
 
 
 def test_diagonal_groups_are_the_expected_six():

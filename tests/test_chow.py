@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from scrollcalc import chow
 from scrollcalc.chow import ChernData, ChowClass
-from scrollcalc.errors import NonIntegralValue, ParameterMismatch
+from scrollcalc.errors import Inadmissible, NonIntegralValue
 
 # ---------------------------------------------------------------------------
 # Oracle: polynomials in Z[x, y] reduced by x^2 -> e*x*y and y^3 -> 0.
@@ -119,7 +119,7 @@ def test_pairing_rejects_mixed_scrolls(x, y):
     if x.e == y.e:
         y = y._replace(e=x.e + 1)
     for lhs, rhs in ((x, y), (y, x)):
-        with pytest.raises(ParameterMismatch):
+        with pytest.raises(Inadmissible):
             ChowClass.pairing(lhs, rhs)
 
 
@@ -221,14 +221,14 @@ def test_homogeneity_helpers():
 
 
 def test_parameter_mismatch_rejected():
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(Inadmissible):
         chow.xi_class(1) * chow.xi_class(2)
-    with pytest.raises(ParameterMismatch):
+    with pytest.raises(Inadmissible):
         chow.xi_class(1) + chow.f_class(0)
     x, y = chow.hyperplane(1), ChowClass(3, one=1, xi=2, pt=-1)
     for op in (operator.add, operator.sub, operator.mul):
         for lhs, rhs in ((x, y), (y, x)):
-            with pytest.raises(ParameterMismatch):
+            with pytest.raises(Inadmissible):
                 op(lhs, rhs)
 
 

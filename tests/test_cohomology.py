@@ -19,7 +19,7 @@ from scrollcalc.cohomology import (
     line,
     omega,
 )
-from scrollcalc.errors import ChaseUnsupported
+from scrollcalc.errors import Inadmissible
 
 # ---------------------------------------------------------------------------
 # Plane oracles
@@ -288,13 +288,10 @@ def test_chi_additivity_all_sequences():
     assert result.cases == 4056
 
 
-def test_omega_chi_from_euler_sequence():
-    for e in range(6):
-        for a in range(-8, 9):
-            for b in range(-8, 9):
-                assert coh.chi_omega_twist(e, a, b) == 3 * coh.chi_line(
-                    e, a, b - 1
-                ) - coh.chi_line(e, a, b)
+def test_omega_chi_from_euler_sequence(verify_results):
+    # e <= 5, a, b in -8..8, plus the plane Omega at k in -12..12
+    (suite,) = [r for r in verify_results if r.name == "coh-omega-consistency"]
+    assert suite.ok and suite.cases == 1759
 
 
 def test_coh_vector_chi():
@@ -414,11 +411,11 @@ def test_chase_middle_and_sub_targets():
 
 def test_chase_rejects_bad_inputs():
     good = FormalSheaf.of(1, [(line(0, 0), 1)])
-    with pytest.raises(ChaseUnsupported):
+    with pytest.raises(Inadmissible):
         les_chase([good, good, good, good], 1, 0)
-    with pytest.raises(ChaseUnsupported):
+    with pytest.raises(Inadmissible):
         les_chase([None, good, None], 1, 0)
-    with pytest.raises(ChaseUnsupported):
+    with pytest.raises(Inadmissible):
         les_chase([good, good, None], 5, 0)
 
 

@@ -199,14 +199,10 @@ def test_ext_dimensions():
     assert d.ext1_minus_ext2 == 10 * 3 + 4 - 1 - 3
 
 
-def test_ext_grr_cross_check():
-    for e in range(7):
-        for alpha in range(11):
-            for beta in range(11):
-                assert (
-                    inst.ext_dimensions(e, alpha, beta).ext1_minus_ext2
-                    == 1 - inst.chi_end_grr(e, alpha, beta)
-                )
+def test_ext_grr_cross_check(verify_results):
+    # e < 7, alpha, beta < 11, plus one moduli-dimension case per e
+    (suite,) = [r for r in verify_results if r.name == "instanton-ext-grr"]
+    assert suite.ok and suite.cases == 854
 
 
 def test_elementary_modification():

@@ -11,7 +11,7 @@ from scrollcalc import chow
 from scrollcalc import cohomology as coh
 from scrollcalc import instanton as inst
 from scrollcalc.chow import ChernData, ChowClass
-from scrollcalc.errors import Inadmissible, ParameterMismatch
+from scrollcalc.errors import Inadmissible
 
 
 def test_chern_data_checks():
@@ -27,10 +27,11 @@ def test_chern_data_checks():
         args[i - 1] = cls
         with pytest.raises(ValueError) as info:
             ChernData(2, *args)
-        assert info.type is ValueError
+        assert info.type is Inadmissible
         assert str(info.value) == f"c{i} is not homogeneous of codimension {i}"
+        assert info.value.bound == f"c{i} homogeneous of codimension {i}"
     for args in ((ChowClass(2, f=1), c2, c3), (c1, c2, chow.zero(0))):
-        with pytest.raises(ParameterMismatch, match="^Chern classes live on different"):
+        with pytest.raises(Inadmissible, match="^Chern classes live on different"):
             ChernData(2, *args)
 
 
@@ -104,6 +105,20 @@ def test_monad_json_roundtrip():
         assert back == m
         assert type(back.A) is coh.FormalSheaf
         assert back.extra is None or type(back.extra) is tuple
+
+
+def test_decoders_reject_unknown_kinds():
+    term = {"kind": "zz", "a": 0, "b": 0, "mult": 1}
+    data = bl.monad_shape(1, 1, 2, 1).to_dict()
+    data["B"] = data["B"] + [term]
+    for decode in (
+        lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": [term]}),
+        lambda: bl.Monad.from_dict(data),
+    ):
+        with pytest.raises(Inadmissible) as info:
+            decode()
+        assert str(info.value) == "unknown kind 'zz'"
+        assert info.value.bound == "kind in (line, omega)"
 
 
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
