@@ -34,7 +34,7 @@ from .cohomology import (
     omega,
     seq_euler_dual,
 )
-from .errors import Inadmissible
+from .errors import Inadmissible, _decoder
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 
@@ -131,7 +131,6 @@ def tensor_summands(x: Summand, y: Summand) -> Summand:
 class OrthogonalityReport(NamedTuple):
     e: int
     pair: tuple
-    cells: dict  # (i, j, m) -> dimension of H^m(E_i ⊗ F_j)
     violations: tuple  # tuple of (i, j, m, got, expected)
 
     @property
@@ -139,11 +138,11 @@ class OrthogonalityReport(NamedTuple):
         return not self.violations
 
 
-def orthogonality_report(ecoll: Collection, fcoll: Collection) -> OrthogonalityReport:
-    """Compute every group H^m(E_i ⊗ F_j), m = 0..3, against the expected
-    delta pattern, without raising."""
-    e = ecoll.e
-    cells = {}
+def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
+    """Every group H^m(E_i ⊗ F_j), m = 0..3, of pair 1, 2 or 3 against the
+    expected delta pattern; bad cells are the report's ``violations``."""
+    ei, fi = _dual_pair(pair)
+    ecoll, fcoll = collection(e, ei), collection(e, fi)
     violations = []
     for i in range(6):
         si = ecoll.shifts[i]
@@ -152,17 +151,9 @@ def orthogonality_report(ecoll: Collection, fcoll: Collection) -> OrthogonalityR
             for m in range(4):
                 got = cohomology.h_summand(e, m, prod)
                 want = 1 if (i == j and m == i - si) else 0
-                cells[(i, j, m)] = got
                 if got != want:
                     violations.append((i, j, m, got, want))
-    return OrthogonalityReport(e, (ecoll.index, fcoll.index), cells, tuple(violations))
-
-
-def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
-    """The dual orthogonality report of pair 1, 2 or 3; bad cells are its
-    ``violations``."""
-    ei, fi = _dual_pair(pair)
-    return orthogonality_report(collection(e, ei), collection(e, fi))
+    return OrthogonalityReport(e, (ei, fi), tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -533,25 +524,18 @@ class Monad(NamedTuple):
         return out
 
     @staticmethod
+    @_decoder
     def from_dict(data: dict) -> "Monad":
         e = int(data["e"])
+        instanton.require_scroll(e)
         def sheaf(key):
-            if key not in data:
-                return None
-            return FormalSheaf.from_dict({"e": e, "terms": data[key]})
+            return FormalSheaf.from_dict({"e": e, "terms": data[key]}) if key in data else None
         extra = None
         if "gamma" in data:
             extra = (int(data["gamma"]), int(data["delta"]), int(data["eta"]))
         return Monad(
-            e,
-            int(data["alpha"]),
-            int(data["beta"]),
-            data.get("variant"),
-            sheaf("A"),
-            sheaf("B"),
-            sheaf("C"),
-            sheaf("C1"),
-            extra,
+            e, int(data["alpha"]), int(data["beta"]), data.get("variant"),
+            sheaf("A"), sheaf("B"), sheaf("C"), sheaf("C1"), extra,
         )
 
 

@@ -17,11 +17,10 @@ integral before being returned.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Inadmissible, NonIntegralValue
+from .errors import Inadmissible, NonIntegralValue, _decoder
 
 _BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
 # Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
@@ -182,12 +181,10 @@ class ChowClass(NamedTuple):
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "coeffs": dict(zip(_JSON_KEYS, self[1:])),
-        }
+        return {"e": self.e, "coeffs": dict(zip(_JSON_KEYS, self[1:]))}
 
     @staticmethod
+    @_decoder
     def from_dict(data: dict) -> "ChowClass":
         coeffs = data["coeffs"]
         return ChowClass(int(data["e"]), *(int(coeffs.get(k, 0)) for k in _JSON_KEYS))
@@ -266,29 +263,18 @@ class ChernData(NamedTuple("ChernData", [
 
 
 def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
-    """Chern data of E tensored with the line bundle O(div).
+    """Chern data of the rank-2 bundle E tensored with the line bundle O(div).
 
-    Standard identity: c_k(E ⊗ L) = sum_i C(r-i, k-i) c_i(E) D^(k-i) where
-    D = c1(L) and r = rank E.
+    The rank-2 case of c_k(E ⊗ L) = sum_i C(r-i, k-i) c_i(E) D^(k-i), with
+    D = c1(L): c1 + 2D, c2 + D^2 + c1 D, and c3 unchanged.
     """
+    if data.rank != 2:
+        raise Inadmissible("twist_chern is the rank-2 specialization", "rank == 2")
     if not div.is_homogeneous(1):
         raise Inadmissible("twisting divisor must be a codimension-1 class", "codim(div) == 1")
     if div.e != data.e:
         raise Inadmissible("twisting divisor lives on a different scroll", "same e")
-    r = data.rank
-    # Terms with a zero coefficient are skipped: rank 2 keeps two ring
-    # products (D^2 and c1*D) of the five, and every coefficient is 1.
-    d2 = div * div
-    if r == 2:
-        return ChernData(2, data.c1 + div + div, data.c2 + d2 + data.c1 * div, data.c3)
-    c1 = data.c1 + r * div
-    c2 = data.c2 + comb(r, 2) * d2
-    if r != 1:
-        c2 += (r - 1) * (data.c1 * div)
-    c3 = data.c3 + (r - 2) * (data.c2 * div)
-    if r >= 3:
-        c3 += comb(r - 1, 2) * (data.c1 * d2) + comb(r, 3) * (d2 * div)
-    return ChernData(r, c1, c2, c3)
+    return ChernData(2, data.c1 + div + div, data.c2 + div * div + data.c1 * div, data.c3)
 
 
 @lru_cache(maxsize=16)
@@ -361,7 +347,7 @@ def chi_instanton(e: int, alpha: int, beta: int, a: int, b: int) -> int:
 def slope_mu_H(e: int) -> Fraction:
     """Slope of an instanton bundle with respect to H: c1·H²/rank = (e²+e-2)/2."""
     from fractions import Fraction
-    return Fraction(e * e + e - 2, 2)
+    return Fraction(delta_H(e, 0, e - 1), 2)
 
 
 def delta_H(e: int, a: int, b: int) -> int:

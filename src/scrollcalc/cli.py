@@ -258,7 +258,7 @@ def _cmd_stability(args) -> int:
         "e": args.e,
         "window": list(args.window),
         "strict": args.strict,
-        "two_mu_H": args.e * args.e + args.e - 2,
+        "two_mu_H": chow.delta_H(args.e, 0, args.e - 1),
         "region": [list(p) for p in region],
     }
     lines = [

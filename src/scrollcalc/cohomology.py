@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import chow
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible
+from .errors import Inadmissible, _decoder
 
 LINE = "line"
 OMEGA = "omega"
@@ -170,6 +170,7 @@ class FormalSheaf(NamedTuple):
         }
 
     @staticmethod
+    @_decoder
     def from_dict(data: dict) -> "FormalSheaf":
         for t in data["terms"]:
             if t["kind"] not in (LINE, OMEGA):

@@ -1,10 +1,11 @@
 """The package's error model: three classes.
 
-Every rejected input raises ``Inadmissible``, whose ``bound`` names the
-violated rule.  A checked invariant (orthogonality, strongness, monad
-consistency, the verify suites) returns a report with ``ok`` instead of
-raising.  ``NonIntegralValue`` is raised only for Chern data whose Euler
-characteristic comes out fractional.  ``ScrollcalcError`` is their base.
+Every rejected input, a malformed JSON payload included (``_decoder``),
+raises ``Inadmissible``, whose ``bound`` names the violated rule.  A checked
+invariant (orthogonality, strongness, monad consistency, the verify suites)
+returns a report with ``ok`` instead of raising.  ``NonIntegralValue`` is
+raised only for Chern data whose Euler characteristic comes out fractional.
+``ScrollcalcError`` is their base.
 """
 
 
@@ -30,3 +31,20 @@ class Inadmissible(ScrollcalcError, ValueError):
     def __init__(self, message: str, bound: str):
         super().__init__(message)
         self.bound = bound
+
+
+def _decoder(decode):
+    """Guard a ``from_dict``: a payload that does not have the layout of the
+    class's ``to_dict`` raises ``Inadmissible`` instead of a raw error."""
+    kind = decode.__qualname__.split(".")[0]
+
+    def guarded(data):
+        try:
+            return decode(data)
+        except Inadmissible:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            bound = f"{kind}.to_dict() layout"
+            raise Inadmissible(f"malformed {kind} payload: {exc!r}", bound) from exc
+
+    return guarded

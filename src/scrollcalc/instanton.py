@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, NonIntegralValue
+from .errors import Inadmissible, NonIntegralValue, _decoder
 
 EXISTS = "exists"
 EXISTS_PULLBACK = "exists_pullback"
@@ -115,44 +115,39 @@ def stability_test_region(e, window, strict: bool = False):
     The criterion on a rank-2 bundle over a variety with free Picard group:
     mu-(semi)stability is equivalent to h0(E(B)) = 0 for every divisor B
     with delta_H(B) <= -mu_H(E) (strict: <).  The window is a finite box
-    (a_min, a_max, b_min, b_max); the underlying region is infinite.  An
-    empty window is ``Inadmissible``.  delta_H is linear in b, so each row a
-    is cut by one division and costs the same whatever the window's width.
-    delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows are one
-    interval, found by one more division; no other row is visited.  A region
-    of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
+    (a_min, a_max, b_min, b_max); the underlying region is infinite.  e < 0
+    or an empty window is ``Inadmissible``.  delta_H is linear in b, so each
+    row a is cut by one division and costs the same whatever the window's
+    width.  delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows
+    are one interval, found by one more division; no other row is visited.
+    A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
     """
+    require_scroll(e)
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
         raise Inadmissible(f"empty window: a_min = {a_min} > a_max = {a_max}", "a_min <= a_max")
     if b_min > b_max:
         raise Inadmissible(f"empty window: b_min = {b_min} > b_max = {b_max}", "b_min <= b_max")
-    # 2*delta <= -(e^2+e-2) avoids rationals; e^2+e-2 is 2*mu_H.  With
-    # 2*delta = q*a + m*b, a row keeps the b with m*b <= c = k0 - q*a.
-    k0 = -(e * e + e - 2) - (1 if strict else 0)
+    # 2*delta <= -2*mu_H avoids rationals.  With 2*delta = q*a + m*b, where
+    # q = 2(e+1)^2 and m = 2(e+2) are positive, a row keeps the b with
+    # m*b <= k0 - q*a, and it is non-empty iff b_min is kept.
+    k0 = -chow.delta_H(e, 0, e - 1) - (1 if strict else 0)
     q, m = 2 * chow.delta_H(e, 1, 0), 2 * chow.delta_H(e, 0, 1)
-    # A row is non-empty iff its best b (b_min when m > 0, else b_max) is
-    # kept: q*a <= k.  q = 2(e+1)^2 >= 0, and at q = 0 one test decides all.
-    k = k0 - m * (b_min if m > 0 else b_max)
-    a_hi = min(a_max, k // q) if q else (a_max if k >= 0 else a_min - 1)
+    a_hi = min(a_max, (k0 - m * b_min) // q)
 
-    # Rows are kept as (a, lo, hi), each with at least one twist, so the cap
+    # Rows are kept as (a, hi), each with at least one twist, so the cap
     # bounds the loop; the twists are built only once the region fits it.
     rows, cells = [], 0
     for a in range(a_min, a_hi + 1):
-        c, lo, hi = k0 - q * a, b_min, b_max
-        if m > 0:
-            hi = min(b_max, c // m)
-        elif m < 0:
-            lo = max(b_min, -(c // -m))
-        cells += hi - lo + 1
+        hi = min(b_max, (k0 - q * a) // m)
+        cells += hi - b_min + 1
         if cells > REGION_CELLS_MAX:
             raise Inadmissible(
                 f"the test region has more than {REGION_CELLS_MAX} twists",
                 f"region cells <= {REGION_CELLS_MAX}",
             )
-        rows.append((a, lo, hi))
-    return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
+        rows.append((a, hi))
+    return [(a, b) for a, hi in rows for b in range(b_min, hi + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +261,7 @@ def chi_end_grr(e: int, alpha: int, beta: int) -> int:
     c1 = chow.divisor(e, 0, e - 1)
     c2 = ChowClass(e, xif=alpha, ff=beta)
     end_c2 = 4 * c2 - c1 * c1
-    num = 2 * (c1t * c2t).pt - 6 * (c1t * end_c2).pt
+    num = 2 * c1t.pairing(c2t) - 6 * c1t.pairing(end_c2)
     if num % 12 != 0:
         raise NonIntegralValue("chi(End) came out fractional")
     return num // 12
@@ -323,6 +318,7 @@ class ExistenceReport(NamedTuple):
         return self._asdict()
 
     @staticmethod
+    @_decoder
     def from_dict(data: dict) -> "ExistenceReport":
         return ExistenceReport(**data)
 

@@ -292,9 +292,8 @@ def _homogeneous(draw, e, codim):
 @st.composite
 def twist_cases(draw):
     e = draw(st.integers(min_value=0, max_value=6))
-    rank = draw(st.sampled_from([1, 2, 3, 4]))
     cs = [_homogeneous(draw, e, k) for k in (1, 2, 3)]
-    return ChernData(rank, *cs), _homogeneous(draw, e, 1)
+    return ChernData(2, *cs), _homogeneous(draw, e, 1)
 
 
 @given(twist_cases())

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcalc import cli
+from scrollcalc import cli, verification
 from scrollcalc.beilinson import Monad, monad_shape
 from scrollcalc.chow import ChowClass
 from scrollcalc.cohomology import FormalSheaf, line, omega
@@ -237,6 +237,13 @@ def test_verify_runs_clean_and_deterministic(
     assert code == 0
     assert len(verify_results) == 18 and all(r.ok for r in verify_results)
     assert "seed=" in out and "all suites passed" in out
+
+
+def test_suite_names_match_their_functions(verify_results):
+    # The benchmark reads each suite's metrics under its function's name.
+    assert [r.name for r in verify_results] == [
+        f.__name__.replace("_", "-") for f in verification.ALL_SUITES
+    ]
 
 
 def test_verify_json_shape(render_verify):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from scrollcalc import chow
 from scrollcalc import cohomology as coh
-from scrollcalc import verification
 from scrollcalc.cohomology import (
     ChaseResult,
     CohVector,
@@ -124,9 +123,9 @@ def test_line_pushforward_values():
                 assert coh.h_line(e, 3, a, b) == 0
 
 
-def test_line_serre_self_duality():
+def test_line_serre_self_duality(verify_results):
     # h^i(a, b) = h^{3-i}(-a-2, e-3-b) for e <= 6, |a|, |b| <= 10.
-    result = verification.coh_serre_duality(verification.DEFAULT_SEED)
+    (result,) = [r for r in verify_results if r.name == "coh-serre-duality"]
     assert result.ok, result.failures[:5]
     assert result.cases == 3087
 
@@ -281,9 +280,9 @@ def test_relative_euler_chi_relation():
         assert [s.chi() for s in seq] == [-1, 0, 1]
 
 
-def test_chi_additivity_all_sequences():
+def test_chi_additivity_all_sequences(verify_results):
     # Every named sequence, e <= 5, |a|, |b| <= 6.
-    result = verification.coh_chi_additivity(verification.DEFAULT_SEED)
+    (result,) = [r for r in verify_results if r.name == "coh-chi-additivity"]
     assert result.ok, result.failures[:5]
     assert result.cases == 4056
 
@@ -419,9 +418,9 @@ def test_chase_rejects_bad_inputs():
         les_chase([good, good, None], 5, 0)
 
 
-def test_nonnegativity_everywhere():
+def test_nonnegativity_everywhere(verify_results):
     # Line bundles and Omega twists, e <= 5, |a|, |b| <= 10; h3 = 0 for a >= 0.
-    result = verification.coh_nonnegativity(verification.DEFAULT_SEED)
+    (result,) = [r for r in verify_results if r.name == "coh-nonnegativity"]
     assert result.ok, result.failures[:5]
     assert result.cases == 4032
 

@@ -71,6 +71,8 @@ def _rejected_inputs():
          "twisting divisor must be a codimension-1 class", "codim(div) == 1"),
         (lambda: chow.twist_chern(data, chow.divisor(2, 1, 0)),
          "twisting divisor lives on a different scroll", "same e"),
+        *((lambda r=r: chow.twist_chern(ChernData(r, z, z, z), chow.divisor(1, 1, 0)),
+           "twist_chern is the rank-2 specialization", "rank == 2") for r in (1, 3, 4)),
         (lambda: chow.chi_rr(ChernData(3, z, z, z)),
          "chi_rr is the rank-2 specialization", "rank == 2"),
         (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), -1)]),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from scrollcalc import beilinson, chow
 from scrollcalc import instanton as inst
-from scrollcalc import verification
 from scrollcalc.cohomology import LINE, OMEGA
 from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams
@@ -97,15 +96,14 @@ windows = st.tuples(
 ).map(lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3]))
 
 
-@given(st.integers(-4, 8), windows, st.booleans())
+@given(st.integers(0, 8), windows, st.booleans())
 def test_stability_row_cut_matches_cell_scan(e, window, strict):
-    # e = -2 makes delta_H constant in b, and e < -2 flips its direction.
     got = inst.stability_test_region(e, window, strict)
     assert got == _region_cells(e, window, strict)
 
 
 def test_stability_row_cut_straddling_windows():
-    for e in range(-4, 9):
+    for e in range(9):
         for strict in (False, True):
             window = (-6, 6, -70, 70)
             got = inst.stability_test_region(e, window, strict)
@@ -115,7 +113,7 @@ def test_stability_row_cut_straddling_windows():
 def test_stability_huge_window_small_region_is_fast():
     start = time.perf_counter()
     assert inst.stability_test_region(1, (-1000, 1000, 10**6, 2 * 10**6)) == []
-    assert inst.stability_test_region(-4, (-1000, 1000, -2 * 10**6, -(10**6))) == []
+    assert inst.stability_test_region(4, (-1000, 1000, 10**6, 2 * 10**6)) == []
     # Only rows a = -1000..-998 reach b >= 1330 at e = 1.
     corner = inst.stability_test_region(1, (-1000, 1000, 1330, 10**9))
     elapsed = time.perf_counter() - start
@@ -133,21 +131,28 @@ def test_stability_empty_rows_cost_nothing():
 
 
 def test_stability_region_cap(monkeypatch):
-    # e = -2: delta_H(a, b) = a, so row a is all of b_min..b_max when a <= 0.
+    # e = 0: 2 delta_H(a, b) = 2a + 4b, so row a keeps b <= (1 - a) // 2.
     with pytest.raises(Inadmissible) as info:
-        inst.stability_test_region(-2, (0, 0, 1, 10**6 + 1))
+        inst.stability_test_region(0, (0, 0, -(10**6), 0))
     assert info.value.bound == "region cells <= 1000000"
     monkeypatch.setattr(inst, "REGION_CELLS_MAX", 10)
-    assert len(inst.stability_test_region(-2, (-1, 9, 1, 5))) == 10
-    assert len(inst.stability_test_region(-2, (0, 0, 1, 10))) == 10
-    for window in ((-2, 9, 1, 4), (0, 0, 1, 11), (-10, 0, 1, 1)):
+    assert len(inst.stability_test_region(0, (-2, 9, -1, 0))) == 10  # rows -2..3
+    assert len(inst.stability_test_region(0, (0, 0, -9, 0))) == 10
+    for window in ((-3, 9, -1, 0), (0, 0, -10, 0), (-10, 0, 0, 0)):
         with pytest.raises(Inadmissible, match="more than 10 twists"):
-            inst.stability_test_region(-2, window)
+            inst.stability_test_region(0, window)
 
 
-def test_stability_region_against_chow_degrees():
+def test_stability_region_refuses_negative_e():
+    with pytest.raises(Inadmissible) as info:
+        inst.stability_test_region(-1, (0, 0, 0, 0))
+    assert str(info.value) == "the scroll parameter e must be non-negative"
+    assert info.value.bound == "e >= 0"
+
+
+def test_stability_region_against_chow_degrees(verify_results):
     # Region membership against Chow degrees, e <= 6, |a|, |b| <= 10.
-    result = verification.instanton_stability_region(verification.DEFAULT_SEED)
+    (result,) = [r for r in verify_results if r.name == "instanton-stability-region"]
     assert result.ok, result.failures[:5]
     assert result.cases == 3087
 

@@ -121,6 +121,37 @@ def test_decoders_reject_unknown_kinds():
         assert info.value.bound == "kind in (line, omega)"
 
 
+def test_decoders_reject_malformed_payloads():
+    # A missing key, a bad integer, an extra key or e < 0 is refused with a
+    # bound; an Inadmissible raised inside a decoder passes through untouched.
+    bad_int = {"e": 0, "terms": [{"kind": "line", "a": "x", "b": 0, "mult": 1}]}
+    report = inst.existence_report(inst.InstantonParams(2, 3, 0)).to_dict()
+    monad = bl.monad_shape(1, 1, 2, 1).to_dict()
+    cases = [
+        (lambda: coh.FormalSheaf.from_dict({"e": 0}),
+         "malformed FormalSheaf payload: KeyError('terms')", "FormalSheaf.to_dict() layout"),
+        (lambda: coh.FormalSheaf.from_dict(bad_int),
+         "malformed FormalSheaf payload: ValueError(\"invalid literal for int() with base 10:"
+         " 'x'\")", "FormalSheaf.to_dict() layout"),
+        (lambda: bl.Monad.from_dict({"e": 0}),
+         "malformed Monad payload: KeyError('alpha')", "Monad.to_dict() layout"),
+        (lambda: ChowClass.from_dict({"e": 0}),
+         "malformed ChowClass payload: KeyError('coeffs')", "ChowClass.to_dict() layout"),
+        (lambda: inst.ExistenceReport.from_dict({**report, "x": 1}),
+         "malformed ExistenceReport payload: TypeError(\"ExistenceReport.__new__() got an"
+         " unexpected keyword argument 'x'\")", "ExistenceReport.to_dict() layout"),
+        (lambda: bl.Monad.from_dict({**monad, "e": -1}),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+    ]
+    for decode, message, bound in cases:
+        with pytest.raises(Inadmissible) as info:
+            decode()
+        assert (str(info.value), info.value.bound) == (message, bound)
+    # ChowClass and FormalSheaf accept any e, like their constructors.
+    assert ChowClass.from_dict({"e": -1, "coeffs": {"xi": 1}}) == ChowClass(-1, xi=1)
+    assert coh.FormalSheaf.from_dict({"e": -1, "terms": []}) == coh.FormalSheaf.of(-1, [])
+
+
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
     # Measured against the modules this interpreter has before the import,
     # so that whatever site hooks load is not charged to the package.
