@@ -17,11 +17,14 @@ monad in which the h^2 groups enter as free parameters.
 Every layout comes from the collections: the five twists of a variant are
 E_4..E_0 of its geometric collection, their dual sheaves are F_4..F_0 of
 the partner, and the monad positions are the same in every variant.  The
-table, the h^1 values and both monad builders read that one layout.
+table, the h^1 values and both monad builders read that one layout.  The
+layout and the table frame (every cell but the five h^1 values) depend on
+(e, variant) alone, and each is built once per (e, variant) and cached.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import chow, cohomology, instanton
@@ -34,7 +37,7 @@ from .cohomology import (
     omega,
     seq_euler_dual,
 )
-from .errors import Inadmissible, _decoder
+from .errors import Inadmissible, _decoder, _int, _keys, _one_of
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 
@@ -286,7 +289,9 @@ class Layout(NamedTuple):
     twists: tuple  # tuple[TableTwist, ...], five columns in order
 
 
+@lru_cache(maxsize=64, typed=True)
 def _layout(e: int, variant: int) -> Layout:
+    """The variant's collections and columns, keyed by (e, variant), at most 64 entries."""
     ei, fi = _dual_pair(variant)
     ecoll, fcoll = collection(e, ei), collection(e, fi)
     columns = zip(
@@ -381,34 +386,61 @@ class BeilinsonTable(NamedTuple):
         )
 
     def render(self, ascii_only: bool = False, raw: bool = False) -> str:
-        grid = []
-        for r in range(6):
-            row = []
-            for c in range(6):
-                if raw:
-                    cell = self.cells[r][c]
-                    if cell.kind == "star":
-                        row.append("*")
-                    else:
-                        m = (3 - r) if self.shifts[c] else (5 - r)
-                        row.append(f"H{m}")
-                else:
-                    row.append(self.cells[r][c].render(ascii_only))
-            grid.append(row)
-        top = [s.render(ascii_only) for s in self.top_labels]
-        bottom = [s.render(ascii_only) for s in self.bottom_labels]
-        widths = [
-            max(len(top[c]), len(bottom[c]), *(len(grid[r][c]) for r in range(6)))
-            for c in range(6)
-        ]
+        if raw:
+            grid = [
+                ["*" if cell.kind == "star" else f"H{(3 - r) if si else (5 - r)}"
+                 for cell, si in zip(row, self.shifts)]
+                for r, row in enumerate(self.cells)
+            ]
+        else:
+            grid = [[cell.render(ascii_only) for cell in row] for row in self.cells]
+        top = _rendered_labels(self.top_labels, ascii_only)
+        bottom = _rendered_labels(self.bottom_labels, ascii_only)
+        widths = [max(map(len, column)) for column in zip(top, bottom, *grid)]
         def fmt(cells):
-            return "| " + " | ".join(s.center(w) for s, w in zip(cells, widths)) + " |"
+            return "| " + " | ".join(map(str.center, cells, widths)) + " |"
         sep = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-        lines = [sep, fmt(top), sep]
-        for row in grid:
-            lines.append(fmt(row))
-        lines += [sep, fmt(bottom), sep]
-        return "\n".join(lines)
+        return "\n".join([sep, fmt(top), sep, *map(fmt, grid), sep, fmt(bottom), sep])
+
+
+@lru_cache(maxsize=256)
+def _rendered_labels(labels: tuple, ascii_only: bool) -> tuple:
+    """Rendered column labels, keyed by (labels, ascii_only), at most 256 entries."""
+    return tuple(s.render(ascii_only) for s in labels)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
+    """(top, bottom, shifts, cells, slots) of a table, keyed by (e, variant, gamma_zero),
+    at most 64 entries: ``cells`` holds every cell but the five h^1 values,
+    which ``slots`` lists as (row, column, twist label)."""
+    ecoll, fcoll, twists = _layout(e, variant)
+    top, bottom, shifts = fcoll.objects[::-1], ecoll.objects[::-1], ecoll.shifts[::-1]
+    cells = [[STAR] * 6 for _ in range(6)]
+    slots = []
+    for c, s in enumerate(bottom):
+        si = shifts[c]
+        for r in range(0, 4) if si else range(2, 6):
+            m = (3 - r) if si else (5 - r)
+            # Column 0 is -H, where every group is tagged minus-h.
+            tag = instanton.forced_vanishing(e, s.kind, m, s.a, s.b)
+            if tag is None and m == 1:
+                slots.append((r, c, twists[c - 1].label))
+                continue
+            if tag is None and m == 0:
+                # Lone low-e boundary cells (only e = 0 reaches here, where
+                # the region predicates stop short of b = 1).
+                tag = "h0-small-e"
+            if tag is None and m == 2:
+                if variant == 3:
+                    tag = "alpha-zero-chain"
+                elif not gamma_zero:
+                    cells[r][c] = Cell("unknown", tag=H2_PARAMS[c - 1])
+                    continue
+                else:
+                    tag = "gamma-hypothesis" if s.b == -(e + 1) else "gamma-chain"
+            cells[r][c] = Cell("zero", tag=tag)
+    return top, bottom, shifts, tuple(map(tuple, cells)), tuple(slots)
 
 
 def beilinson_table(
@@ -425,56 +457,30 @@ def beilinson_table(
     """
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
-    ecoll, fcoll, twists = _layout(e, variant)
+    twists = _layout(e, variant).twists
     if gamma_zero:
         values = _gated_h1(e, alpha, beta, variant, twists)
+    elif alpha < 0:
+        raise Inadmissible("alpha must be non-negative", "alpha >= 0")
     else:
-        if alpha < 0:
-            raise Inadmissible("alpha must be non-negative", "alpha >= 0")
         values = _candidates(e, alpha, beta, twists)
-
-    top = tuple(fcoll.objects[5 - c] for c in range(6))
-    bottom = tuple(ecoll.objects[5 - c] for c in range(6))
-    shifts = tuple(ecoll.shifts[5 - c] for c in range(6))
-
-    cells = [[STAR] * 6 for _ in range(6)]
-    for c, s in enumerate(bottom):
-        si = shifts[c]
-        for r in range(0, 4) if si else range(2, 6):
-            m = (3 - r) if si else (5 - r)
-            # Column 0 is -H, where every group is tagged minus-h.
-            tag = instanton.forced_vanishing(e, s.kind, m, s.a, s.b)
-            if tag is None and m == 1:
-                cells[r][c] = Cell("value", value=values[twists[c - 1].label])
-                continue
-            if tag is None and m == 0:
-                # Lone low-e boundary cells (only e = 0 reaches here, where
-                # the region predicates stop short of b = 1).
-                tag = "h0-small-e"
-            if tag is None and m == 2:
-                if variant == 3:
-                    tag = "alpha-zero-chain"
-                elif not gamma_zero:
-                    cells[r][c] = Cell("unknown", tag=H2_PARAMS[c - 1])
-                    continue
-                else:
-                    tag = "gamma-hypothesis" if s.b == -(e + 1) else "gamma-chain"
-            cells[r][c] = Cell("zero", tag=tag)
+    top, bottom, shifts, frame, slots = _table_frame(e, variant, gamma_zero)
+    cells = [list(row) for row in frame]
+    for r, c, label in slots:
+        cells[r][c] = Cell("value", value=values[label])
     return BeilinsonTable(
-        e,
-        alpha,
-        beta,
-        variant,
-        gamma_zero,
-        top,
-        bottom,
-        shifts,
-        tuple(tuple(row) for row in cells),
+        e, alpha, beta, variant, gamma_zero, top, bottom, shifts, tuple(map(tuple, cells))
     )
 
 
 # ---------------------------------------------------------------------------
 # Monads
+
+
+# The keys of Monad.to_dict(), and the "checks" that `monad --json` adds (not read back).
+_MONAD_KEYS = (
+    "e", "alpha", "beta", "variant", "A", "B", "C", "C1", "gamma", "delta", "eta", "checks"
+)
 
 
 class Monad(NamedTuple):
@@ -526,16 +532,16 @@ class Monad(NamedTuple):
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "Monad":
-        e = int(data["e"])
+        e = _int(_keys(data, _MONAD_KEYS)["e"])
         instanton.require_scroll(e)
-        def sheaf(key):
-            return FormalSheaf.from_dict({"e": e, "terms": data[key]}) if key in data else None
-        extra = None
-        if "gamma" in data:
-            extra = (int(data["gamma"]), int(data["delta"]), int(data["eta"]))
+        def sheaf(key):  # A, B and C are required, the tail C1 is not
+            return FormalSheaf.from_dict({"e": e, "terms": data[key]})
+        tail = sheaf("C1") if "C1" in data else None
+        extra = tuple(_int(data[k]) for k in ("gamma", "delta", "eta")) if "gamma" in data else None
+        variant = _one_of(data.get("variant"), (1, 2, 3, None), "variant")
         return Monad(
-            e, int(data["alpha"]), int(data["beta"]), data.get("variant"),
-            sheaf("A"), sheaf("B"), sheaf("C"), sheaf("C1"), extra,
+            e, _int(data["alpha"]), _int(data["beta"]), variant,
+            sheaf("A"), sheaf("B"), sheaf("C"), tail, extra,
         )
 
 

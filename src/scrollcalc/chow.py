@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Inadmissible, NonIntegralValue, _decoder
+from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _keys
 
 _BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
 # Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
@@ -118,13 +118,7 @@ class ChowClass(NamedTuple):
     def __pow__(self, n: int):
         if n < 0:
             raise Inadmissible("negative powers are not defined in the Chow ring", "n >= 0")
-        out, base = unit(self.e), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self.one, _nilpotent_powers(self), n)
 
     def homogeneous_part(self, codim: int) -> "ChowClass":
         """The codimension-``codim`` component, all other coefficients dropped."""
@@ -141,19 +135,13 @@ class ChowClass(NamedTuple):
         return self.pt
 
     def inverse(self) -> "ChowClass":
-        """Inverse of a unit series 1 + u1 + u2 + u3 in the truncated ring.
+        """Inverse 1 - u + u^2 - u^3 of a unit series 1 + u in the truncated ring.
 
         Used for total-Chern-class quotients.  Requires constant term 1.
         """
         if self.one != 1:
             raise Inadmissible("only classes with constant term 1 are invertible", "one == 1")
-        u1 = self.homogeneous_part(1)
-        u2 = self.homogeneous_part(2)
-        u3 = self.homogeneous_part(3)
-        v1 = -u1
-        v2 = u1 * u1 - u2
-        v3 = 2 * (u1 * u2) - u1 * u1 * u1 - u3
-        return unit(self.e) + v1 + v2 + v3
+        return _power(1, _nilpotent_powers(self), -1)
 
     def render(self, ascii_only: bool = False) -> str:
         """Human-readable sum of monomials, e.g. ``-2ξ + 3f + ξf²``."""
@@ -186,8 +174,29 @@ class ChowClass(NamedTuple):
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "ChowClass":
-        coeffs = data["coeffs"]
-        return ChowClass(int(data["e"]), *(int(coeffs.get(k, 0)) for k in _JSON_KEYS))
+        coeffs = _keys(_keys(data, ("e", "coeffs"))["coeffs"], _JSON_KEYS)
+        return ChowClass(_int(data["e"]), *(_int(coeffs.get(k, 0)) for k in _JSON_KEYS))
+
+
+def _nilpotent_powers(x: ChowClass) -> tuple:
+    """(u, u^2, u^3) for u = x minus its constant term; u^4 = 0."""
+    u = _new(ChowClass, (x.e, 0) + x[2:])
+    u2 = u * u
+    return u, u2, u2 * u
+
+
+def _power(c: int, powers: tuple, n: int) -> ChowClass:
+    """(c + u)^n = sum over k <= 3 of C(n, k) c^(n-k) u^k, from ``powers`` =
+    (u, u^2, u^3) of a class u of positive codimension: the cost does not grow
+    with n.  n = -1 (with c = 1) is the inverse 1 - u + u^2 - u^3."""
+    (e, _, a1, a2, a3, a4, a5), u2, u3 = powers
+    b1 = n * c ** max(n - 1, 0)
+    b2 = n * (n - 1) // 2 * c ** max(n - 2, 0)
+    b3 = n * (n - 1) * (n - 2) // 6 * c ** max(n - 3, 0)
+    return _new(ChowClass, (
+        e, c ** max(n, 0), b1 * a1, b1 * a2, b1 * a3 + b2 * u2[4],
+        b1 * a4 + b2 * u2[5], b1 * a5 + b2 * u2[6] + b3 * u3[6],
+    ))
 
 
 def zero(e: int) -> ChowClass:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import chow
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, _decoder
+from .errors import Inadmissible, _decoder, _int, _keys
 
 LINE = "line"
 OMEGA = "omega"
@@ -77,10 +77,17 @@ def _twist_str(a: int, b: int, ascii_only: bool) -> str:
     return "".join(parts)
 
 
-@lru_cache(maxsize=1024)
-def _summand_chern_power(e: int, s: Summand, m: int) -> ChowClass:
-    """c(s)^m on X_e; monads repeat the same summands across a grid."""
-    return s.total_chern(e) ** m
+@lru_cache(maxsize=1024, typed=True)
+def _summand_chern_powers(e: int, s: Summand) -> tuple:
+    """(u, u^2, u^3) for c(s) = 1 + u on X_e, keyed by (e, s), at most 1024
+    entries: c(s)^m = 1 + m u + C(m,2) u^2 + C(m,3) u^3 for every m."""
+    return chow._nilpotent_powers(s.total_chern(e))
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _summand_chi(e: int, s: Summand) -> int:
+    """chi(s) on X_e from the closed forms, keyed by (e, s), at most 1024 entries."""
+    return (chi_line if s.kind == LINE else chi_omega_twist)(e, s.a, s.b)
 
 
 class CohVector(NamedTuple):
@@ -122,7 +129,7 @@ class FormalSheaf(NamedTuple):
     def total_chern(self) -> ChowClass:
         out = chow.unit(self.e)
         for s, m in self.terms:
-            out = out * _summand_chern_power(self.e, s, m)
+            out = out * chow._power(1, _summand_chern_powers(self.e, s), m)
         return out
 
     def chern_data(self) -> ChernData:
@@ -143,11 +150,7 @@ class FormalSheaf(NamedTuple):
         return CohVector(self.h(0), self.h(1), self.h(2), self.h(3))
 
     def chi(self) -> int:
-        e, out = self.e, 0
-        for s, m in self.terms:
-            h, a, b = (h_line if s.kind == LINE else h_omega_twist), s.a, s.b
-            out += m * (h(e, 0, a, b) - h(e, 1, a, b) + h(e, 2, a, b) - h(e, 3, a, b))
-        return out
+        return sum(m * _summand_chi(self.e, s) for s, m in self.terms)
 
     def render(self, ascii_only: bool = False) -> str:
         if not self.terms:
@@ -172,15 +175,13 @@ class FormalSheaf(NamedTuple):
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "FormalSheaf":
-        for t in data["terms"]:
-            if t["kind"] not in (LINE, OMEGA):
+        terms = _keys(data, ("e", "terms"))["terms"]
+        for t in terms:
+            if _keys(t, ("kind", "a", "b", "mult"))["kind"] not in (LINE, OMEGA):
                 raise Inadmissible(f"unknown kind {t['kind']!r}", "kind in (line, omega)")
         return FormalSheaf.of(
-            int(data["e"]),
-            [
-                (Summand(t["kind"], int(t["a"]), int(t["b"])), int(t["mult"]))
-                for t in data["terms"]
-            ],
+            _int(data["e"]),
+            [(Summand(t["kind"], _int(t["a"]), _int(t["b"])), _int(t["mult"])) for t in terms],
         )
 
 

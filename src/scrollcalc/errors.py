@@ -48,3 +48,25 @@ def _decoder(decode):
             raise Inadmissible(f"malformed {kind} payload: {exc!r}", bound) from exc
 
     return guarded
+
+
+def _keys(data, known: tuple):
+    """``data`` if it has no key outside ``known``; a decoder never drops one."""
+    unknown = [str(key) for key in data if key not in known]
+    if unknown:
+        raise Inadmissible(f"unknown payload keys {sorted(unknown)}", f"keys in {known}")
+    return data
+
+
+def _one_of(value, allowed: tuple, name: str):
+    """``value`` if it equals an ``allowed`` value of the same type (True is not 1)."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        raise Inadmissible(f"{name} {value!r} is not one of {allowed}", f"{name} in {allowed}")
+    return value
+
+
+def _int(value):
+    """``value`` if its type is exactly ``int``; a bool, float or string raises."""
+    if type(value) is not int:
+        raise Inadmissible(f"expected an int, got {value!r}", "type(value) is int")
+    return value

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, NonIntegralValue, _decoder
+from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _one_of
 
 EXISTS = "exists"
 EXISTS_PULLBACK = "exists_pullback"
@@ -320,7 +320,14 @@ class ExistenceReport(NamedTuple):
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "ExistenceReport":
-        return ExistenceReport(**data)
+        report = ExistenceReport(**data)
+        _one_of(report.status, (EXISTS, EXISTS_PULLBACK, INADMISSIBLE, UNKNOWN), "status")
+        for ext in report[1:4]:
+            if ext is not None:
+                _int(ext)
+        _one_of(report.earnest, (None, True, False), "earnest")
+        _one_of(report.route, (None, ROUTE_SERRE, ROUTE_PULLBACK), "route")
+        return report
 
 
 def existence_report(p: InstantonParams) -> ExistenceReport:

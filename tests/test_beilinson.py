@@ -1,5 +1,8 @@
 """Dual collections, tables and monads."""
 
+import contextlib
+import random
+
 import pytest
 
 from scrollcalc import beilinson as bl
@@ -531,3 +534,76 @@ def test_monad_render():
     assert text == (
         "0 -> Omega(-xi+f) + O(-f)^2 -> Omega(f)^3 + O(-xi)^2 -> O^2 -> 0"
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-scroll caches
+
+CACHES = (
+    bl._layout,
+    bl._table_frame,
+    bl._rendered_labels,
+    coh._summand_chern_powers,
+    coh._summand_chi,
+)
+
+
+def _clear_caches():
+    for cache in CACHES:
+        cache.cache_clear()
+
+
+def _answers(e, alpha, beta, variant, cold):
+    """Tables (both gamma_zero, every render), monads and their reports at
+    one point; with ``cold`` every call starts on empty caches."""
+
+    def run(f, *args):
+        if cold:
+            _clear_caches()
+        try:
+            return f(*args)
+        except Inadmissible as exc:
+            return str(exc), exc.bound
+
+    out = []
+    for gamma_zero in (True, False):
+        table = run(beilinson_table, e, alpha, beta, variant, gamma_zero)
+        out.append(table)
+        if isinstance(table, bl.BeilinsonTable):
+            out += [run(table.render, a, raw) for a in (False, True) for raw in (False, True)]
+    general = run(monad_general, e, alpha, beta, variant - 1, variant % 2, 3 - variant)
+    for m in (run(monad_shape, e, alpha, beta, variant), general):
+        out += [m, run(monad_consistency, m) if isinstance(m, Monad) else None]
+    return out
+
+
+def test_cold_caches_answer_as_warm_ones():
+    points = [
+        (e, alpha, beta, variant)
+        for e in range(9)
+        for alpha in range(9)
+        for beta in range(9)
+        for variant in (1, 2, 3)
+    ]
+    cold = {p: _answers(*p, cold=True) for p in points}
+    _clear_caches()
+    random.Random(3).shuffle(points)
+    assert {p: _answers(*p, cold=False) for p in points} == cold
+    assert all(cache.cache_info().hits for cache in CACHES)
+
+
+def test_caches_stay_bounded_up_to_huge_e():
+    rng = random.Random(4)
+    _clear_caches()
+    for _ in range(300):
+        e = rng.randint(0, 10 ** rng.randint(0, 18))
+        beilinson_table(e, 1, 0, 1, gamma_zero=False).render(rng.random() < 0.5)
+        for variant in (1, 2, 3):
+            with contextlib.suppress(Inadmissible):  # the h^1 gate runs after the layout
+                beilinson_table(e, 0, 0, variant).render()
+        summands = (line(1, -e), omega(0, e), line(-3, e), omega(2, 1 - e))
+        sheaf = coh.FormalSheaf.of(e, [(s, 7) for s in summands])
+        sheaf.total_chern(), sheaf.chi()
+    for cache in CACHES:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize, cache

@@ -180,6 +180,21 @@ def test_power_matches_repeated_oracle_product(x, n):
     assert x ** n == want
 
 
+@given(chow_classes, st.integers(min_value=0, max_value=200))
+@settings(max_examples=100)
+def test_power_matches_repeated_product_for_any_constant_term(x, n):
+    # The four-term binomial against n products, at x's own constant term,
+    # at 0 (a nilpotent class) and at 1 (a total Chern class), where the
+    # inverse reads the same series.
+    for c in (x.one, 0, 1):
+        y = x._replace(one=c)
+        want = chow.unit(x.e)
+        for _ in range(n):
+            want = want * y
+        assert y ** n == want
+    assert y * y.inverse() == chow.unit(x.e)
+
+
 def test_negative_power_rejected():
     with pytest.raises(ValueError):
         chow.hyperplane(1) ** -1

@@ -131,8 +131,7 @@ def test_decoders_reject_malformed_payloads():
         (lambda: coh.FormalSheaf.from_dict({"e": 0}),
          "malformed FormalSheaf payload: KeyError('terms')", "FormalSheaf.to_dict() layout"),
         (lambda: coh.FormalSheaf.from_dict(bad_int),
-         "malformed FormalSheaf payload: ValueError(\"invalid literal for int() with base 10:"
-         " 'x'\")", "FormalSheaf.to_dict() layout"),
+         "expected an int, got 'x'", "type(value) is int"),
         (lambda: bl.Monad.from_dict({"e": 0}),
          "malformed Monad payload: KeyError('alpha')", "Monad.to_dict() layout"),
         (lambda: ChowClass.from_dict({"e": 0}),
@@ -150,6 +149,47 @@ def test_decoders_reject_malformed_payloads():
     # ChowClass and FormalSheaf accept any e, like their constructors.
     assert ChowClass.from_dict({"e": -1, "coeffs": {"xi": 1}}) == ChowClass(-1, xi=1)
     assert coh.FormalSheaf.from_dict({"e": -1, "terms": []}) == coh.FormalSheaf.of(-1, [])
+
+
+# A float, a bool or a string where an int belongs, an unknown key, an unknown
+# status or variant: each is refused with a bound, never coerced or dropped.
+_SHEAF = {"e": 0, "terms": [{"kind": "line", "a": 1.5, "b": True, "mult": 1}]}
+_STATUSES = "('exists', 'exists_pullback', 'inadmissible', 'unknown')"
+_VARIANTS = "(1, 2, 3, None)"
+
+
+@pytest.mark.parametrize("decode, message, bound", [
+    pytest.param(lambda: coh.FormalSheaf.from_dict(_SHEAF),
+                 "expected an int, got 1.5", "type(value) is int", id="sheaf-float"),
+    pytest.param(lambda: coh.FormalSheaf.from_dict(
+                     {**_SHEAF, "terms": [{**_SHEAF["terms"][0], "a": 1}]}),
+                 "expected an int, got True", "type(value) is int", id="sheaf-bool"),
+    pytest.param(lambda: ChowClass.from_dict({"e": 0, "coeffs": {"xi": 2, "zz": 5}}),
+                 "unknown payload keys ['zz']", "keys in ('1', 'xi', 'f', 'xif', 'ff', 'pt')",
+                 id="chow-unknown-key"),
+    pytest.param(lambda: ChowClass.from_dict({"e": 0.9, "coeffs": {"xi": 2}}),
+                 "expected an int, got 0.9", "type(value) is int", id="chow-float"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict({"status": 5, "ext1": "x"}),
+                 f"status 5 is not one of {_STATUSES}", f"status in {_STATUSES}",
+                 id="existence-status"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict({"status": "exists", "ext1": "x"}),
+                 "expected an int, got 'x'", "type(value) is int", id="existence-ext1"),
+    pytest.param(lambda: bl.Monad.from_dict({"e": 1, "alpha": 1, "beta": 2}),
+                 "malformed Monad payload: KeyError('A')", "Monad.to_dict() layout",
+                 id="monad-without-sheaves"),
+    pytest.param(lambda: bl.Monad.from_dict({**bl.monad_shape(1, 1, 2, 1).to_dict(),
+                                             "variant": "q"}),
+                 f"variant 'q' is not one of {_VARIANTS}", f"variant in {_VARIANTS}",
+                 id="monad-variant"),
+    pytest.param(lambda: bl.Monad.from_dict({**bl.monad_shape(1, 1, 2, 1).to_dict(),
+                                             "variant": True}),
+                 f"variant True is not one of {_VARIANTS}", f"variant in {_VARIANTS}",
+                 id="monad-variant-bool"),
+])
+def test_decoders_refuse_to_coerce(decode, message, bound):
+    with pytest.raises(Inadmissible) as info:
+        decode()
+    assert (str(info.value), info.value.bound) == (message, bound)
 
 
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
