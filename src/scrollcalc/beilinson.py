@@ -35,7 +35,6 @@ from .cohomology import (
     les_chase,
     line,
     omega,
-    seq_euler_dual,
 )
 from .errors import Inadmissible, _decoder, _int, _keys, _one_of
 
@@ -183,14 +182,20 @@ def _line_item(e, src, tgt, g):
     return StrongnessItem(src, tgt, g.render(), "closed-form", vals, all(vals.values()))
 
 
+def _euler_dual_chase(e, t):
+    # {i: h^i = 0 is proved}, i = 1..3, for the quotient of the dualized Euler
+    # sequence 0 -> O(-3f) -> O(-2f)^3 -> Omega -> 0 tensored by the summand t.
+    F = FormalSheaf.of
+    seq = [F(e, [(t._replace(b=t.b - 3), 1)]), F(e, [(t._replace(b=t.b - 2), 3)]), None]
+    bounds = les_chase(seq, 2)
+    return {i: bounds[i][1] == 0 for i in (1, 2, 3)}
+
+
 def _omega_item(e, src, tgt, g):
     # Dual route: the chase along the dualized Euler sequence twisted to end
     # at the group g = Omega(a xi + b f), cross-checked against the closed form.
-    seq = seq_euler_dual(e, g.a, g.b)
-    vals = {}
-    for i in (1, 2, 3):
-        chased = les_chase(seq, 2, i)
-        vals[i] = chased.is_zero and cohomology.h_omega_twist(e, i, g.a, g.b) == 0
+    chased = _euler_dual_chase(e, line(g.a, g.b))
+    vals = {i: chased[i] and cohomology.h_omega_twist(e, i, g.a, g.b) == 0 for i in (1, 2, 3)}
     return StrongnessItem(src, tgt, g.render(), "chase", vals, all(vals.values()))
 
 
@@ -199,15 +204,8 @@ def _end_omega_item(e, src, tgt):
     # Omega^dual = Omega(3f) this is the cokernel of the dualized Euler
     # sequence tensored by Omega(xi + 3f):
     #     0 -> Omega(xi) -> Omega(xi+f)^3 -> Omega^dual ⊗ Omega(xi) -> 0.
-    F = FormalSheaf.of
-    seq = [
-        F(e, [(omega(1, 0), 1)]),
-        F(e, [(omega(1, 1), 3)]),
-        None,
-    ]
-    vals = {i: les_chase(seq, 2, i).is_zero for i in (1, 2, 3)}
-    label = "Ω^∨⊗Ω(ξ)"
-    return StrongnessItem(src, tgt, label, "chase-only", vals, all(vals.values()))
+    vals = _euler_dual_chase(e, omega(1, 3))
+    return StrongnessItem(src, tgt, "Ω^∨⊗Ω(ξ)", "chase-only", vals, all(vals.values()))
 
 
 class StrongnessReport(NamedTuple):

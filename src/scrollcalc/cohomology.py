@@ -10,15 +10,16 @@ Two families of sheaves are covered exactly:
 
 On top of the closed forms sit formal direct sums with multiplicities
 (``FormalSheaf``), Euler-characteristic identities for the four structural
-exact sequences of the scroll, and a deliberately conservative long-exact-
-sequence chase that never guesses connecting-map ranks.
+exact sequences of the scroll, and one interval chase (``les_chase``): given
+two entries of a short exact sequence, exact or as (lo, hi) bounds, it bounds
+every h^i of the third from exactness alone, never guessing a map's rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 from . import chow
 from .chow import ChernData, ChowClass
@@ -179,10 +180,11 @@ class FormalSheaf(NamedTuple):
         for t in terms:
             if _keys(t, ("kind", "a", "b", "mult"))["kind"] not in (LINE, OMEGA):
                 raise Inadmissible(f"unknown kind {t['kind']!r}", "kind in (line, omega)")
-        return FormalSheaf.of(
-            _int(data["e"]),
-            [(Summand(t["kind"], _int(t["a"]), _int(t["b"])), _int(t["mult"])) for t in terms],
-        )
+        pairs = [(Summand(t["kind"], _int(t["a"]), _int(t["b"])), _int(t["mult"])) for t in terms]
+        sheaf = FormalSheaf.of(_int(data["e"]), pairs)
+        if len(sheaf.terms) != len(pairs):  # to_dict writes each summand once, mult >= 1
+            raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
+        return sheaf
 
 
 # ---------------------------------------------------------------------------
@@ -384,63 +386,37 @@ def chi_alternating(entries: Sequence[FormalSheaf]) -> int:
 # Long-exact-sequence chase
 
 
-class ChaseResult(NamedTuple):
-    kind: str  # "zero" | "exact" | "upper_bound"
-    value: Optional[int]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "zero" or (self.kind == "exact" and self.value == 0)
-
-
-Entry = Union[FormalSheaf, CohVector, None]
-
-
-def _entry_h(entry: Entry, i: int) -> int:
-    if not 0 <= i <= 3:
-        return 0
-    if isinstance(entry, FormalSheaf):
-        return entry.h(i)
-    return entry[i]
-
-
-def les_chase(entries: Sequence[Entry], target_position: int, i: int) -> ChaseResult:
-    """Bound h^i of the unknown entry of a short exact sequence.
+def les_chase(entries: Sequence, target_position: int) -> tuple:
+    """Bound every h^i of the unknown entry of a short exact sequence.
 
     ``entries`` has length 3; the slot at ``target_position`` is the unknown
-    (pass ``None`` there, or anything — it is ignored).  The other two slots
-    must be computable: a ``FormalSheaf`` or an explicit ``CohVector``
-    (the latter lets hypothesized vanishing enter a chase).
+    (pass ``None`` there, or anything: it is ignored).  Each other slot is a
+    ``FormalSheaf``, whose h^i are exact, or four (lo, hi) pairs, which is
+    how hypothesized cohomology enters a chase.
 
-    Returns ``zero`` when both groups flanking the target in the long exact
-    sequence vanish, ``exact`` when vanishing one step further out pins the
-    target to a single neighboring group, and ``upper_bound`` (with the sum
-    of the flanking dimensions) otherwise.  Connecting-map ranks are never
-    guessed.
+    Returns (lo, hi) for i = 0..3.  In the long exact sequence H^i(target)
+    sits in P' -> P -> H^i(target) -> N -> N', so its dimension is
+    rank(P -> target) + rank(target -> N), and exactness alone gives
+    lo = max(0, lo_P - hi_P') + max(0, lo_N - hi_N') and hi = hi_P + hi_N.
     """
     if len(entries) != 3:
         raise Inadmissible("only three-term exact sequences are chased", "len(entries) == 3")
     if not 0 <= target_position <= 2:
         raise Inadmissible(f"bad target position {target_position}", "target_position in 0..2")
-    known = [x for p, x in enumerate(entries) if p != target_position]
-    if any(x is None for x in known):
+    known = {p: x for p, x in enumerate(entries) if p != target_position}
+    if any(x is None for x in known.values()):
         raise Inadmissible("sequence has more than one non-computable entry", "one unknown entry")
+    rows = [
+        [(h, h) for h in map(x.h, range(4))] if isinstance(x, FormalSheaf) else x
+        for x in map(known.get, range(3))
+    ]
 
-    sub, mid, quot = entries
-    # Neighbors of H^i(target) in the long exact sequence, outward in both
-    # directions: ... -> prev2 -> prev -> H^i(target) -> next -> next2 -> ...
-    if target_position == 0:
-        cells = [(mid, i - 1), (quot, i - 1), (mid, i), (quot, i)]
-    elif target_position == 1:
-        cells = [(quot, i - 1), (sub, i), (quot, i), (sub, i + 1)]
-    else:
-        cells = [(sub, i), (mid, i), (sub, i + 1), (mid, i + 1)]
-    prev2, prev, nxt, nxt2 = (_entry_h(x, d) for x, d in cells)
+    def cell(n):  # group n of the sequence H^0(S_0), H^0(S_1), H^0(S_2), H^1(S_0), ...
+        i, p = divmod(n, 3)
+        return rows[p][i] if 0 <= i <= 3 else (0, 0)
 
-    if prev == 0 and nxt == 0:
-        return ChaseResult("zero", 0)
-    if prev == 0 and nxt2 == 0:
-        return ChaseResult("exact", nxt)
-    if prev2 == 0 and nxt == 0:
-        return ChaseResult("exact", prev)
-    return ChaseResult("upper_bound", prev + nxt)
+    def bound(n):
+        (_, hi_pp), (lo_p, hi_p), (lo_n, hi_n), (_, hi_nn) = map(cell, (n - 2, n - 1, n + 1, n + 2))
+        return max(0, lo_p - hi_pp) + max(0, lo_n - hi_nn), hi_p + hi_n
+
+    return tuple(bound(3 * i + target_position) for i in range(4))

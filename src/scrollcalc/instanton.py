@@ -189,8 +189,7 @@ def curve_resolution(e: int, curve_class: str):
 
 
 def chi_curve(e: int, curve_class: str) -> int:
-    r2, r1, r0 = curve_resolution(e, curve_class)
-    return r0.chi() - r1.chi() + r2.chi()
+    return cohomology.chi_alternating(curve_resolution(e, curve_class))
 
 
 def curve_info(e: int, curve_class: str) -> CurveClassInfo:
@@ -301,7 +300,7 @@ def plane_moduli_dim(e: int, beta: int) -> int:
     Untwisting by t = floor(e/2) lands in the moduli of plane bundles with
     c1 = 0 (e odd, dimension 4 c2 - 3) or c1 = -1 (e even, 4 c2 - 4).
     """
-    t = e // 2 if e % 2 == 0 else (e - 1) // 2
+    t = e // 2
     c2 = beta - t * (e - 1) + t * t
     return 4 * c2 - 3 if e % 2 == 1 else 4 * c2 - 4
 
@@ -327,7 +326,22 @@ class ExistenceReport(NamedTuple):
                 _int(ext)
         _one_of(report.earnest, (None, True, False), "earnest")
         _one_of(report.route, (None, ROUTE_SERRE, ROUTE_PULLBACK), "route")
+        for name, value, want in zip(report._fields[1:], report[1:], _STATUS_SHAPES[report.status]):
+            if want is int:
+                _int(value)
+            else:
+                _one_of(value, (want,), f"{report.status} {name}")
         return report
+
+
+# The fields (ext1, ext2, ext3, earnest, route) of each status, written by
+# ``existence_report`` and required by the decoder; int is a computed dimension.
+_STATUS_SHAPES = {
+    EXISTS: (int, 0, 0, True, ROUTE_SERRE),
+    EXISTS_PULLBACK: (int, None, None, True, ROUTE_PULLBACK),
+    INADMISSIBLE: (None,) * 5,
+    UNKNOWN: (None,) * 5,
+}
 
 
 def existence_report(p: InstantonParams) -> ExistenceReport:
@@ -346,19 +360,9 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     if alpha < 0:
         return ExistenceReport(INADMISSIBLE)
     if e <= 3 and alpha > e and beta >= 0:
-        return ExistenceReport(
-            EXISTS,
-            ext1=ext_dimensions(e, alpha, beta).ext1_minus_ext2,
-            ext2=0,
-            ext3=0,
-            earnest=True,
-            route=ROUTE_SERRE,
-        )
+        ext1 = ext_dimensions(e, alpha, beta).ext1_minus_ext2
+        return ExistenceReport(EXISTS, ext1, *_STATUS_SHAPES[EXISTS][1:])
     if alpha == 0 and beta >= min_pullback_beta(e):
-        return ExistenceReport(
-            EXISTS_PULLBACK,
-            ext1=pullback_moduli_dim(e, beta),
-            earnest=True,
-            route=ROUTE_PULLBACK,
-        )
+        ext1 = pullback_moduli_dim(e, beta)
+        return ExistenceReport(EXISTS_PULLBACK, ext1, *_STATUS_SHAPES[EXISTS_PULLBACK][1:])
     return ExistenceReport(UNKNOWN)

@@ -79,11 +79,11 @@ def _rejected_inputs():
          "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
         (lambda: coh.FormalSheaf.of(1, []).chern_data(),
          "the zero sheaf has no Chern data record", "rank >= 1"),
-        (lambda: coh.les_chase([good] * 4, 1, 0),
+        (lambda: coh.les_chase([good] * 4, 1),
          "only three-term exact sequences are chased", "len(entries) == 3"),
-        (lambda: coh.les_chase([good, good, None], 5, 0),
+        (lambda: coh.les_chase([good, good, None], 5),
          "bad target position 5", "target_position in 0..2"),
-        (lambda: coh.les_chase([None, good, None], 1, 0),
+        (lambda: coh.les_chase([None, good, None], 1),
          "sequence has more than one non-computable entry", "one unknown entry"),
         (lambda: bl.tensor_summands(coh.omega(0, 0), coh.omega(0, 0)),
          "Omega ⊗ Omega products have no closed form here", "at most one omega"),

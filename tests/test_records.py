@@ -1,5 +1,6 @@
 """Record semantics: validation, immutability, serialization, import cost."""
 
+import itertools
 import json
 import subprocess
 import sys
@@ -190,6 +191,62 @@ def test_decoders_refuse_to_coerce(decode, message, bound):
     with pytest.raises(Inadmissible) as info:
         decode()
     assert (str(info.value), info.value.bound) == (message, bound)
+
+
+_LINE = {"kind": "line", "a": 0, "b": 0}
+_DOUBLED_A = bl.monad_shape(1, 1, 2, 1).to_dict()
+_DOUBLED_A["A"] *= 2
+
+
+# A payload that to_dict never writes is refused, not merged or dropped.
+@pytest.mark.parametrize("decode, message, bound", [
+    pytest.param(lambda: coh.FormalSheaf.from_dict(
+                     {"e": 0, "terms": [{**_LINE, "mult": 1}, {**_LINE, "mult": 2}]}),
+                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
+                 id="sheaf-repeated"),
+    pytest.param(lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": [{**_LINE, "mult": 0}]}),
+                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
+                 id="sheaf-mult-0"),
+    pytest.param(lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": [{**_LINE, "mult": -1}]}),
+                 "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0",
+                 id="sheaf-mult-negative"),
+    pytest.param(lambda: bl.Monad.from_dict(_DOUBLED_A),
+                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
+                 id="monad-doubled-A"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict(
+                     {"status": "inadmissible", "ext1": 5, "earnest": True, "route": "pullback"}),
+                 "inadmissible ext1 5 is not one of (None,)", "inadmissible ext1 in (None,)",
+                 id="existence-inadmissible-with-fields"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict({"status": "unknown", "earnest": False}),
+                 "unknown earnest False is not one of (None,)", "unknown earnest in (None,)",
+                 id="existence-unknown-earnest"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict(
+                     {"status": "exists", "ext2": 0, "ext3": 0, "earnest": True,
+                      "route": "hartshorne-serre"}),
+                 "expected an int, got None", "type(value) is int", id="existence-no-ext1"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict(
+                     {"status": "exists", "ext1": 3, "ext2": 1, "ext3": 0, "earnest": True,
+                      "route": "hartshorne-serre"}),
+                 "exists ext2 1 is not one of (0,)", "exists ext2 in (0,)", id="existence-ext2"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict(
+                     {"status": "exists_pullback", "ext1": 3, "earnest": True,
+                      "route": "hartshorne-serre"}),
+                 "exists_pullback route 'hartshorne-serre' is not one of ('pullback',)",
+                 "exists_pullback route in ('pullback',)", id="existence-pullback-route"),
+])
+def test_decoders_refuse_payloads_to_dict_never_writes(decode, message, bound):
+    with pytest.raises(Inadmissible) as info:
+        decode()
+    assert (str(info.value), info.value.bound) == (message, bound)
+
+
+def test_every_existence_report_decodes_to_itself():
+    statuses = set()
+    for e, alpha, beta in itertools.product(range(5), range(-1, 7), range(-1, 9)):
+        rep = inst.existence_report(inst.InstantonParams(e, alpha, beta))
+        assert inst.ExistenceReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
+        statuses.add(rep.status)
+    assert statuses == {"exists", "exists_pullback", "inadmissible", "unknown"}
 
 
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
