@@ -10,8 +10,8 @@ obtained from the rewriting rules xi^2 = e*xi*f and f^3 = 0.  The degree map
 sends xi*f^2 to 1 (hence xi^2*f to e and xi^3 to e^2).
 
 Everything here is pure integer arithmetic: coefficients are arbitrary
-precision ints, Euler characteristics are exact rationals that are asserted
-integral before being returned.
+precision ints, Euler characteristics are exact rationals that are checked
+integral before being returned (``NonIntegralValue`` otherwise).
 """
 
 from __future__ import annotations
@@ -275,15 +275,25 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     """Chern data of the rank-2 bundle E tensored with the line bundle O(div).
 
     The rank-2 case of c_k(E ⊗ L) = sum_i C(r-i, k-i) c_i(E) D^(k-i), with
-    D = c1(L): c1 + 2D, c2 + D^2 + c1 D, and c3 unchanged.
+    D = c1(L): c1 + 2D, c2 + D (c1 + D), and c3 unchanged.  The terms
+    c1 + 2D and D (c1 + D) depend on (c1, D) alone and come from a small
+    per-twist cache (``_twist_terms``), which also checks the divisor.
     """
     if data.rank != 2:
         raise Inadmissible("twist_chern is the rank-2 specialization", "rank == 2")
+    c1, dc2 = _twist_terms(data.c1, div)
+    return ChernData(2, c1, data.c2 + dc2, data.c3)
+
+
+@lru_cache(maxsize=256)
+def _twist_terms(c1: ChowClass, div: ChowClass) -> tuple:
+    """(c1 + 2D, D (c1 + D)) for D = div, keyed by (c1, div), at most 256
+    entries.  A rejected divisor raises, so it is never cached."""
     if not div.is_homogeneous(1):
         raise Inadmissible("twisting divisor must be a codimension-1 class", "codim(div) == 1")
-    if div.e != data.e:
+    if div.e != c1.e:
         raise Inadmissible("twisting divisor lives on a different scroll", "same e")
-    return ChernData(2, data.c1 + div + div, data.c2 + div * div + data.c1 * div, data.c3)
+    return c1 + div + div, div * (c1 + div)
 
 
 @lru_cache(maxsize=16)
@@ -291,6 +301,14 @@ def _rr_constants(e: int) -> tuple:
     """(K, 3K, K^2 + c2(Omega^1)) on X_e, the e-only inputs of ``chi_rr``."""
     k = canonical_class(e)
     return k, 3 * k, k * k + c2_cotangent(e)
+
+
+@lru_cache(maxsize=256)
+def _rr_c1_terms(c1: ChowClass) -> tuple:
+    """(deg c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1)), c1 - K), the c1-only
+    inputs of ``chi_rr``, keyed by c1, at most 256 entries."""
+    k, k3, k2_c2omega = _rr_constants(c1.e)
+    return c1.pairing(c1 * (c1 + c1 - k3) + k2_c2omega), c1 - k
 
 
 def chi_rr(data: ChernData) -> int:
@@ -308,21 +326,20 @@ def chi_rr(data: ChernData) -> int:
         12 chi = 24 + c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1))
                     - 6 c2 (c1 - K) + 6 c3
 
-    K, 3K and K^2 + c2(Omega^1) depend only on e and come from a small
-    per-e cache (``_rr_constants``).  The result must be an integer for
-    integral Chern data; a fractional value raises ``NonIntegralValue``.
+    The cubic term and c1 - K depend only on c1 and come from a small
+    per-c1 cache (``_rr_c1_terms``), which takes K, 3K and K^2 + c2(Omega^1)
+    from a per-e cache (``_rr_constants``); c2 and c3 enter through one
+    pairing and one coefficient per call.  The result must be an integer
+    for integral Chern data; a fractional value raises ``NonIntegralValue``.
     """
     if data.rank != 2:
         raise Inadmissible("chi_rr is the rank-2 specialization", "rank == 2")
-    e = data.e
-    k, k3, k2_c2omega = _rr_constants(e)
-    c1, c2, c3 = data.c1, data.c2, data.c3
-    cubic = c1.pairing(c1 * (c1 + c1 - k3) + k2_c2omega)
-    num = 24 + cubic - 6 * c2.pairing(c1 - k) + 6 * c3.pt
+    cubic, c1_minus_k = _rr_c1_terms(data.c1)
+    num = 24 + cubic - 6 * data.c2.pairing(c1_minus_k) + 6 * data.c3.pt
     if num % 12 != 0:
         from fractions import Fraction
         raise NonIntegralValue(
-            f"chi came out {Fraction(num, 12)} on X_{e}; Chern data is not integral"
+            f"chi came out {Fraction(num, 12)} on X_{data.e}; Chern data is not integral"
         )
     return num // 12
 
@@ -342,15 +359,25 @@ def chi_instanton(e: int, alpha: int, beta: int, a: int, b: int) -> int:
     """chi(E(a*xi + b*f)) for a bundle with the instanton Chern data.
 
     Closed cubic polynomial; always an integer for integer inputs.  Its
-    (alpha, beta)-free part is evaluated as a cubic in a by Horner's rule;
-    alpha and beta enter linearly.
+    (alpha, beta)-free part depends on the twist (e, a, b) alone and comes
+    from a small per-twist cache (``_chi_free``); alpha and beta enter
+    linearly.
     """
+    return _chi_free(e, a, b) - alpha * (e * a + b + e + 1) - beta * (a + 1)
+
+
+@lru_cache(maxsize=256)
+def _chi_free(e: int, a: int, b: int) -> int:
+    """The (alpha, beta)-free part of ``chi_instanton``, a cubic in a
+    evaluated by Horner's rule, keyed by (e, a, b), at most 256 entries."""
     six = (
         (2 * e * e * a + 6 * e * (b + e + 1)) * a
         + 6 * b * b + 12 * (e + 1) * b + 7 * e * e + 9 * e + 6
     ) * a + 6 * b * (b + e + 2) + 3 * e * e + 3 * e + 6
-    assert six % 6 == 0
-    return six // 6 - alpha * (e * a + b + e + 1) - beta * (a + 1)
+    if six % 6 != 0:
+        from fractions import Fraction
+        raise NonIntegralValue(f"chi came out {Fraction(six, 6)} on X_{e}; twist is not integral")
+    return six // 6
 
 
 def slope_mu_H(e: int) -> Fraction:

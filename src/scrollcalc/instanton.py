@@ -321,11 +321,6 @@ class ExistenceReport(NamedTuple):
     def from_dict(data: dict) -> "ExistenceReport":
         report = ExistenceReport(**data)
         _one_of(report.status, (EXISTS, EXISTS_PULLBACK, INADMISSIBLE, UNKNOWN), "status")
-        for ext in report[1:4]:
-            if ext is not None:
-                _int(ext)
-        _one_of(report.earnest, (None, True, False), "earnest")
-        _one_of(report.route, (None, ROUTE_SERRE, ROUTE_PULLBACK), "route")
         for name, value, want in zip(report._fields[1:], report[1:], _STATUS_SHAPES[report.status]):
             if want is int:
                 _int(value)

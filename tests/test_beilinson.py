@@ -1,10 +1,13 @@
 """Dual collections, tables and monads."""
 
 import contextlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import scrollcalc
 from scrollcalc import beilinson as bl
 from scrollcalc import chow
 from scrollcalc import cohomology as coh
@@ -545,7 +548,24 @@ CACHES = (
     bl._rendered_labels,
     coh._summand_chern_powers,
     coh._summand_chi,
+    chow._rr_constants,
+    chow._rr_c1_terms,
+    chow._twist_terms,
+    chow._chi_free,
 )
+
+
+def test_every_cache_is_cleared_by_the_cold_vs_warm_tests():
+    found = set()
+    for info in pkgutil.iter_modules(scrollcalc.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"scrollcalc.{info.name}")
+        owners = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        found.update(
+            v for owner in owners for v in vars(owner).values() if hasattr(v, "cache_info")
+        )
+    assert found and found <= set(CACHES), [f.__qualname__ for f in found - set(CACHES)]
 
 
 def _clear_caches():
@@ -571,6 +591,8 @@ def _answers(e, alpha, beta, variant, cold):
         out.append(table)
         if isinstance(table, bl.BeilinsonTable):
             out += [run(table.render, a, raw) for a in (False, True) for raw in (False, True)]
+    div = chow.divisor(e, variant - 2, alpha - beta)
+    out.append(run(lambda: chow.chi_rr(chow.twist_chern(chow.instanton_chern(e, alpha, beta), div))))
     general = run(monad_general, e, alpha, beta, variant - 1, variant % 2, 3 - variant)
     for m in (run(monad_shape, e, alpha, beta, variant), general):
         out += [m, run(monad_consistency, m) if isinstance(m, Monad) else None]
@@ -604,6 +626,9 @@ def test_caches_stay_bounded_up_to_huge_e():
         summands = (line(1, -e), omega(0, e), line(-3, e), omega(2, 1 - e))
         sheaf = coh.FormalSheaf.of(e, [(s, 7) for s in summands])
         sheaf.total_chern(), sheaf.chi()
+        a, b = (rng.randint(-(10 ** 18), 10 ** 18) for _ in range(2))
+        data = chow.twist_chern(chow.instanton_chern(e, 1, 2), chow.divisor(e, a, b))
+        assert chow.chi_rr(data) == chow.chi_instanton(e, 1, 2, a, b)
     for cache in CACHES:
         info = cache.cache_info()
         assert info.misses > info.maxsize >= info.currsize, cache

@@ -2,6 +2,7 @@
 
 import operator
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -363,10 +364,13 @@ def test_chi_rr_matches_closed_cubic():
         assert chow.chi_rr(data) == chow.chi_instanton(e, alpha, beta, a, b)
 
 
+CHOW_CACHES = (chow._rr_constants, chow._rr_c1_terms, chow._twist_terms, chow._chi_free)
+
+
 def test_chi_rr_per_scroll_cache_does_not_leak():
-    # Each e evaluated first, on a cold cache, against one shuffled pass
-    # that interleaves all scrolls; e runs past the cache size so entries
-    # are evicted and rebuilt in between.
+    # Each e evaluated first, on cold caches, against one shuffled pass
+    # that interleaves all scrolls; e runs past the per-e cache size so
+    # entries are evicted and rebuilt in between.  Both routes are compared.
     rng = random.Random(11)
     cases = [
         (e, rng.randint(0, 8), rng.randint(0, 8), rng.randint(-6, 6), rng.randint(-6, 6))
@@ -377,25 +381,47 @@ def test_chi_rr_per_scroll_cache_does_not_leak():
     def chi(case):
         e, alpha, beta, a, b = case
         data = chow.twist_chern(chow.instanton_chern(e, alpha, beta), chow.divisor(e, a, b))
-        return chow.chi_rr(data)
+        return chow.chi_rr(data), chow.chi_instanton(*case)
 
     first = {}
     for e in range(21):
-        chow._rr_constants.cache_clear()
+        for cache in CHOW_CACHES:
+            cache.cache_clear()
         first.update((c, chi(c)) for c in cases if c[0] == e)
-    chow._rr_constants.cache_clear()
+    for cache in CHOW_CACHES:
+        cache.cache_clear()
     shuffled = cases[:]
     rng.shuffle(shuffled)
     assert {c: chi(c) for c in shuffled} == first
-    assert all(v == chow.chi_instanton(*c) for c, v in first.items())
+    assert all(rr == closed for rr, closed in first.values())
+
+
+@pytest.mark.parametrize("div, message, bound", [
+    (ChowClass(1, xi=1, ff=1), "twisting divisor must be a codimension-1 class", "codim(div) == 1"),
+    (chow.divisor(2, 1, 0), "twisting divisor lives on a different scroll", "same e"),
+])
+def test_rejected_twist_raises_the_same_on_a_warm_cache(div, message, bound):
+    data = chow.instanton_chern(1, 2, 3)
+    chow.twist_chern(data, chow.divisor(1, 1, 0))  # warms the cache for this c1
+    for _ in range(2):
+        with pytest.raises(Inadmissible) as info:
+            chow.twist_chern(data, div)
+        assert (str(info.value), info.value.bound) == (message, bound)
 
 
 def test_chi_rr_integrality_guard():
     # A bare odd point class in c3 is not the Chern data of any sheaf and
-    # must trip the integrality assertion.
+    # must trip the integrality guard.
     data = ChernData(2, chow.zero(1), chow.zero(1), ChowClass(1, pt=1))
     with pytest.raises(NonIntegralValue):
         chow.chi_rr(data)
+
+
+def test_chi_instanton_integrality_guard():
+    # A half-integral twist is outside the domain; the guard is a raise, not
+    # an assert, so it holds under ``python -O`` as well.
+    with pytest.raises(NonIntegralValue):
+        chow.chi_instanton(1, 0, 0, Fraction(1, 2), 0)
 
 
 def test_chi_rr_rejects_other_ranks():

@@ -29,10 +29,14 @@ def _raised_name(node: ast.Raise):
 
 
 def other_raises():
-    """``(file, line, name)`` of every raise naming another class."""
+    """``(file, line, name)`` of every raise naming another class, and of
+    every ``assert``, which raises ``AssertionError`` (or, under ``python -O``,
+    nothing)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append((path.name, node.lineno, "assert"))
             if isinstance(node, ast.Raise) and node.exc is not None:
                 name = _raised_name(node)
                 if name not in RAISED:
