@@ -22,8 +22,6 @@ layout and the table frame (every cell but the five h^1 values) depend on
 (e, variant) alone, and each is built once per (e, variant) and cached.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -150,8 +148,7 @@ def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
         si = ecoll.shifts[i]
         for j in range(6):
             prod = tensor_summands(ecoll.objects[i], fcoll.objects[j])
-            for m in range(4):
-                got = cohomology.h_summand(e, m, prod)
+            for m, got in enumerate(cohomology.h_vector(e, prod)):
                 want = 1 if (i == j and m == i - si) else 0
                 if got != want:
                     violations.append((i, j, m, got, want))
@@ -178,7 +175,8 @@ class StrongnessItem(NamedTuple):
 
 
 def _line_item(e, src, tgt, g):
-    vals = {i: cohomology.h_line(e, i, g.a, g.b) == 0 for i in (1, 2, 3)}
+    h = cohomology.h_vector(e, g)
+    vals = {i: h[i] == 0 for i in (1, 2, 3)}
     return StrongnessItem(src, tgt, g.render(), "closed-form", vals, all(vals.values()))
 
 
@@ -195,7 +193,8 @@ def _omega_item(e, src, tgt, g):
     # Dual route: the chase along the dualized Euler sequence twisted to end
     # at the group g = Omega(a xi + b f), cross-checked against the closed form.
     chased = _euler_dual_chase(e, line(g.a, g.b))
-    vals = {i: chased[i] and cohomology.h_omega_twist(e, i, g.a, g.b) == 0 for i in (1, 2, 3)}
+    h = cohomology.h_vector(e, g)
+    vals = {i: chased[i] and h[i] == 0 for i in (1, 2, 3)}
     return StrongnessItem(src, tgt, g.render(), "chase", vals, all(vals.values()))
 
 

@@ -14,8 +14,6 @@ precision ints, Euler characteristics are exact rationals that are checked
 integral before being returned (``NonIntegralValue`` otherwise).
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
@@ -380,7 +378,7 @@ def _chi_free(e: int, a: int, b: int) -> int:
     return six // 6
 
 
-def slope_mu_H(e: int) -> Fraction:
+def slope_mu_H(e: int) -> "Fraction":
     """Slope of an instanton bundle with respect to H: c1·H²/rank = (e²+e-2)/2."""
     from fractions import Fraction
     return Fraction(delta_H(e, 0, e - 1), 2)

@@ -15,8 +15,6 @@ two entries of a short exact sequence, exact or as (lo, hi) bounds, it bounds
 every h^i of the third from exactness alone, never guessing a map's rank.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple, Sequence
@@ -88,7 +86,7 @@ def _summand_chern_powers(e: int, s: Summand) -> tuple:
 @lru_cache(maxsize=1024, typed=True)
 def _summand_chi(e: int, s: Summand) -> int:
     """chi(s) on X_e from the closed forms, keyed by (e, s), at most 1024 entries."""
-    return (chi_line if s.kind == LINE else chi_omega_twist)(e, s.a, s.b)
+    return h_vector(e, s).chi
 
 
 class CohVector(NamedTuple):
@@ -144,11 +142,12 @@ class FormalSheaf(NamedTuple):
             c.homogeneous_part(3),
         )
 
-    def h(self, i: int) -> int:
-        return sum(m * h_summand(self.e, i, s) for s, m in self.terms)
-
     def coh_vector(self) -> CohVector:
-        return CohVector(self.h(0), self.h(1), self.h(2), self.h(3))
+        h = [0, 0, 0, 0]
+        for s, m in self.terms:
+            for i, v in enumerate(h_vector(self.e, s)):
+                h[i] += m * v
+        return CohVector(*h)
 
     def chi(self) -> int:
         return sum(m * _summand_chi(self.e, s) for s, m in self.terms)
@@ -238,81 +237,72 @@ def _plane_sum(h_p2, i: int, e: int, b: int, span: tuple) -> int:
     On the span h_p2(i, d_j) must be a quadratic p(j).  The sum of a
     quadratic over n consecutive j is n*p0 + C(n,2)*(p1 - p0) +
     C(n,3)*(p2 - 2*p1 + p0), from its first three values (Newton's forward
-    differences).  A value past the span has coefficient 0, so any n >= 0
-    is exact.
+    differences).  An empty span sums to 0 without evaluating h_p2; past
+    the span a value has coefficient 0, so any n >= 1 is exact.
     """
     first, last = span
-    n = max(0, last - first + 1)
+    n = last - first + 1
+    if n <= 0:
+        return 0
     d = first * e + b
     p0, p1, p2 = h_p2(i, d), h_p2(i, d + e), h_p2(i, d + 2 * e)
     return n * p0 + comb(n, 2) * (p1 - p0) + comb(n, 3) * (p2 - 2 * p1 + p0)
 
 
-def h_line(e: int, i: int, a: int, b: int) -> int:
-    """h^i(X_e, O(a*xi + b*f)).
+_ZERO = CohVector(0, 0, 0, 0)
+
+
+def h_vector(e: int, s: Summand) -> CohVector:
+    """(h0, h1, h2, h3) of the summand s = O(a*xi + b*f) or
+    pi^* Omega^1_{P²} ⊗ O(a*xi + b*f) on X_e, for any integer e.
 
     a >= 0:  pi_* O(a*xi + b*f) splits as the sum of O(d_j), d_j = j*e + b,
              over j = 0..a (Hartshorne, Algebraic Geometry, III Ex. 8.4),
-             so h^i sums h^i(P², O(d_j)).  Those terms are nonzero, and
-             equal to (d+1)(d+2)/2, on one j-interval of 0..a: d_j >= 0
-             for h0, d_j <= -3 for h2.  Its ends are one floor or ceiling
-             division (all or nothing when e = 0), and the quadratic is
-             summed there in closed form, so h^i costs the same whatever
-             |a|.  h1 = h3 = 0.
+             and pi_* of the Omega twist as the sum of Omega^1(d_j); so h^i
+             sums the plane values over j, and h3 = 0.
+             Line: the terms are nonzero, and equal to (d+1)(d+2)/2, on one
+             j-interval of 0..a: d_j >= 0 for h0, d_j <= -3 for h2; h1 = 0.
+             Omega: the Bott numbers (Okonek-Schneider-Spindler, Vector
+             Bundles on Complex Projective Spaces, Ch. I) give h0 = the sum
+             of d²-1 over the j-interval with d_j >= 2, h2 = the same where
+             d_j <= -2, and h1 = the number of j with d_j = 0: one
+             divisibility test, or a+1 when e = b = 0.
+             Each interval's ends are one floor or ceiling division (all or
+             nothing when e = 0), and the quadratic is summed there in
+             closed form, so the vector costs the same whatever |a|.
     a = -1:  all direct images vanish, so every group is zero.
-    a <= -2: Serre duality back into the first branch, at the twist
-             (-2-a, e-3-b).
+    a <= -2: Serre duality back into the first branch, read in reverse, at
+             the twist (-2-a, e-3-b) for a line and (-2-a, e-b) for Omega,
+             since (pi^* Omega^1)^dual = pi^* Omega^1 (3f).
     """
-    if not 0 <= i <= 3 or a == -1:
-        return 0
-    if a <= -2:
-        i, a, b = 3 - i, -2 - a, e - 3 - b
-    if i == 0:
-        return _plane_sum(h_line_p2, 0, e, b, _j_range(e, b, a, 0))
-    if i == 2:
-        return _plane_sum(h_line_p2, 2, e, b, _j_range(-e, -b, a, 3))
-    return 0
-
-
-def h_omega_twist(e: int, i: int, a: int, b: int) -> int:
-    """h^i(X_e, pi^* Omega^1_{P²} ⊗ O(a*xi + b*f)).
-
-    Same three branches as ``h_line``.  For a >= 0 the pushforward is the
-    sum of Omega^1(d_j), d_j = j*e + b, j = 0..a, and the Bott numbers
-    (Okonek-Schneider-Spindler, Vector Bundles on Complex Projective
-    Spaces, Ch. I) give h0 = the closed-form sum of d²-1 over the
-    j-interval with d_j >= 2, h2 = the same where d_j <= -2, and h1 = the
-    number of j with d_j = 0: one divisibility test, or a+1 when
-    e = b = 0.  The a <= -2 branch dualizes with
-    (pi^* Omega^1)^dual = pi^* Omega^1 (3f), giving the twist (-2-a, e-b).
-    """
-    if not 0 <= i <= 3 or a == -1:
-        return 0
-    if a <= -2:
-        i, a, b = 3 - i, -2 - a, e - b
-    if i == 0:
-        return _plane_sum(h_omega_p2, 0, e, b, _j_range(e, b, a, 2))
-    if i == 2:
-        return _plane_sum(h_omega_p2, 2, e, b, _j_range(-e, -b, a, 2))
-    if i == 1:
+    kind, a, b = s
+    if a == -1:
+        return _ZERO
+    dual = a <= -2
+    if kind == LINE:
+        if dual:
+            a, b = -2 - a, e - 3 - b
+        h0 = _plane_sum(h_line_p2, 0, e, b, _j_range(e, b, a, 0))
+        h1 = 0
+        h2 = _plane_sum(h_line_p2, 2, e, b, _j_range(-e, -b, a, 3))
+    else:
+        if dual:
+            a, b = -2 - a, e - b
+        h0 = _plane_sum(h_omega_p2, 0, e, b, _j_range(e, b, a, 2))
         if e == 0:
-            return a + 1 if b == 0 else 0
-        return 1 if b % e == 0 and 0 <= -b // e <= a else 0
-    return 0
-
-
-def h_summand(e: int, i: int, s: Summand) -> int:
-    if s.kind == LINE:
-        return h_line(e, i, s.a, s.b)
-    return h_omega_twist(e, i, s.a, s.b)
+            h1 = a + 1 if b == 0 else 0
+        else:
+            h1 = 1 if b % e == 0 and 0 <= -b // e <= a else 0
+        h2 = _plane_sum(h_omega_p2, 2, e, b, _j_range(-e, -b, a, 2))
+    return CohVector(0, h2, h1, h0) if dual else CohVector(h0, h1, h2, 0)
 
 
 def chi_line(e: int, a: int, b: int) -> int:
-    return sum((-1) ** i * h_line(e, i, a, b) for i in range(4))
+    return h_vector(e, line(a, b)).chi
 
 
 def chi_omega_twist(e: int, a: int, b: int) -> int:
-    return sum((-1) ** i * h_omega_twist(e, i, a, b) for i in range(4))
+    return h_vector(e, omega(a, b)).chi
 
 
 def serre_dual_twist(i: int, a: int, b: int) -> tuple:
@@ -407,7 +397,7 @@ def les_chase(entries: Sequence, target_position: int) -> tuple:
     if any(x is None for x in known.values()):
         raise Inadmissible("sequence has more than one non-computable entry", "one unknown entry")
     rows = [
-        [(h, h) for h in map(x.h, range(4))] if isinstance(x, FormalSheaf) else x
+        [(h, h) for h in x.coh_vector()] if isinstance(x, FormalSheaf) else x
         for x in map(known.get, range(3))
     ]
 

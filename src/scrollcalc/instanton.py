@@ -10,8 +10,6 @@ decision procedure.  Everything is arithmetic on the parameters; no sheaf
 is ever constructed.
 """
 
-from __future__ import annotations
-
 from math import comb
 from typing import NamedTuple, Optional
 

@@ -72,10 +72,8 @@ def test_criterion_3_serre_duality_and_chi_additivity():
     for e in range(7):
         for a in range(-10, 11):
             for b in range(-10, 11):
-                for i in range(4):
-                    assert coh.h_line(e, i, a, b) == coh.h_line(
-                        e, 3 - i, -a - 2, e - 3 - b
-                    )
+                dual = coh.h_vector(e, line(-a - 2, e - 3 - b))
+                assert coh.h_vector(e, line(a, b)) == dual[::-1]
         for a in range(-8, 9):
             for b in range(-8, 9):
                 for fn in coh.NAMED_SEQUENCES.values():

@@ -116,12 +116,12 @@ def test_beilinson_entry_points_refuse_negative_e():
 def test_diagonal_groups_are_the_expected_six():
     # h0(O), h1(Omega), h2(O(-3f)), h1(O(-2xi+ef)), h2(Omega(-2xi+ef)), h3(K)
     for e in range(6):
-        assert coh.h_line(e, 0, 0, 0) == 1
-        assert coh.h_omega_twist(e, 1, 0, 0) == 1
-        assert coh.h_line(e, 2, 0, -3) == 1
-        assert coh.h_line(e, 1, -2, e) == 1
-        assert coh.h_omega_twist(e, 2, -2, e) == 1
-        assert coh.h_line(e, 3, -2, e - 3) == 1
+        assert coh.h_vector(e, line(0, 0)).h0 == 1
+        assert coh.h_vector(e, omega(0, 0)).h1 == 1
+        assert coh.h_vector(e, line(0, -3)).h2 == 1
+        assert coh.h_vector(e, line(-2, e)).h1 == 1
+        assert coh.h_vector(e, omega(-2, e)).h2 == 1
+        assert coh.h_vector(e, line(-2, e - 3)).h3 == 1
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,8 @@ def test_strongness_reduced_groups(e):
 def test_strongness_specific_groups():
     # h^i(Omega(2f)) = 0 and h^i(O(xi+f)) = 0 for i > 0, all small e
     for e in range(6):
-        for i in (1, 2, 3):
-            assert coh.h_omega_twist(e, i, 0, 2) == 0
-            assert coh.h_line(e, i, 1, 1) == 0
+        assert coh.h_vector(e, omega(0, 2))[1:] == (0, 0, 0)
+        assert coh.h_vector(e, line(1, 1))[1:] == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,19 +107,18 @@ def test_omega_plane_spot_values():
 def test_line_vanishing_at_a_minus_one():
     for e in range(6):
         for b in range(-10, 11):
-            assert all(coh.h_line(e, i, -1, b) == 0 for i in range(4))
+            assert coh.h_vector(e, line(-1, b)) == (0, 0, 0, 0)
 
 
 def test_line_pushforward_values():
-    assert coh.h_line(1, 0, 1, 0) == 4  # h0(O) + h0(O(1))
+    assert coh.h_vector(1, line(1, 0)).h0 == 4  # h0(O) + h0(O(1))
     for e in range(6):
         # the canonical twist (-2, e-3) has only h3 = 1
-        vec = [coh.h_line(e, i, -2, e - 3) for i in range(4)]
-        assert vec == [0, 0, 0, 1]
+        assert coh.h_vector(e, line(-2, e - 3)) == (0, 0, 0, 1)
         # h3 vanishes identically on the pushforward branch
         for a in range(0, 5):
             for b in range(-8, 9):
-                assert coh.h_line(e, 3, a, b) == 0
+                assert coh.h_vector(e, line(a, b)).h3 == 0
 
 
 def test_line_serre_self_duality(verify_results):
@@ -131,20 +130,18 @@ def test_line_serre_self_duality(verify_results):
 
 def test_omega_twist_values():
     for e in range(6):
-        assert coh.h_omega_twist(e, 1, 0, 0) == 1
+        assert coh.h_vector(e, omega(0, 0)).h1 == 1
         for b in range(-8, 9):
-            assert all(coh.h_omega_twist(e, i, -1, b) == 0 for i in range(4))
-    assert coh.h_omega_twist(1, 0, 1, 1) == 3  # h0(Omega(1)) + h0(Omega(2))
+            assert coh.h_vector(e, omega(-1, b)) == (0, 0, 0, 0)
+    assert coh.h_vector(1, omega(1, 1)).h0 == 3  # h0(Omega(1)) + h0(Omega(2))
 
 
 def test_omega_twist_serre_duality():
     for e in range(6):
         for a in range(-8, 9):
             for b in range(-8, 9):
-                for i in range(4):
-                    assert coh.h_omega_twist(e, i, a, b) == coh.h_omega_twist(
-                        e, 3 - i, -2 - a, e - b
-                    )
+                dual = coh.h_vector(e, omega(-2 - a, e - b))
+                assert coh.h_vector(e, omega(a, b)) == dual[::-1]
 
 
 def test_chi_line_kunneth_on_product():
@@ -189,21 +186,28 @@ def _h_omega_loop(e, i, a, b):
     return _h_omega_loop(e, 3 - i, -2 - a, e - b)
 
 
-CLOSED_VS_LOOP = (
-    (coh.h_line, _h_line_loop),
-    (coh.h_omega_twist, _h_omega_loop),
-)
+KIND_LOOPS = ((line, _h_line_loop), (omega, _h_omega_loop))
+
+
+def _loop_vector(loop, e, a, b):
+    return tuple(loop(e, i, a, b) for i in range(4))
 
 
 @given(
     st.integers(-3, 8),
-    st.integers(-1, 4),
     st.integers(-200, 200),
     st.integers(-300, 300),
 )
-def test_closed_forms_match_pushforward_loops(e, i, a, b):
-    for closed, loop in CLOSED_VS_LOOP:
-        assert closed(e, i, a, b) == loop(e, i, a, b)
+def test_closed_forms_match_pushforward_loops(e, a, b):
+    for kind, loop in KIND_LOOPS:
+        assert coh.h_vector(e, kind(a, b)) == _loop_vector(loop, e, a, b)
+
+
+def test_h_vector_matches_loops_on_grid():
+    # All four degrees, both kinds, e in -2..6, a in -12..12, b in -15..15.
+    for e, a, b in itertools.product(range(-2, 7), range(-12, 13), range(-15, 16)):
+        for kind, loop in KIND_LOOPS:
+            assert coh.h_vector(e, kind(a, b)) == _loop_vector(loop, e, a, b), (kind, e, a, b)
 
 
 def test_closed_forms_match_loops_at_branch_edges():
@@ -213,16 +217,15 @@ def test_closed_forms_match_loops_at_branch_edges():
     for e in range(-3, 7):
         for a in (-3, -2, -1, 0, 1, 2, 5):
             for b in range(-3 * abs(e) - 6, 3 * abs(e) + 7):
-                for i in range(-1, 5):
-                    for closed, loop in CLOSED_VS_LOOP:
-                        assert closed(e, i, a, b) == loop(e, i, a, b), (e, i, a, b)
+                for kind, loop in KIND_LOOPS:
+                    assert coh.h_vector(e, kind(a, b)) == _loop_vector(loop, e, a, b), (e, a, b)
     # h1 of an Omega twist counts the j with d_j = 0.
-    assert coh.h_omega_twist(0, 1, 7, 0) == 8
-    assert coh.h_omega_twist(0, 1, 7, 1) == 0
-    assert coh.h_omega_twist(3, 1, 4, -12) == 1
-    assert coh.h_omega_twist(3, 1, 3, -12) == 0
-    assert coh.h_omega_twist(3, 1, 4, -11) == 0
-    assert coh.h_omega_twist(-2, 1, 5, 6) == 1
+    assert coh.h_vector(0, omega(7, 0)).h1 == 8
+    assert coh.h_vector(0, omega(7, 1)).h1 == 0
+    assert coh.h_vector(3, omega(4, -12)).h1 == 1
+    assert coh.h_vector(3, omega(3, -12)).h1 == 0
+    assert coh.h_vector(3, omega(4, -11)).h1 == 0
+    assert coh.h_vector(-2, omega(5, 6)).h1 == 1
 
 
 @pytest.mark.parametrize("size", [10**6, 10**9, 10**12, 10**18])
@@ -231,7 +234,7 @@ def test_closed_forms_at_large_twists_against_riemann_roch(size, rr_chi):
         for a in (size, -size):
             for b in (-7, 0, 5, e - 3):
                 for s in (line(a, b), omega(a, b)):
-                    vec = CohVector(*(coh.h_summand(e, i, s) for i in range(4)))
+                    vec = coh.h_vector(e, s)
                     assert min(vec) >= 0
                     if a >= 0:
                         assert vec.h3 == 0
@@ -297,6 +300,22 @@ def test_coh_vector_chi():
     assert v.chi == 0
     sheaf = FormalSheaf.of(1, [(line(1, 0), 2)])
     assert sheaf.coh_vector() == CohVector(8, 0, 0, 0)
+
+
+def test_coh_vector_is_the_weighted_sum_of_h_vectors():
+    rng = random.Random(7)
+    for _ in range(300):
+        e = rng.randint(-2, 6)
+        terms = [
+            (rng.choice((line, omega))(rng.randint(-8, 8), rng.randint(-10, 10)), rng.randint(1, 5))
+            for _ in range(rng.randint(2, 5))
+        ]
+        sheaf = FormalSheaf.of(e, terms)
+        want = [0, 0, 0, 0]
+        for s, m in terms:
+            want = [w + m * h for w, h in zip(want, coh.h_vector(e, s))]
+        assert sheaf.coh_vector() == tuple(want), sheaf
+    assert FormalSheaf.of(2, []).coh_vector() == (0, 0, 0, 0)
 
 
 summands = st.builds(
@@ -418,8 +437,9 @@ def test_chase_is_sound_against_closed_forms():
         seq = seq_fn(e, a, b)
         for hidden in range(3):
             bounds = les_chase([None if p == hidden else x for p, x in enumerate(seq)], hidden)
+            exact = seq[hidden].coh_vector()
             for i, (lo, hi) in enumerate(bounds):
-                assert lo <= seq[hidden].h(i) <= hi, (seq_fn.__name__, e, a, b, hidden, i)
+                assert lo <= exact[i] <= hi, (seq_fn.__name__, e, a, b, hidden, i)
                 pinned += lo == hi
                 total += 1
     assert 2 * pinned > total  # exactness alone decides most groups
