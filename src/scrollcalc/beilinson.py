@@ -14,12 +14,14 @@ characteristic.  Three monad variants are produced (one per pair; the third
 needs alpha = 0 and is a pullback from the plane), plus the non-earnest
 monad in which the h^2 groups enter as free parameters.
 
-Every layout comes from the collections: the five twists of a variant are
-E_4..E_0 of its geometric collection, their dual sheaves are F_4..F_0 of
-the partner, and the monad positions are the same in every variant.  The
-table, the h^1 values and both monad builders read that one layout.  The
-layout and the table frame (every cell but the five h^1 values) depend on
-(e, variant) alone, and each is built once per (e, variant) and cached.
+A collection is the tuple (E_0, ..., E_5) of its summands, and ``_pair``
+gives a variant's geometric and dual collections.  Every layout comes from
+them: the five twists of a variant are E_4..E_0 of its geometric
+collection, their dual sheaves are F_4..F_0 of the partner, and the monad
+positions are the same in every variant.  The table, the h^1 values and
+both monad builders read that one layout.  The layout and the table frame
+(every cell but the five h^1 values) depend on (e, variant) alone, and each
+is built once per (e, variant) and cached.
 """
 
 from functools import lru_cache
@@ -41,25 +43,10 @@ GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
 DUAL_PAIRS = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
 
 
-def _dual_pair(variant: int) -> tuple:
-    """The collection indices of the variant's dual pair."""
-    if variant not in DUAL_PAIRS:
-        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}", "variant in (1, 2, 3)")
-    return DUAL_PAIRS[variant]
-
-
-class Collection(NamedTuple):
-    """One of the six built-in collections, entries listed as E_0..E_5."""
-
-    e: int
-    index: int
-    objects: tuple  # tuple[Summand, ...], position i holds E_i
-    shifts: tuple  # tuple[int, ...]
-
-
-def collection(e: int, index: int) -> Collection:
-    """The six standard collections, numbered as the three dual pairs
-    (1, 2), (3, 4), (5, 6); odd indices carry the shifted entries."""
+def collection(e: int, index: int) -> tuple:
+    """The six standard collections as (E_0, ..., E_5), numbered as the three
+    dual pairs (1, 2), (3, 4), (5, 6); the odd index of a pair is its
+    geometric side, whose entries are shifted by ``GEOMETRIC_SHIFTS``."""
     instanton.require_scroll(e)
     if index == 1:
         objs = (
@@ -117,8 +104,14 @@ def collection(e: int, index: int) -> Collection:
         )
     else:
         raise Inadmissible(f"collection index must be 1..6, got {index}", "index in 1..6")
-    shifts = GEOMETRIC_SHIFTS if index % 2 == 1 else (0,) * 6
-    return Collection(e, index, objs, shifts)
+    return objs
+
+
+def _pair(e: int, variant: int) -> tuple:
+    """The geometric and dual collections of the variant's dual pair."""
+    if variant not in DUAL_PAIRS:
+        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}", "variant in (1, 2, 3)")
+    return tuple(collection(e, k) for k in DUAL_PAIRS[variant])
 
 
 def tensor_summands(x: Summand, y: Summand) -> Summand:
@@ -141,18 +134,15 @@ class OrthogonalityReport(NamedTuple):
 def orthogonality_check(e: int, pair: int) -> OrthogonalityReport:
     """Every group H^m(E_i ⊗ F_j), m = 0..3, of pair 1, 2 or 3 against the
     expected delta pattern; bad cells are the report's ``violations``."""
-    ei, fi = _dual_pair(pair)
-    ecoll, fcoll = collection(e, ei), collection(e, fi)
+    ecoll, fcoll = _pair(e, pair)
     violations = []
-    for i in range(6):
-        si = ecoll.shifts[i]
-        for j in range(6):
-            prod = tensor_summands(ecoll.objects[i], fcoll.objects[j])
-            for m, got in enumerate(cohomology.h_vector(e, prod)):
+    for i, (x, si) in enumerate(zip(ecoll, GEOMETRIC_SHIFTS)):
+        for j, y in enumerate(fcoll):
+            for m, got in enumerate(cohomology.h_vector(e, tensor_summands(x, y))):
                 want = 1 if (i == j and m == i - si) else 0
                 if got != want:
                     violations.append((i, j, m, got, want))
-    return OrthogonalityReport(e, (ei, fi), tuple(violations))
+    return OrthogonalityReport(e, DUAL_PAIRS[pair], tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -170,41 +160,16 @@ class StrongnessItem(NamedTuple):
     target: str
     group: str
     route: str  # "closed-form" | "chase" | "chase-only"
-    vanishing: dict  # i -> True/False for i = 1..3
     ok: bool
 
 
-def _line_item(e, src, tgt, g):
-    h = cohomology.h_vector(e, g)
-    vals = {i: h[i] == 0 for i in (1, 2, 3)}
-    return StrongnessItem(src, tgt, g.render(), "closed-form", vals, all(vals.values()))
-
-
-def _euler_dual_chase(e, t):
-    # {i: h^i = 0 is proved}, i = 1..3, for the quotient of the dualized Euler
-    # sequence 0 -> O(-3f) -> O(-2f)^3 -> Omega -> 0 tensored by the summand t.
+def _euler_dual_chase(e, t) -> bool:
+    """Whether the chase proves h^1 = h^2 = h^3 = 0 for the quotient of the
+    dualized Euler sequence 0 -> O(-3f) -> O(-2f)^3 -> Omega -> 0 tensored
+    by the summand t."""
     F = FormalSheaf.of
     seq = [F(e, [(t._replace(b=t.b - 3), 1)]), F(e, [(t._replace(b=t.b - 2), 3)]), None]
-    bounds = les_chase(seq, 2)
-    return {i: bounds[i][1] == 0 for i in (1, 2, 3)}
-
-
-def _omega_item(e, src, tgt, g):
-    # Dual route: the chase along the dualized Euler sequence twisted to end
-    # at the group g = Omega(a xi + b f), cross-checked against the closed form.
-    chased = _euler_dual_chase(e, line(g.a, g.b))
-    h = cohomology.h_vector(e, g)
-    vals = {i: chased[i] and h[i] == 0 for i in (1, 2, 3)}
-    return StrongnessItem(src, tgt, g.render(), "chase", vals, all(vals.values()))
-
-
-def _end_omega_item(e, src, tgt):
-    # Ext^i(Omega(-xi+ef), Omega(ef)) = H^i(Omega^dual ⊗ Omega(xi)); with
-    # Omega^dual = Omega(3f) this is the cokernel of the dualized Euler
-    # sequence tensored by Omega(xi + 3f):
-    #     0 -> Omega(xi) -> Omega(xi+f)^3 -> Omega^dual ⊗ Omega(xi) -> 0.
-    vals = _euler_dual_chase(e, omega(1, 3))
-    return StrongnessItem(src, tgt, "Ω^∨⊗Ω(ξ)", "chase-only", vals, all(vals.values()))
+    return all(hi == 0 for _, hi in les_chase(seq, 2)[1:])
 
 
 class StrongnessReport(NamedTuple):
@@ -220,21 +185,31 @@ def strongness_check(e: int) -> StrongnessReport:
     """Check Ext^i = 0 (i > 0) between all forward pairs of the mixed
     collection of the first dual pair; a failed pair is an item not ``ok``."""
     coll = collection(e, 2)
-    names = [s.render() for s in coll.objects]
+    names = [s.render() for s in coll]
     items = []
     # The Ext between F_i and F_j, i > j in collection order, equals
     # H^*(F_i^dual ⊗ F_j), one summand unless both are Omega twists.
     for i in range(5, 0, -1):
         for j in range(i - 1, -1, -1):
-            src, tgt = coll.objects[i], coll.objects[j]
+            src, tgt = coll[i], coll[j]
             if src.kind == tgt.kind == cohomology.OMEGA:
-                items.append(_end_omega_item(e, names[i], names[j]))
-                continue
-            # Omega^dual = Omega(3f), so Omega(D)^dual = Omega(3f - D).
-            shift = 3 if src.kind == cohomology.OMEGA else 0
-            g = tensor_summands(Summand(src.kind, -src.a, shift - src.b), tgt)
-            item = _line_item if g.kind == cohomology.LINE else _omega_item
-            items.append(item(e, names[i], names[j], g))
+                # Ext^i(Omega(-xi+ef), Omega(ef)) = H^i(Omega^dual ⊗ Omega(xi)); with
+                # Omega^dual = Omega(3f) this is the cokernel of the dualized Euler
+                # sequence tensored by Omega(xi + 3f):
+                #     0 -> Omega(xi) -> Omega(xi+f)^3 -> Omega^dual ⊗ Omega(xi) -> 0.
+                group, route = "Ω^∨⊗Ω(ξ)", "chase-only"
+                ok = _euler_dual_chase(e, omega(1, 3))
+            else:
+                # Omega^dual = Omega(3f), so Omega(D)^dual = Omega(3f - D).
+                shift = 3 if src.kind == cohomology.OMEGA else 0
+                g = tensor_summands(Summand(src.kind, -src.a, shift - src.b), tgt)
+                closed_form = g.kind == cohomology.LINE
+                group, route = g.render(), "closed-form" if closed_form else "chase"
+                # An Omega group is chased along the dualized Euler sequence twisted
+                # to end at it, and cross-checked against the closed form.
+                chased = closed_form or _euler_dual_chase(e, line(g.a, g.b))
+                ok = chased and not any(cohomology.h_vector(e, g)[1:])
+            items.append(StrongnessItem(names[i], names[j], group, route, ok))
     return StrongnessReport(e, tuple(items))
 
 
@@ -280,24 +255,12 @@ MONAD_POSITIONS = (-1, 0, -1, 0, 1)
 H2_PARAMS = {2: "gamma", 3: "eta", 4: "delta"}
 
 
-class Layout(NamedTuple):
-    ecoll: Collection
-    fcoll: Collection
-    twists: tuple  # tuple[TableTwist, ...], five columns in order
-
-
 @lru_cache(maxsize=64, typed=True)
-def _layout(e: int, variant: int) -> Layout:
-    """The variant's collections and columns, keyed by (e, variant), at most 64 entries."""
-    ei, fi = _dual_pair(variant)
-    ecoll, fcoll = collection(e, ei), collection(e, fi)
-    columns = zip(
-        VARIANT_LABELS[variant],
-        ecoll.objects[4::-1],
-        fcoll.objects[4::-1],
-        MONAD_POSITIONS,
-    )
-    return Layout(ecoll, fcoll, tuple(TableTwist(*column) for column in columns))
+def _layout(e: int, variant: int) -> tuple:
+    """The variant's five ``TableTwist`` columns, keyed by (e, variant), at most 64 entries."""
+    ecoll, fcoll = _pair(e, variant)
+    columns = zip(VARIANT_LABELS[variant], ecoll[4::-1], fcoll[4::-1], MONAD_POSITIONS)
+    return tuple(TableTwist(*column) for column in columns)
 
 
 def _candidates(e: int, alpha: int, beta: int, twists) -> dict:
@@ -330,7 +293,7 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     candidate means no earnest instanton with these parameters exists, and
     is reported as ``Inadmissible`` carrying the violated bound.
     """
-    return _gated_h1(e, alpha, beta, variant, _layout(e, variant).twists)
+    return _gated_h1(e, alpha, beta, variant, _layout(e, variant))
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +374,8 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
     """(top, bottom, shifts, cells, slots) of a table, keyed by (e, variant, gamma_zero),
     at most 64 entries: ``cells`` holds every cell but the five h^1 values,
     which ``slots`` lists as (row, column, twist label)."""
-    ecoll, fcoll, twists = _layout(e, variant)
-    top, bottom, shifts = fcoll.objects[::-1], ecoll.objects[::-1], ecoll.shifts[::-1]
+    ecoll, fcoll = _pair(e, variant)
+    top, bottom, shifts = fcoll[::-1], ecoll[::-1], GEOMETRIC_SHIFTS[::-1]
     cells = [[STAR] * 6 for _ in range(6)]
     slots = []
     for c, s in enumerate(bottom):
@@ -422,7 +385,7 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
             # Column 0 is -H, where every group is tagged minus-h.
             tag = instanton.forced_vanishing(e, s.kind, m, s.a, s.b)
             if tag is None and m == 1:
-                slots.append((r, c, twists[c - 1].label))
+                slots.append((r, c, VARIANT_LABELS[variant][c - 1]))
                 continue
             if tag is None and m == 0:
                 # Lone low-e boundary cells (only e = 0 reaches here, where
@@ -454,7 +417,7 @@ def beilinson_table(
     """
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
-    twists = _layout(e, variant).twists
+    twists = _layout(e, variant)
     if gamma_zero:
         values = _gated_h1(e, alpha, beta, variant, twists)
     elif alpha < 0:
@@ -557,7 +520,7 @@ def _monad_sheaves(e: int, twists, exponents: dict, params: dict) -> list:
 def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     """The variant's monad, multiplicities taken from ``h1_values`` (the
     Riemann-Roch route), never from display strings."""
-    twists = _layout(e, variant).twists
+    twists = _layout(e, variant)
     values = _gated_h1(e, alpha, beta, variant, twists)
     A, B, C, _ = _monad_sheaves(e, twists, values, {})
     return Monad(e, alpha, beta, variant, A, B, C)
@@ -580,7 +543,7 @@ def monad_general(
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
     if alpha < 0:
         raise Inadmissible(f"alpha = {alpha} < 0", "alpha >= 0")
-    twists = _layout(e, 1).twists
+    twists = _layout(e, 1)
     params = {i: given[name] for i, name in H2_PARAMS.items()}
     exponents = _candidates(e, alpha, beta, twists)
     for i, tw in enumerate(twists):

@@ -25,6 +25,7 @@ from .errors import Inadmissible, _decoder, _int, _keys
 
 LINE = "line"
 OMEGA = "omega"
+KINDS = (LINE, OMEGA)
 
 
 class Summand(NamedTuple):
@@ -112,10 +113,13 @@ class FormalSheaf(NamedTuple):
     def of(e, terms) -> "FormalSheaf":
         """Build from (summand, multiplicity) pairs, merging duplicates.
 
-        Zero multiplicities are dropped; negative ones are rejected.
+        Zero multiplicities are dropped; negative ones and unknown kinds
+        are rejected.
         """
         merged: dict = {}
         for s, m in terms:
+            if s.kind not in KINDS:
+                raise Inadmissible(f"unknown kind {s.kind!r}", "kind in (line, omega)")
             if m < 0:
                 raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
             if m:
@@ -177,7 +181,7 @@ class FormalSheaf(NamedTuple):
     def from_dict(data: dict) -> "FormalSheaf":
         terms = _keys(data, ("e", "terms"))["terms"]
         for t in terms:
-            if _keys(t, ("kind", "a", "b", "mult"))["kind"] not in (LINE, OMEGA):
+            if _keys(t, ("kind", "a", "b", "mult"))["kind"] not in KINDS:
                 raise Inadmissible(f"unknown kind {t['kind']!r}", "kind in (line, omega)")
         pairs = [(Summand(t["kind"], _int(t["a"]), _int(t["b"])), _int(t["mult"])) for t in terms]
         sheaf = FormalSheaf.of(_int(data["e"]), pairs)
@@ -276,6 +280,8 @@ def h_vector(e: int, s: Summand) -> CohVector:
              since (pi^* Omega^1)^dual = pi^* Omega^1 (3f).
     """
     kind, a, b = s
+    if kind not in KINDS:
+        raise Inadmissible(f"unknown kind {kind!r}", "kind in (line, omega)")
     if a == -1:
         return _ZERO
     dual = a <= -2
@@ -376,13 +382,23 @@ def chi_alternating(entries: Sequence[FormalSheaf]) -> int:
 # Long-exact-sequence chase
 
 
+def _is_bounds_row(x) -> bool:
+    """Whether x is four (lo, hi) pairs of ints with 0 <= lo <= hi."""
+    return isinstance(x, (tuple, list)) and len(x) == 4 and all(
+        isinstance(p, (tuple, list)) and len(p) == 2
+        and type(p[0]) is int and type(p[1]) is int and 0 <= p[0] <= p[1]
+        for p in x
+    )
+
+
 def les_chase(entries: Sequence, target_position: int) -> tuple:
     """Bound every h^i of the unknown entry of a short exact sequence.
 
     ``entries`` has length 3; the slot at ``target_position`` is the unknown
     (pass ``None`` there, or anything: it is ignored).  Each other slot is a
-    ``FormalSheaf``, whose h^i are exact, or four (lo, hi) pairs, which is
-    how hypothesized cohomology enters a chase.
+    ``FormalSheaf``, whose h^i are exact, or four (lo, hi) int pairs with
+    0 <= lo <= hi, which is how hypothesized cohomology enters a chase; any
+    other known entry is ``Inadmissible``.
 
     Returns (lo, hi) for i = 0..3.  In the long exact sequence H^i(target)
     sits in P' -> P -> H^i(target) -> N -> N', so its dimension is
@@ -396,6 +412,12 @@ def les_chase(entries: Sequence, target_position: int) -> tuple:
     known = {p: x for p, x in enumerate(entries) if p != target_position}
     if any(x is None for x in known.values()):
         raise Inadmissible("sequence has more than one non-computable entry", "one unknown entry")
+    for x in known.values():
+        if not isinstance(x, FormalSheaf) and not _is_bounds_row(x):
+            raise Inadmissible(
+                f"a known entry must be a FormalSheaf or four (lo, hi) pairs, got {x!r}",
+                "4 int pairs with 0 <= lo <= hi",
+            )
     rows = [
         [(h, h) for h in x.coh_vector()] if isinstance(x, FormalSheaf) else x
         for x in map(known.get, range(3))

@@ -113,14 +113,20 @@ def stability_test_region(e, window, strict: bool = False):
     The criterion on a rank-2 bundle over a variety with free Picard group:
     mu-(semi)stability is equivalent to h0(E(B)) = 0 for every divisor B
     with delta_H(B) <= -mu_H(E) (strict: <).  The window is a finite box
-    (a_min, a_max, b_min, b_max); the underlying region is infinite.  e < 0
-    or an empty window is ``Inadmissible``.  delta_H is linear in b, so each
-    row a is cut by one division and costs the same whatever the window's
-    width.  delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows
-    are one interval, found by one more division; no other row is visited.
+    (a_min, a_max, b_min, b_max) of ints; the underlying region is infinite.
+    e < 0, or a window that is not four ints or is empty, is ``Inadmissible``.
+    delta_H is linear in b, so each row a is cut by one division and costs
+    the same whatever the window's width.  delta_H(a, 0) = a(e+1)^2 is
+    monotone in a, so the non-empty rows are one interval, found by one more
+    division; no other row is visited.
     A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
     """
     require_scroll(e)
+    if not (isinstance(window, (tuple, list)) and len(window) == 4
+            and all(type(v) is int for v in window)):
+        raise Inadmissible(
+            f"window must be four ints, got {window!r}", "window = (a_min, a_max, b_min, b_max)"
+        )
     a_min, a_max, b_min, b_max = window
     if a_min > a_max:
         raise Inadmissible(f"empty window: a_min = {a_min} > a_max = {a_max}", "a_min <= a_max")

@@ -32,14 +32,13 @@ from scrollcalc.errors import Inadmissible
 
 def test_collection_shapes():
     c1 = collection(2, 1)
-    assert c1.objects[5] == line(-1, -1)
-    assert c1.objects[0] == line(0, -1)
-    assert c1.shifts == (0, 0, 0, 2, 2, 2)
+    assert c1[5] == line(-1, -1)
+    assert c1[0] == line(0, -1)
+    assert bl.GEOMETRIC_SHIFTS == (0, 0, 0, 2, 2, 2)
     c2 = collection(2, 2)
-    assert c2.objects[4] == omega(-1, 2)
-    assert c2.shifts == (0,) * 6
+    assert c2[4] == omega(-1, 2)
     c6 = collection(1, 6)
-    assert c6.objects[0] == line(0, 2)
+    assert c6[0] == line(0, 2)
     with pytest.raises(ValueError):
         collection(1, 7)
 
@@ -67,8 +66,8 @@ def test_orthogonality(e, pair, rr_chi):
     # them, gives its Euler characteristics: (-1)^(i - s_i) on the diagonal.
     assert orthogonality_check(e, pair).ok
     ecoll, fcoll = (collection(e, k) for k in bl.DUAL_PAIRS[pair])
-    for i, (x, s) in enumerate(zip(ecoll.objects, ecoll.shifts)):
-        for j, y in enumerate(fcoll.objects):
+    for i, (x, s) in enumerate(zip(ecoll, bl.GEOMETRIC_SHIFTS)):
+        for j, y in enumerate(fcoll):
             want = (-1) ** (i - s) if i == j else 0
             assert rr_chi(e, bl.tensor_summands(x, y)) == want, (i, j)
 
@@ -82,7 +81,7 @@ def test_invariant_failures_surface_as_reports(monkeypatch):
         coll = build(e, index)
         if index != 2:
             return coll
-        return coll._replace(objects=coll.objects[:5] + (line(0, e),))
+        return coll[:5] + (line(0, e),)
 
     monkeypatch.setattr(bl, "collection", corrupted)
     report = orthogonality_check(2, 1)

@@ -455,6 +455,27 @@ def test_chase_rejects_bad_inputs():
         les_chase([good, good, None], 5)
 
 
+def test_chase_refuses_malformed_hypothesized_rows():
+    # Three pairs, a pair with lo > hi, a fifth pair, a float, a bare list.
+    zero = [(0, 0)] * 4
+    for row in (zero[:3], [(1, 0)] + zero[1:], zero + [(0, 0)], [(0, 0.5)] + zero[1:], [0] * 4):
+        with pytest.raises(Inadmissible) as info:
+            les_chase([row, zero, None], 2)
+        assert info.value.bound == "4 int pairs with 0 <= lo <= hi"
+
+
+def test_chase_valid_rows_chase_as_before():
+    sub, mid = [(0, 2), (1, 3), (0, 0), (0, 1)], [(2, 5), (0, 1), (1, 1), (0, 0)]
+    assert les_chase([sub, mid, None], 2) == ((0, 8), (0, 1), (1, 2), (0, 0))
+    assert les_chase([None, sub, mid], 0) == ((0, 2), (0, 8), (0, 1), (1, 2))
+    assert les_chase([sub, None, tuple(mid)], 1) == ((0, 7), (0, 4), (0, 1), (0, 1))
+    # A sheaf and its exact row chase alike.
+    s, m = FormalSheaf.of(2, [(omega(1, 0), 1)]), FormalSheaf.of(2, [(omega(1, 1), 3)])
+    exact = [(h, h) for h in s.coh_vector()]
+    assert les_chase([s, m, None], 2) == les_chase([exact, m, None], 2)
+    assert les_chase([exact, m, None], 2) == ((22, 25), (0, 0), (0, 0), (0, 0))
+
+
 def test_nonnegativity_everywhere(verify_results):
     # Line bundles and Omega twists, e <= 5, |a|, |b| <= 10; h3 = 0 for a >= 0.
     (result,) = [r for r in verify_results if r.name == "coh-nonnegativity"]

@@ -81,6 +81,10 @@ def _rejected_inputs():
          "chi_rr is the rank-2 specialization", "rank == 2"),
         (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), -1)]),
          "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
+        (lambda: coh.FormalSheaf.of(1, [(coh.Summand("zz", 0, 2), 1)]),
+         "unknown kind 'zz'", "kind in (line, omega)"),
+        (lambda: coh.h_vector(1, coh.Summand("zz", 0, 2)),
+         "unknown kind 'zz'", "kind in (line, omega)"),
         (lambda: coh.FormalSheaf.of(1, []).chern_data(),
          "the zero sheaf has no Chern data record", "rank >= 1"),
         (lambda: coh.les_chase([good] * 4, 1),

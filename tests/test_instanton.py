@@ -150,6 +150,14 @@ def test_stability_region_refuses_negative_e():
     assert info.value.bound == "e >= 0"
 
 
+def test_stability_region_refuses_a_window_of_other_than_four_ints():
+    for window in ((0, 0, 0), (0, 0, 0, 0, 0), (0, 0.5, 0, 0), (0, 0, "0", 0), 4):
+        with pytest.raises(Inadmissible) as info:
+            inst.stability_test_region(1, window)
+        assert info.value.bound == "window = (a_min, a_max, b_min, b_max)"
+    assert inst.stability_test_region(1, [0, 0, -1, -1]) == [(0, -1)]
+
+
 def test_stability_region_against_chow_degrees(verify_results):
     # Region membership against Chow degrees, e <= 6, |a|, |b| <= 10.
     (result,) = [r for r in verify_results if r.name == "instanton-stability-region"]

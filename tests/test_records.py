@@ -68,7 +68,7 @@ def _records():
     return [
         chow.instanton_chern(1, 2, 3),
         inst.InstantonParams(1, 2, 0),
-        bl.collection(1, 2),
+        bl.collection(1, 2)[0],
         bl.orthogonality_check(1, 1),
         bl.strongness_check(1),
         bl.beilinson_table(1, 1, 2),
