@@ -109,7 +109,7 @@ def collection(e: int, index: int) -> tuple:
 
 def _pair(e: int, variant: int) -> tuple:
     """The geometric and dual collections of the variant's dual pair."""
-    if variant not in DUAL_PAIRS:
+    if type(variant) is not int or variant not in DUAL_PAIRS:
         raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}", "variant in (1, 2, 3)")
     return tuple(collection(e, k) for k in DUAL_PAIRS[variant])
 
@@ -264,15 +264,23 @@ def _layout(e: int, variant: int) -> tuple:
 
 
 def _candidates(e: int, alpha: int, beta: int, twists) -> dict:
-    """-chi at every twist, keyed by label in column order; no gate."""
+    """-chi at every twist, keyed by label in column order, for int alpha, beta; no gate."""
+    _int(alpha), _int(beta)
     return {tw.label: _h1_candidate(e, alpha, beta, tw.twist) for tw in twists}
 
 
-def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
+def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
+    """The five h^1 dimensions populating the table of the given variant,
+    keyed by twist label (in column order).
+
+    These are exactly the multiplicities of the variant's monad. A negative
+    candidate means no earnest instanton with these parameters exists, and
+    is reported as ``Inadmissible`` carrying the violated bound.
+    """
+    twists = _layout(e, variant)
     if variant == 3 and alpha != 0:
         raise Inadmissible(
-            f"the pullback variant requires alpha = 0, got alpha = {alpha}",
-            "alpha == 0",
+            f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
         )
     values = _candidates(e, alpha, beta, twists)
     for label, cand in values.items():
@@ -285,17 +293,6 @@ def _gated_h1(e: int, alpha: int, beta: int, variant: int, twists) -> dict:
     return values
 
 
-def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
-    """The five h^1 dimensions populating the table of the given variant,
-    keyed by twist label (in column order).
-
-    These are exactly the multiplicities of the variant's monad. A negative
-    candidate means no earnest instanton with these parameters exists, and
-    is reported as ``Inadmissible`` carrying the violated bound.
-    """
-    return _gated_h1(e, alpha, beta, variant, _layout(e, variant))
-
-
 # ---------------------------------------------------------------------------
 # The cohomology table
 
@@ -305,7 +302,7 @@ class Cell(NamedTuple):
     value: Optional[int] = None
     tag: Optional[str] = None
 
-    def render(self, ascii_only: bool = False) -> str:
+    def render(self) -> str:
         if self.kind == "star":
             return "*"
         if self.kind == "zero":
@@ -353,7 +350,7 @@ class BeilinsonTable(NamedTuple):
                 for r, row in enumerate(self.cells)
             ]
         else:
-            grid = [[cell.render(ascii_only) for cell in row] for row in self.cells]
+            grid = [[cell.render() for cell in row] for row in self.cells]
         top = _rendered_labels(self.top_labels, ascii_only)
         bottom = _rendered_labels(self.bottom_labels, ascii_only)
         widths = [max(map(len, column)) for column in zip(top, bottom, *grid)]
@@ -383,7 +380,7 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
         for r in range(0, 4) if si else range(2, 6):
             m = (3 - r) if si else (5 - r)
             # Column 0 is -H, where every group is tagged minus-h.
-            tag = instanton.forced_vanishing(e, s.kind, m, s.a, s.b)
+            tag = instanton.forced_vanishing(e, s, m)
             if tag is None and m == 1:
                 slots.append((r, c, VARIANT_LABELS[variant][c - 1]))
                 continue
@@ -417,13 +414,12 @@ def beilinson_table(
     """
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
-    twists = _layout(e, variant)
     if gamma_zero:
-        values = _gated_h1(e, alpha, beta, variant, twists)
-    elif alpha < 0:
-        raise Inadmissible("alpha must be non-negative", "alpha >= 0")
+        values = h1_values(e, alpha, beta, variant)
     else:
-        values = _candidates(e, alpha, beta, twists)
+        values = _candidates(e, alpha, beta, _layout(e, variant))
+        if alpha < 0:
+            raise Inadmissible("alpha must be non-negative", "alpha >= 0")
     top, bottom, shifts, frame, slots = _table_frame(e, variant, gamma_zero)
     cells = [list(row) for row in frame]
     for r, c, label in slots:
@@ -492,7 +488,7 @@ class Monad(NamedTuple):
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "Monad":
-        e = _int(_keys(data, _MONAD_KEYS)["e"])
+        e = _keys(data, _MONAD_KEYS)["e"]
         instanton.require_scroll(e)
         def sheaf(key):  # A, B and C are required, the tail C1 is not
             return FormalSheaf.from_dict({"e": e, "terms": data[key]})
@@ -520,9 +516,8 @@ def _monad_sheaves(e: int, twists, exponents: dict, params: dict) -> list:
 def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     """The variant's monad, multiplicities taken from ``h1_values`` (the
     Riemann-Roch route), never from display strings."""
-    twists = _layout(e, variant)
-    values = _gated_h1(e, alpha, beta, variant, twists)
-    A, B, C, _ = _monad_sheaves(e, twists, values, {})
+    values = h1_values(e, alpha, beta, variant)
+    A, B, C, _ = _monad_sheaves(e, _layout(e, variant), values, {})
     return Monad(e, alpha, beta, variant, A, B, C)
 
 
@@ -538,11 +533,9 @@ def monad_general(
     gamma = delta = eta = 0 this degenerates to the first variant.
     """
     given = {"gamma": gamma, "delta": delta, "eta": eta}
-    for name, val in given.items():
-        if val < 0:
+    for name, val in (*given.items(), ("alpha", alpha)):
+        if _int(val) < 0:
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
-    if alpha < 0:
-        raise Inadmissible(f"alpha = {alpha} < 0", "alpha >= 0")
     twists = _layout(e, 1)
     params = {i: given[name] for i, name in H2_PARAMS.items()}
     exponents = _candidates(e, alpha, beta, twists)

@@ -28,12 +28,23 @@ OMEGA = "omega"
 KINDS = (LINE, OMEGA)
 
 
-class Summand(NamedTuple):
-    """One indecomposable summand: a line bundle or an Omega twist."""
+class Summand(NamedTuple("Summand", [("kind", str), ("a", int), ("b", int)])):
+    """One indecomposable summand: a line bundle or an Omega twist.  Every
+    construction, ``_replace`` and ``_make`` included, checks that the kind
+    is in ``KINDS`` and that a and b are ints; functions taking one trust it."""
 
-    kind: str  # "line" | "omega"
-    a: int
-    b: int
+    __slots__ = ()
+
+    def __new__(cls, kind, a, b):  # hot: the checks are inlined, _int only raises
+        if kind not in KINDS:
+            raise Inadmissible(f"unknown kind {kind!r}", "kind in (line, omega)")
+        if type(a) is not int or type(b) is not int:
+            _int(a), _int(b)  # raises for the first that is not
+        return tuple.__new__(cls, (kind, a, b))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
 
     def rank(self) -> int:
         return 1 if self.kind == LINE else 2
@@ -111,16 +122,15 @@ class FormalSheaf(NamedTuple):
 
     @staticmethod
     def of(e, terms) -> "FormalSheaf":
-        """Build from (summand, multiplicity) pairs, merging duplicates.
-
-        Zero multiplicities are dropped; negative ones and unknown kinds
-        are rejected.
-        """
+        """Build from (Summand, multiplicity) pairs, merging duplicates; ``e``
+        and each multiplicity must be ints, zero multiplicities are dropped
+        and negative ones rejected."""
+        if type(e) is not int:
+            _int(e)
         merged: dict = {}
         for s, m in terms:
-            if s.kind not in KINDS:
-                raise Inadmissible(f"unknown kind {s.kind!r}", "kind in (line, omega)")
-            if m < 0:
+            if type(m) is not int or m < 0:
+                _int(m)  # raises unless m is an int, which is then negative
                 raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
             if m:
                 merged[s] = merged.get(s, 0) + m
@@ -180,11 +190,9 @@ class FormalSheaf(NamedTuple):
     @_decoder
     def from_dict(data: dict) -> "FormalSheaf":
         terms = _keys(data, ("e", "terms"))["terms"]
-        for t in terms:
-            if _keys(t, ("kind", "a", "b", "mult"))["kind"] not in KINDS:
-                raise Inadmissible(f"unknown kind {t['kind']!r}", "kind in (line, omega)")
-        pairs = [(Summand(t["kind"], _int(t["a"]), _int(t["b"])), _int(t["mult"])) for t in terms]
-        sheaf = FormalSheaf.of(_int(data["e"]), pairs)
+        pairs = [(Summand(t["kind"], t["a"], t["b"]), t["mult"])
+                 for t in (_keys(t, ("kind", "a", "b", "mult")) for t in terms)]
+        sheaf = FormalSheaf.of(data["e"], pairs)
         if len(sheaf.terms) != len(pairs):  # to_dict writes each summand once, mult >= 1
             raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
         return sheaf
@@ -280,8 +288,6 @@ def h_vector(e: int, s: Summand) -> CohVector:
              since (pi^* Omega^1)^dual = pi^* Omega^1 (3f).
     """
     kind, a, b = s
-    if kind not in KINDS:
-        raise Inadmissible(f"unknown kind {kind!r}", "kind in (line, omega)")
     if a == -1:
         return _ZERO
     dual = a <= -2
@@ -418,6 +424,8 @@ def les_chase(entries: Sequence, target_position: int) -> tuple:
                 f"a known entry must be a FormalSheaf or four (lo, hi) pairs, got {x!r}",
                 "4 int pairs with 0 <= lo <= hi",
             )
+    if len({x.e for x in known.values() if isinstance(x, FormalSheaf)}) > 1:
+        raise Inadmissible("the known entries live on different scrolls", "same e")
     rows = [
         [(h, h) for h in x.coh_vector()] if isinstance(x, FormalSheaf) else x
         for x in map(known.get, range(3))

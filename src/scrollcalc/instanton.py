@@ -29,21 +29,22 @@ REGION_CELLS_MAX = 1_000_000  # twists in one stability_test_region answer
 
 
 def require_scroll(e: int) -> None:
-    """The package's domain e >= 0, checked by ``InstantonParams``, every
-    Beilinson collection and the CLI."""
-    if e < 0:
+    """The package's domain: e an int with e >= 0, checked by
+    ``InstantonParams``, every Beilinson collection and the CLI."""
+    if _int(e) < 0:
         raise Inadmissible("the scroll parameter e must be non-negative", "e >= 0")
 
 
 class InstantonParams(
     NamedTuple("InstantonParams", [("e", int), ("alpha", int), ("beta", int)])
 ):
-    """Discrete data (e, alpha, beta) of an instanton; charge is derived."""
+    """Discrete data (e, alpha, beta) of an instanton, three ints; charge is derived."""
 
     __slots__ = ()
 
     def __init__(self, e, alpha, beta):
         require_scroll(e)
+        _int(alpha), _int(beta)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make too
@@ -59,12 +60,10 @@ def is_ulrich_twist(p: InstantonParams) -> bool:
     return chow.chi_instanton(p.e, p.alpha, p.beta, 0, 0) == 0
 
 
-def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]:
-    """Vanishing of h^i(E(a xi + b f)) or h^i(Omega ⊗ E(a xi + b f)) forced
-    purely by the instanton axioms, independent of (alpha, beta).
-
-    ``kind`` is the kind of the twist summand: ``cohomology.LINE`` for E(D),
-    ``cohomology.OMEGA`` for Omega ⊗ E(D).
+def forced_vanishing(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
+    """Vanishing of h^i(E ⊗ s) forced purely by the instanton axioms,
+    independent of (alpha, beta), for the twist summand s = O(a xi + b f)
+    (E(D)) or Omega(a xi + b f) (Omega ⊗ E(D)).
 
     Returns the tag of the region that forces the zero, or None when no
     region applies.  Tags:
@@ -79,6 +78,7 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
     ``h2-omega``   h2 = 0 for a >= -1, b >= 1
     =============  ========================================================
     """
+    kind, a, b = s
     if kind == cohomology.LINE:
         if a == -1 and b == -1:
             return "minus-h"
@@ -88,15 +88,13 @@ def forced_vanishing(e: int, kind: str, i: int, a: int, b: int) -> Optional[str]
             return "h3-bundle"
         if i == 2 and a >= -1 and b >= -1:
             return "h2-bundle"
-    elif kind == cohomology.OMEGA:
+    else:
         if i == 0 and ((a <= -1 and b <= e + 1) or (a == 0 and b <= 1)):
             return "h0-omega"
         if i == 3 and ((a >= -1 and b >= -e) or (a == -2 and b >= 0)):
             return "h3-omega"
         if i == 2 and a >= -1 and b >= 1:
             return "h2-omega"
-    else:
-        raise Inadmissible(f"unknown kind {kind!r}", "kind in (line, omega)")
     return None
 
 

@@ -6,9 +6,12 @@ report, never raised.  ``ScrollcalcError`` is only their base class.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrollcalc import beilinson as bl
 from scrollcalc import chow, cli
@@ -48,6 +51,37 @@ def test_only_the_two_error_classes_are_raised():
     assert other_raises() == []
 
 
+def _raisers(bound: str):
+    """``(file, qualified scope)`` of every raise in the package whose
+    ``Inadmissible`` names ``bound`` as a literal."""
+    found = set()
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,), path)
+                continue
+            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
+                if any(isinstance(arg, ast.Constant) and arg.value == bound
+                       for arg in child.exc.args):
+                    found.add((path.name, ".".join(scope)))
+            visit(child, scope, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path)
+    return found
+
+
+@pytest.mark.parametrize("bound, owner", [
+    ("kind in (line, omega)", ("cohomology.py", "Summand.__new__")),
+    ("type(value) is int", ("errors.py", "_int")),
+])
+def test_each_field_bound_is_raised_by_one_owner(bound, owner):
+    # A summand's kind is checked where the summand is built, and an int
+    # field only through ``_int``; no function re-checks a record it takes.
+    assert _raisers(bound) == {owner}
+
+
 def test_errors_module_defines_exactly_three_classes():
     tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     classes = {stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)}
@@ -81,10 +115,15 @@ def _rejected_inputs():
          "chi_rr is the rank-2 specialization", "rank == 2"),
         (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), -1)]),
          "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
-        (lambda: coh.FormalSheaf.of(1, [(coh.Summand("zz", 0, 2), 1)]),
-         "unknown kind 'zz'", "kind in (line, omega)"),
-        (lambda: coh.h_vector(1, coh.Summand("zz", 0, 2)),
-         "unknown kind 'zz'", "kind in (line, omega)"),
+        (lambda: coh.Summand("zz", 0, 2), "unknown kind 'zz'", "kind in (line, omega)"),
+        (lambda: coh.Summand("line", 0.5, 2), "expected an int, got 0.5", "type(value) is int"),
+        (lambda: coh.omega(0, None), "expected an int, got None", "type(value) is int"),
+        (lambda: coh.FormalSheaf.of(1.5, []), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), 1.5)]),
+         "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.collection(1.5, 1), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.h1_values(1, 1, 2, True),
+         "variant must be 1, 2 or 3, got True", "variant in (1, 2, 3)"),
         (lambda: coh.FormalSheaf.of(1, []).chern_data(),
          "the zero sheaf has no Chern data record", "rank >= 1"),
         (lambda: coh.les_chase([good] * 4, 1),
@@ -93,10 +132,20 @@ def _rejected_inputs():
          "bad target position 5", "target_position in 0..2"),
         (lambda: coh.les_chase([None, good, None], 1),
          "sequence has more than one non-computable entry", "one unknown entry"),
+        (lambda: coh.les_chase([good, coh.FormalSheaf.of(2, [(coh.line(0, 0), 1)]), None], 2),
+         "the known entries live on different scrolls", "same e"),
         (lambda: bl.tensor_summands(coh.omega(0, 0), coh.omega(0, 0)),
          "Omega ⊗ Omega products have no closed form here", "at most one omega"),
-        (lambda: inst.forced_vanishing(0, "x", 0, 0, 0),
-         "unknown kind 'x'", "kind in (line, omega)"),
+        (lambda: inst.InstantonParams(0, 1.5, 0), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: inst.InstantonParams(0, 1, "2"), "expected an int, got '2'", "type(value) is int"),
+        (lambda: bl.h1_values(1, 1.5, 2), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.monad_shape(1, 1, 2.5), "expected an int, got 2.5", "type(value) is int"),
+        (lambda: bl.beilinson_table(1, 1, 0.5, 1, gamma_zero=False),
+         "expected an int, got 0.5", "type(value) is int"),
+        (lambda: bl.monad_general(1, 2, 5, 1.5, 0, 0),
+         "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.monad_general(1, True, 5, 0, 0, 0),
+         "expected an int, got True", "type(value) is int"),
         (lambda: inst.earnest_criterion(-1),
          "a cohomology dimension cannot be negative", "h2 >= 0"),
         (lambda: inst.curve_resolution(0, "zz"),
@@ -125,3 +174,72 @@ def test_rejected_inputs_name_their_bound():
 def test_flag_pairs_exit_2_naming_their_bound(argv, message, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Ints (small and up to 10^18), bools, floats, strings (the two summand kinds
+# among them) and None, fed to one field at a time.
+_FIELD_VALUES = st.one_of(
+    st.integers(-10**18, 10**18), st.integers(-3, 8), st.booleans(), st.floats(),
+    st.text(max_size=3), st.sampled_from(coh.KINDS), st.none(),
+)
+
+# Each entry point with valid arguments; every argument is a fuzzed field.
+_ENTRY_POINTS = {
+    "Summand": (coh.Summand, ("omega", 1, -2)),
+    "FormalSheaf.of": (lambda e, m: coh.FormalSheaf.of(e, [(coh.line(0, 1), m)]), (1, 2)),
+    "InstantonParams": (inst.InstantonParams, (1, 2, 0)),
+    "h1_values": (bl.h1_values, (1, 1, 2, 1)),
+    "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name, field", [
+    (name, i) for name, (_, args) in _ENTRY_POINTS.items() for i in range(len(args))
+])
+@settings(max_examples=30)  # per field: enough to draw each kind of value
+@given(value=_FIELD_VALUES)
+def test_entry_point_fields_answer_or_name_a_bound(name, field, value):
+    call, args = _ENTRY_POINTS[name]
+    args = list(args)
+    args[field] = value
+    try:
+        call(*args)
+    except Inadmissible as exc:
+        assert exc.bound
+    else:  # a call that answers took a field of the valid type
+        assert type(value) is type(_ENTRY_POINTS[name][1][field])
+
+
+def _paths(node, path=()):
+    """The path of every value inside a JSON payload, containers included."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_PAYLOADS = {
+    "ChowClass": (ChowClass.from_dict, ChowClass(1, one=1, xi=2, ff=-3).to_dict()),
+    "FormalSheaf": (coh.FormalSheaf.from_dict, coh.FormalSheaf.of(
+        1, [(coh.line(1, 0), 2), (coh.omega(0, 1), 1)]).to_dict()),
+    "Monad": (bl.Monad.from_dict, bl.monad_general(1, 2, 5, 1, 2, 1).to_dict()),
+    "ExistenceReport": (inst.ExistenceReport.from_dict,
+                        inst.existence_report(inst.InstantonParams(1, 2, 0)).to_dict()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAYLOADS))
+@given(data=st.data(), value=_FIELD_VALUES)
+def test_payload_fields_decode_or_name_a_bound(name, data, value):
+    decode, payload = _PAYLOADS[name]
+    path = data.draw(st.sampled_from(sorted(_paths(payload), key=repr)))
+    payload = json.loads(json.dumps(payload))
+    node = payload
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        decode(payload)
+    except Inadmissible as exc:
+        assert exc.bound

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scrollcalc import beilinson, chow
 from scrollcalc import instanton as inst
-from scrollcalc.cohomology import LINE, OMEGA
+from scrollcalc.cohomology import Summand, line, omega
 from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams
 
@@ -40,21 +40,21 @@ def test_ulrich_twist():
 
 
 def test_forced_vanishing_regions():
-    assert inst.forced_vanishing(3, LINE, 0, -1, 3) == "h0-bundle"
-    assert inst.forced_vanishing(3, LINE, 2, 0, 0) == "h2-bundle"
-    assert inst.forced_vanishing(3, LINE, 1, 5, 5) is None
-    assert inst.forced_vanishing(3, LINE, 0, 0, -2) == "h0-bundle"
-    assert inst.forced_vanishing(3, LINE, 3, 0, -5) == "h3-bundle"
-    assert inst.forced_vanishing(3, LINE, 3, -2, -2) == "h3-bundle"
-    assert inst.forced_vanishing(3, LINE, 0, -1, 4) is None  # b > e
+    assert inst.forced_vanishing(3, line(-1, 3), 0) == "h0-bundle"
+    assert inst.forced_vanishing(3, line(0, 0), 2) == "h2-bundle"
+    assert inst.forced_vanishing(3, line(5, 5), 1) is None
+    assert inst.forced_vanishing(3, line(0, -2), 0) == "h0-bundle"
+    assert inst.forced_vanishing(3, line(0, -5), 3) == "h3-bundle"
+    assert inst.forced_vanishing(3, line(-2, -2), 3) == "h3-bundle"
+    assert inst.forced_vanishing(3, line(-1, 4), 0) is None  # b > e
     for i in range(4):
-        assert inst.forced_vanishing(3, LINE, i, -1, -1) == "minus-h"
-    assert inst.forced_vanishing(2, OMEGA, 0, -1, 3) == "h0-omega"
-    assert inst.forced_vanishing(2, OMEGA, 3, 0, -2) == "h3-omega"
-    assert inst.forced_vanishing(2, OMEGA, 2, 0, 1) == "h2-omega"
-    assert inst.forced_vanishing(2, OMEGA, 2, 0, 0) is None
-    with pytest.raises(ValueError):
-        inst.forced_vanishing(2, "nope", 0, 0, 0)
+        assert inst.forced_vanishing(3, line(-1, -1), i) == "minus-h"
+    assert inst.forced_vanishing(2, omega(-1, 3), 0) == "h0-omega"
+    assert inst.forced_vanishing(2, omega(0, -2), 3) == "h3-omega"
+    assert inst.forced_vanishing(2, omega(0, 1), 2) == "h2-omega"
+    assert inst.forced_vanishing(2, omega(0, 0), 2) is None
+    with pytest.raises(ValueError):  # an unknown kind never reaches it
+        inst.forced_vanishing(2, Summand("nope", 0, 0), 0)
 
 
 def test_earnest_criterion():

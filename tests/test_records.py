@@ -61,6 +61,18 @@ def test_replace_and_make_run_the_checks():
         with pytest.raises(Inadmissible) as info:
             build()
         assert info.value.bound == "e >= 0"
+    s = coh.omega(1, -2)
+    assert s._replace(kind="line", a=3) == coh.Summand._make(["line", 3, -2]) == coh.line(3, -2)
+    assert type(s._replace(b=0)) is coh.Summand
+    for build, bound in (
+        (lambda: s._replace(kind="zz"), "kind in (line, omega)"),
+        (lambda: coh.Summand._make(["zz", 0, 0]), "kind in (line, omega)"),
+        (lambda: s._replace(a=1.0), "type(value) is int"),
+        (lambda: coh.Summand._make(["line", 0, True]), "type(value) is int"),
+    ):
+        with pytest.raises(Inadmissible) as info:
+            build()
+        assert info.value.bound == bound
 
 
 def _records():
