@@ -1,8 +1,11 @@
 """Exceptional collections, their dual orthogonality, and instanton monads.
 
 X_e carries three dual pairs of full exceptional collections built from
-line bundles and Omega twists.  Writing s_i = 2 for the three entries of
-the geometric side that are shifted and s_i = 0 otherwise, the pairing is
+line bundles and Omega twists.  As X_e is a P^1-bundle over P^2, each is a
+plane collection E_0, E_1, E_2 and its twist E_(3+i) = E_i ⊗ O(-xi + t f)
+(D. Orlov, Projective bundles, monoidal transformations, and derived
+categories of coherent sheaves, 1992).  With s_i = 2 on that twisted half of
+the geometric side and s_i = 0 otherwise, the pairing is
 
     Ext^k(E_i, F_j) = H^(k - s_i)(E_i ⊗ F_j) = C  iff  i = j = k,
 
@@ -14,11 +17,10 @@ characteristic.  Three monad variants are produced (one per pair; the third
 needs alpha = 0 and is a pullback from the plane), plus the non-earnest
 monad in which the h^2 groups enter as free parameters.
 
-A collection is the tuple (E_0, ..., E_5) of its summands, and ``_pair``
-gives a variant's geometric and dual collections.  Every layout comes from
-them: the five twists of a variant are E_4..E_0 of its geometric
-collection, their dual sheaves are F_4..F_0 of the partner, and the monad
-positions are the same in every variant.  The table, the h^1 values and
+``_pair`` gives a variant's geometric and dual collections, and every
+layout comes from them: the five twists of a variant are E_4..E_0 of its
+geometric collection, their dual sheaves are F_4..F_0 of the partner, and
+the monad positions are the same in every variant.  The table, the h^1 values and
 both monad builders read that one layout.  The layout and the table frame
 (every cell but the five h^1 values) depend on (e, variant) alone, and each
 is built once per (e, variant) and cached.
@@ -29,82 +31,33 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology, instanton
 from .chow import ChowClass
-from .cohomology import (
-    FormalSheaf,
-    Summand,
-    les_chase,
-    line,
-    omega,
-)
+from .cohomology import FormalSheaf, Summand, les_chase, line, omega
 from .errors import Inadmissible, _decoder, _int, _keys, _one_of
 
-GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i for entries E_0..E_5 of every pair
+GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
 
 DUAL_PAIRS = {1: (1, 2), 2: (3, 4), 3: (5, 6)}
+
+# The two plane shapes E_0, E_1, E_2 of a collection, before their twist by O(c f).
+_LINES = (line(0, 0), line(0, -1), line(0, -2))
+_OMEGA = (line(0, 0), omega(0, 1), line(0, -1))
 
 
 def collection(e: int, index: int) -> tuple:
     """The six standard collections as (E_0, ..., E_5), numbered as the three
-    dual pairs (1, 2), (3, 4), (5, 6); the odd index of a pair is its
-    geometric side, whose entries are shifted by ``GEOMETRIC_SHIFTS``."""
+    dual pairs (1, 2), (3, 4), (5, 6), the odd index the geometric side.  Each
+    is one row (shape, c, t): E_0..E_2 are the plane shape twisted by O(c f),
+    and E_3..E_5, shifted by ``GEOMETRIC_SHIFTS``, are those twisted by
+    O(-xi + t f) (Orlov's projective-bundle decomposition)."""
     instanton.require_scroll(e)
-    if index == 1:
-        objs = (
-            line(0, -(e - 1)),
-            line(0, -e),
-            line(0, -(e + 1)),
-            line(-1, 1),
-            line(-1, 0),
-            line(-1, -1),
-        )
-    elif index == 2:
-        objs = (
-            line(0, e - 1),
-            omega(0, e),
-            line(0, e - 2),
-            line(-1, e - 1),
-            omega(-1, e),
-            line(-1, e - 2),
-        )
-    elif index == 3:
-        objs = (
-            line(0, -e),
-            omega(0, -(e - 1)),
-            line(0, -(e + 1)),
-            line(-1, 0),
-            omega(-1, 1),
-            line(-1, -1),
-        )
-    elif index == 4:
-        objs = (
-            line(0, e),
-            line(0, e - 1),
-            line(0, e - 2),
-            line(-1, e),
-            line(-1, e - 1),
-            line(-1, e - 2),
-        )
-    elif index == 5:
-        objs = (
-            line(0, -(e + 1)),
-            omega(0, -e),
-            line(0, -(e + 2)),
-            line(-1, 0),
-            omega(-1, 1),
-            line(-1, -1),
-        )
-    elif index == 6:
-        objs = (
-            line(0, e + 1),
-            line(0, e),
-            line(0, e - 1),
-            line(-1, e),
-            line(-1, e - 1),
-            line(-1, e - 2),
-        )
-    else:
+    if type(index) is not int or not 1 <= index <= 6:
         raise Inadmissible(f"collection index must be 1..6, got {index}", "index in 1..6")
-    return objs
+    shape, c, t = (
+        (_LINES, 1 - e, e), (_OMEGA, e - 1, 0), (_OMEGA, -e, e),
+        (_LINES, e, 0), (_OMEGA, -e - 1, e + 1), (_LINES, e + 1, -1),
+    )[index - 1]
+    plane = tuple(Summand(s.kind, 0, s.b + c) for s in shape)
+    return plane + tuple(Summand(s.kind, -1, s.b + t) for s in plane)
 
 
 def _pair(e: int, variant: int) -> tuple:

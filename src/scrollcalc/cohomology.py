@@ -114,27 +114,35 @@ class CohVector(NamedTuple):
         return self.h0 - self.h1 + self.h2 - self.h3
 
 
-class FormalSheaf(NamedTuple):
-    """A finite direct sum of summands with positive multiplicities on X_e."""
+class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
+    """A finite direct sum on X_e: sorted, distinct (Summand, mult >= 1) terms.
+    Every construction, ``of``, ``_replace`` and ``_make`` included, checks
+    ``e`` and each term, merges repeats and drops zero multiplicities, once."""
 
-    e: int
-    terms: tuple  # tuple[tuple[Summand, int], ...]
+    __slots__ = ()
 
-    @staticmethod
-    def of(e, terms) -> "FormalSheaf":
-        """Build from (Summand, multiplicity) pairs, merging duplicates; ``e``
-        and each multiplicity must be ints, zero multiplicities are dropped
-        and negative ones rejected."""
+    def __new__(cls, e, terms):
         if type(e) is not int:
             _int(e)
         merged: dict = {}
         for s, m in terms:
+            if type(s) is not Summand:
+                raise Inadmissible(f"term summand {s!r} is not a Summand", "summand is a Summand")
             if type(m) is not int or m < 0:
                 _int(m)  # raises unless m is an int, which is then negative
                 raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
             if m:
                 merged[s] = merged.get(s, 0) + m
-        return FormalSheaf(e, tuple(sorted(merged.items())))
+        return tuple.__new__(cls, (e, tuple(sorted(merged.items()))))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
+
+    @staticmethod
+    def of(e, terms) -> "FormalSheaf":
+        """``FormalSheaf(e, terms)``: the public builder from (Summand, mult) pairs."""
+        return FormalSheaf(e, terms)
 
     def rank(self) -> int:
         return sum(m * s.rank() for s, m in self.terms)

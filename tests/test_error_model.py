@@ -75,10 +75,13 @@ def _raisers(bound: str):
 @pytest.mark.parametrize("bound, owner", [
     ("kind in (line, omega)", ("cohomology.py", "Summand.__new__")),
     ("type(value) is int", ("errors.py", "_int")),
+    ("summand is a Summand", ("cohomology.py", "FormalSheaf.__new__")),
+    ("mult >= 0", ("cohomology.py", "FormalSheaf.__new__")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
-    # A summand's kind is checked where the summand is built, and an int
-    # field only through ``_int``; no function re-checks a record it takes.
+    # A summand's kind is checked where the summand is built, a sheaf's terms
+    # where the sheaf is built, and an int field only through ``_int``; no
+    # function re-checks a record it takes.
     assert _raisers(bound) == {owner}
 
 
@@ -121,6 +124,15 @@ def _rejected_inputs():
         (lambda: coh.FormalSheaf.of(1.5, []), "expected an int, got 1.5", "type(value) is int"),
         (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), 1.5)]),
          "expected an int, got 1.5", "type(value) is int"),
+        (lambda: coh.FormalSheaf(1, ((("zz", 0, 0), 1),)),
+         "term summand ('zz', 0, 0) is not a Summand", "summand is a Summand"),
+        (lambda: coh.FormalSheaf.of(1, [(("line", 0, 0), 1)]),
+         "term summand ('line', 0, 0) is not a Summand", "summand is a Summand"),
+        (lambda: good._replace(e=1.5), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: coh.FormalSheaf(1, ((coh.line(0, 0), -2),)),
+         "negative multiplicity -2 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
+        (lambda: coh.FormalSheaf._make([1, ((coh.omega(0, 0), True),)]),
+         "expected an int, got True", "type(value) is int"),
         (lambda: bl.collection(1.5, 1), "expected an int, got 1.5", "type(value) is int"),
         (lambda: bl.h1_values(1, 1, 2, True),
          "variant must be 1, 2 or 3, got True", "variant in (1, 2, 3)"),
@@ -188,6 +200,7 @@ _ENTRY_POINTS = {
     "Summand": (coh.Summand, ("omega", 1, -2)),
     "FormalSheaf.of": (lambda e, m: coh.FormalSheaf.of(e, [(coh.line(0, 1), m)]), (1, 2)),
     "InstantonParams": (inst.InstantonParams, (1, 2, 0)),
+    "collection": (bl.collection, (1, 2)),
     "h1_values": (bl.h1_values, (1, 1, 2, 1)),
     "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
 }

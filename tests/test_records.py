@@ -73,6 +73,20 @@ def test_replace_and_make_run_the_checks():
         with pytest.raises(Inadmissible) as info:
             build()
         assert info.value.bound == bound
+    sheaf = coh.FormalSheaf.of(1, [(s, 2), (coh.line(0, 0), 1)])
+    assert sheaf._replace(e=2) == coh.FormalSheaf._make([2, sheaf.terms])
+    assert sheaf._replace(terms=((s, 1), (s, 1))).terms == ((s, 2),)
+    assert type(sheaf._replace(e=2)) is coh.FormalSheaf
+    for build, bound in (
+        (lambda: sheaf._replace(e=1.5), "type(value) is int"),
+        (lambda: coh.FormalSheaf._make([True, sheaf.terms]), "type(value) is int"),
+        (lambda: sheaf._replace(terms=((tuple(s), 1),)), "summand is a Summand"),
+        (lambda: coh.FormalSheaf._make([1, ((s, -1),)]), "mult >= 0"),
+        (lambda: coh.FormalSheaf._make([1, ((s, 1.0),)]), "type(value) is int"),
+    ):
+        with pytest.raises(Inadmissible) as info:
+            build()
+        assert info.value.bound == bound
 
 
 def _records():
