@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional
 from . import chow, cohomology, instanton
 from .chow import ChowClass
 from .cohomology import FormalSheaf, Summand, les_chase, line, omega
+from .cohomology import _summand_chi, _summand_log_chern
 from .errors import Inadmissible, _decoder, _int, _keys, _one_of
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
@@ -392,22 +393,37 @@ _MONAD_KEYS = (
 )
 
 
-class Monad(NamedTuple):
+class Monad(NamedTuple("Monad", [
+    ("e", int), ("alpha", int), ("beta", int), ("variant", Optional[int]),
+    ("A", FormalSheaf), ("B", FormalSheaf), ("C", FormalSheaf),
+    ("c_tail", Optional[FormalSheaf]), ("extra", Optional[tuple])])):
     """A three-term complex A -> B -> C with the instanton as middle
     cohomology.  For the non-earnest variant C is the kernel of a surjection
     C -> C1 of sheaves, stored as the pair (C, C1); plain monads have
     ``c_tail`` None.  ``extra`` carries (gamma, delta, eta) when present.
-    """
+    Every construction, ``_replace`` and ``_make`` included, checks each field:
+    int e, alpha, beta; variant in (1, 2, 3, None); sheaves on X_e; extra None
+    or three ints."""
 
-    e: int
-    alpha: int
-    beta: int
-    variant: Optional[int]
-    A: FormalSheaf
-    B: FormalSheaf
-    C: FormalSheaf
-    c_tail: Optional[FormalSheaf] = None
-    extra: Optional[tuple] = None
+    __slots__ = ()
+
+    def __new__(cls, e, alpha, beta, variant, A, B, C, c_tail=None, extra=None):
+        _int(e), _int(alpha), _int(beta)
+        _one_of(variant, (1, 2, 3, None), "variant")
+        tail = () if c_tail is None else (("c_tail", c_tail),)
+        for name, sheaf in (("A", A), ("B", B), ("C", C), *tail):
+            if type(sheaf) is not FormalSheaf or sheaf.e != e:
+                raise Inadmissible(f"{name} is not a FormalSheaf on X_{e}: {sheaf!r}",
+                                   "sheaves are FormalSheafs on X_e")
+        if extra is not None and (type(extra) is not tuple or len(extra) != 3):
+            raise Inadmissible(f"extra {extra!r} is not three ints", "extra is None or 3 ints")
+        for x in extra or ():
+            _int(x)
+        return tuple.__new__(cls, (e, alpha, beta, variant, A, B, C, c_tail, extra))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make too
+        return cls(*iterable)
 
     def render(self, ascii_only: bool = False) -> str:
         arrow = "->" if ascii_only else "→"
@@ -446,12 +462,9 @@ class Monad(NamedTuple):
         def sheaf(key):  # A, B and C are required, the tail C1 is not
             return FormalSheaf.from_dict({"e": e, "terms": data[key]})
         tail = sheaf("C1") if "C1" in data else None
-        extra = tuple(_int(data[k]) for k in ("gamma", "delta", "eta")) if "gamma" in data else None
-        variant = _one_of(data.get("variant"), (1, 2, 3, None), "variant")
-        return Monad(
-            e, _int(data["alpha"]), _int(data["beta"]), variant,
-            sheaf("A"), sheaf("B"), sheaf("C"), tail, extra,
-        )
+        extra = tuple(data[k] for k in ("gamma", "delta", "eta")) if "gamma" in data else None
+        return Monad(e, data["alpha"], data["beta"], data.get("variant"),
+                     sheaf("A"), sheaf("B"), sheaf("C"), tail, extra)
 
 
 def _monad_sheaves(e: int, twists, exponents: dict, params: dict) -> list:
@@ -535,17 +548,21 @@ class ConsistencyReport(NamedTuple):
 
 def monad_consistency(m: Monad) -> ConsistencyReport:
     """Check that the middle cohomology of the monad has instanton data:
-    rank 2, c1 = (e-1)f, c2 = alpha xi f + beta f^2 (by total-Chern
-    quotient), and the right Euler characteristic."""
+    rank 2, c1 = (e-1)f, c2 = alpha xi f + beta f^2, and the right chi.
+    Its K-theory class is [B] + [C1] - [A] - [C], on which rank, chi and
+    L = 6 log c are additive (Whitney's formula): one pass over the signed
+    summands sums cached per-summand ints, and c = exp(L/6) (``chow._exp6``),
+    so c1 = L_1/6 and c2 = (12 L_2 + L_1^2)/72."""
     e = m.e
-    tail = m.c_tail if m.c_tail is not None else FormalSheaf.of(e, [])
-    rank = m.B.rank() + tail.rank() - m.A.rank() - m.C.rank()
-    total = (
-        m.B.total_chern()
-        * tail.total_chern()
-        * (m.A.total_chern() * m.C.total_chern()).inverse()
-    )
-    chi = m.B.chi() + tail.chi() - m.A.chi() - m.C.chi()
+    rank, chi, log = 0, 0, (0, 0, 0, 0, 0)
+    tail = m.c_tail.terms if m.c_tail is not None else ()
+    for sign, terms in ((1, m.B.terms), (1, tail), (-1, m.A.terms), (-1, m.C.terms)):
+        for s, k in terms:
+            k *= sign
+            rank += k * s.rank()
+            chi += k * _summand_chi(e, s)
+            log = [x + k * y for x, y in zip(log, _summand_log_chern(e, s))]
+    total = chow._exp6(e, *log)
     return ConsistencyReport(
         rank_defect=rank,
         c1_defect=total.homogeneous_part(1),

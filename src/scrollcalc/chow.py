@@ -133,10 +133,7 @@ class ChowClass(NamedTuple):
         return self.pt
 
     def inverse(self) -> "ChowClass":
-        """Inverse 1 - u + u^2 - u^3 of a unit series 1 + u in the truncated ring.
-
-        Used for total-Chern-class quotients.  Requires constant term 1.
-        """
+        """Inverse 1 - u + u^2 - u^3 of a unit series 1 + u (constant term 1)."""
         if self.one != 1:
             raise Inadmissible("only classes with constant term 1 are invertible", "one == 1")
         return _power(1, _nilpotent_powers(self), -1)
@@ -195,6 +192,27 @@ def _power(c: int, powers: tuple, n: int) -> ChowClass:
         e, c ** max(n, 0), b1 * a1, b1 * a2, b1 * a3 + b2 * u2[4],
         b1 * a4 + b2 * u2[5], b1 * a5 + b2 * u2[6] + b3 * u3[6],
     ))
+
+
+def _log6(x: ChowClass) -> tuple:
+    """6 log x = 6u - 3u^2 + 2u^3 of a unit series x = 1 + u (u^4 = 0), as its
+    five int coefficients on xi, f, xi*f, f^2, xi*f^2; log(x y) = log x + log y."""
+    e, _, u1, u2, u3, u4, u5 = x
+    s3, s4 = (e * u1 + 2 * u2) * u1, u2 * u2  # (u1 xi + u2 f)^2
+    return (6 * u1, 6 * u2, 6 * u3 - 3 * s3, 6 * u4 - 3 * s4,
+            6 * u5 - 6 * (e * u1 * u3 + u1 * u4 + u2 * u3) + 2 * ((e * u1 + u2) * s3 + u1 * s4))
+
+
+def _exp6(e: int, l1: int, l2: int, l3: int, l4: int, l5: int) -> ChowClass:
+    """exp(L/6) = (1296 + 216 L + 18 L^2 + L^3)/1296, L^2 and L^3 written out, for
+    L = l1 xi + l2 f + l3 xi*f + l4 f^2 + l5 xi*f^2: the inverse of ``_log6``.
+    A division that is not exact raises ``NonIntegralValue``."""
+    q3, q4, q5 = (e * l1 + 2 * l2) * l1, l2 * l2, 2 * (e * l1 * l3 + l1 * l4 + l2 * l3)  # L^2
+    n = (216 * l1, 216 * l2, 216 * l3 + 18 * q3, 216 * l4 + 18 * q4,
+         216 * l5 + 18 * q5 + (e * l1 + l2) * q3 + l1 * q4)  # the last two: L^3
+    if any(k % 1296 for k in n):
+        raise NonIntegralValue(f"exp(L/6) is not integral on X_{e} for L = {(l1, l2, l3, l4, l5)}")
+    return _new(ChowClass, (e, 1, *(k // 1296 for k in n)))
 
 
 def zero(e: int) -> ChowClass:

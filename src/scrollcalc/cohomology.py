@@ -89,10 +89,10 @@ def _twist_str(a: int, b: int, ascii_only: bool) -> str:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _summand_chern_powers(e: int, s: Summand) -> tuple:
-    """(u, u^2, u^3) for c(s) = 1 + u on X_e, keyed by (e, s), at most 1024
-    entries: c(s)^m = 1 + m u + C(m,2) u^2 + C(m,3) u^3 for every m."""
-    return chow._nilpotent_powers(s.total_chern(e))
+def _summand_log_chern(e: int, s: Summand) -> tuple:
+    """6 log c(s) on X_e, five ints (``chow._log6``), keyed by (e, s), at most
+    1024 entries: m copies of s add m times this to the log of a direct sum."""
+    return chow._log6(s.total_chern(e))
 
 
 @lru_cache(maxsize=1024, typed=True)
@@ -125,14 +125,21 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         if type(e) is not int:
             _int(e)
         merged: dict = {}
-        for s, m in terms:
-            if type(s) is not Summand:
-                raise Inadmissible(f"term summand {s!r} is not a Summand", "summand is a Summand")
-            if type(m) is not int or m < 0:
-                _int(m)  # raises unless m is an int, which is then negative
-                raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
-            if m:
-                merged[s] = merged.get(s, 0) + m
+        try:
+            for s, m in terms:
+                if type(s) is not Summand:
+                    raise Inadmissible(f"term summand {s!r} is not a Summand",
+                                       "summand is a Summand")
+                if type(m) is not int or m < 0:
+                    _int(m)  # raises unless m is an int, which is then negative
+                    raise Inadmissible(f"negative multiplicity {m} for {s}", "mult >= 0")
+                if m:
+                    merged[s] = merged.get(s, 0) + m
+        except Inadmissible:
+            raise
+        except (TypeError, ValueError) as exc:  # terms, or a term, is not a pair
+            raise Inadmissible(f"terms {terms!r} are not (Summand, mult) pairs",
+                               "terms are (Summand, mult) pairs") from exc
         return tuple.__new__(cls, (e, tuple(sorted(merged.items()))))
 
     @classmethod
@@ -148,10 +155,11 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         return sum(m * s.rank() for s, m in self.terms)
 
     def total_chern(self) -> ChowClass:
-        out = chow.unit(self.e)
+        """exp of the summed 6 log c(s), by Whitney's formula: no ring product."""
+        log = (0, 0, 0, 0, 0)
         for s, m in self.terms:
-            out = out * chow._power(1, _summand_chern_powers(self.e, s), m)
-        return out
+            log = [x + m * y for x, y in zip(log, _summand_log_chern(self.e, s))]
+        return chow._exp6(self.e, *log)
 
     def chern_data(self) -> ChernData:
         if self.rank() == 0:

@@ -4,7 +4,7 @@ Every rejected input, a malformed JSON payload included (``_decoder``),
 raises ``Inadmissible``, whose ``bound`` names the violated rule.  A checked
 invariant (orthogonality, strongness, monad consistency, the verify suites)
 returns a report with ``ok`` instead of raising.  ``NonIntegralValue`` is
-raised only for Chern data whose Euler characteristic comes out fractional.
+raised only when an Euler characteristic or a Chern class comes out fractional.
 ``ScrollcalcError`` is their base.
 """
 

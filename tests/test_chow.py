@@ -256,6 +256,26 @@ def test_unit_inverse():
         assert x * x.inverse() == chow.unit(e)
 
 
+def paired_units(n):
+    """n unit series 1 + u on one X_e."""
+    return paired(chow_classes, n).map(lambda xs: tuple(x._replace(one=1) for x in xs))
+
+
+@given(paired_units(2))
+@settings(max_examples=150)
+def test_exp6_inverts_log6_and_log6_turns_products_into_sums(xy):
+    x, y = xy
+    assert chow._exp6(x.e, *chow._log6(x)) == x
+    assert chow._log6(oracle_mul(x, y)) == tuple(map(operator.add, chow._log6(x), chow._log6(y)))
+
+
+def test_exp6_refuses_a_fractional_class():
+    # exp(f/6) = 1 + f/6 + f^2/72 is not integral on any scroll.
+    for e in range(4):
+        with pytest.raises(NonIntegralValue):
+            chow._exp6(e, 0, 1, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Twisting
 

@@ -352,7 +352,7 @@ def test_summand_chern_power_cache_does_not_leak():
         for e in scrolls
         for _ in range(30)
     ]
-    cached = coh._summand_chern_powers
+    cached = coh._summand_log_chern
     first = {}
     for e in scrolls:
         cached.cache_clear()
@@ -369,6 +369,23 @@ def test_summand_chern_power_cache_does_not_leak():
             for _ in range(m):
                 want = want * term.total_chern(s.e)
         assert c == want
+
+
+def test_total_chern_is_exact_for_huge_multiplicities():
+    # exp of the summed logs against the ring product of the powers c(s)^m,
+    # multiplicities up to 10^6.
+    rng = random.Random(18)
+    for _ in range(200):
+        e = rng.randint(0, 12)
+        sheaf = FormalSheaf.of(e, [
+            (rng.choice((line, omega))(rng.randint(-5, 5), rng.randint(-8, 8)),
+             rng.randint(1, 10 ** 6))
+            for _ in range(rng.randint(1, 4))
+        ])
+        want = chow.unit(e)
+        for s, m in sheaf.terms:
+            want = want * s.total_chern(e) ** m
+        assert sheaf.total_chern() == want
 
 
 # ---------------------------------------------------------------------------

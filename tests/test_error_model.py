@@ -77,6 +77,9 @@ def _raisers(bound: str):
     ("type(value) is int", ("errors.py", "_int")),
     ("summand is a Summand", ("cohomology.py", "FormalSheaf.__new__")),
     ("mult >= 0", ("cohomology.py", "FormalSheaf.__new__")),
+    ("terms are (Summand, mult) pairs", ("cohomology.py", "FormalSheaf.__new__")),
+    ("sheaves are FormalSheafs on X_e", ("beilinson.py", "Monad.__new__")),
+    ("extra is None or 3 ints", ("beilinson.py", "Monad.__new__")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
@@ -133,6 +136,11 @@ def _rejected_inputs():
          "negative multiplicity -2 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
         (lambda: coh.FormalSheaf._make([1, ((coh.omega(0, 0), True),)]),
          "expected an int, got True", "type(value) is int"),
+        (lambda: coh.FormalSheaf(1, 5),
+         "terms 5 are not (Summand, mult) pairs", "terms are (Summand, mult) pairs"),
+        (lambda: coh.FormalSheaf.of(1, [coh.line(0, 0)]),
+         "terms [Summand(kind='line', a=0, b=0)] are not (Summand, mult) pairs",
+         "terms are (Summand, mult) pairs"),
         (lambda: bl.collection(1.5, 1), "expected an int, got 1.5", "type(value) is int"),
         (lambda: bl.h1_values(1, 1, 2, True),
          "variant must be 1, 2 or 3, got True", "variant in (1, 2, 3)"),

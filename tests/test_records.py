@@ -87,6 +87,33 @@ def test_replace_and_make_run_the_checks():
         with pytest.raises(Inadmissible) as info:
             build()
         assert info.value.bound == bound
+    m, g = bl.monad_shape(1, 1, 2, 1), bl.monad_general(1, 2, 5, 1, 2, 1)
+    assert m._replace(alpha=5) == bl.Monad._make([*m[:1], 5, *m[2:]])
+    assert bl.Monad._make(g) == g and type(m._replace(beta=0)) is bl.Monad
+    on_x2 = coh.FormalSheaf.of(2, [(s, 1)])
+    for build, message, bound in (
+        (lambda: m._replace(A="x"), "A is not a FormalSheaf on X_1: 'x'",
+         "sheaves are FormalSheafs on X_e"),
+        (lambda: m._replace(B=on_x2), f"B is not a FormalSheaf on X_1: {on_x2!r}",
+         "sheaves are FormalSheafs on X_e"),
+        (lambda: g._replace(c_tail=()), "c_tail is not a FormalSheaf on X_1: ()",
+         "sheaves are FormalSheafs on X_e"),
+        (lambda: m._replace(e=2), f"A is not a FormalSheaf on X_2: {m.A!r}",
+         "sheaves are FormalSheafs on X_e"),
+        (lambda: m._replace(alpha=1.5), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.Monad._make([*m[:2], True, *m[3:]]),
+         "expected an int, got True", "type(value) is int"),
+        (lambda: m._replace(variant=True), "variant True is not one of (1, 2, 3, None)",
+         "variant in (1, 2, 3, None)"),
+        (lambda: g._replace(extra=[1, 2, 1]), "extra [1, 2, 1] is not three ints",
+         "extra is None or 3 ints"),
+        (lambda: g._replace(extra=(1, 2)), "extra (1, 2) is not three ints",
+         "extra is None or 3 ints"),
+        (lambda: g._replace(extra=(1, 2, "1")), "expected an int, got '1'", "type(value) is int"),
+    ):
+        with pytest.raises(Inadmissible) as info:
+            build()
+        assert (str(info.value), info.value.bound) == (message, bound)
 
 
 def _records():
