@@ -17,13 +17,13 @@ characteristic.  Three monad variants are produced (one per pair; the third
 needs alpha = 0 and is a pullback from the plane), plus the non-earnest
 monad in which the h^2 groups enter as free parameters.
 
-``_pair`` gives a variant's geometric and dual collections, and every
-layout comes from them: the five twists of a variant are E_4..E_0 of its
+``_pair`` gives a variant's geometric and dual collections, and the table
+frame comes from them: the five twists of a variant are E_4..E_0 of its
 geometric collection, their dual sheaves are F_4..F_0 of the partner, and
-the monad positions are the same in every variant.  The table, the h^1 values and
-both monad builders read that one layout.  The layout and the table frame
-(every cell but the five h^1 values) depend on (e, variant) alone, and each
-is built once per (e, variant) and cached.
+the monad positions are the same in every variant.  The frame holds every
+cell but the five h^1 values, and those five columns; it depends on
+(e, variant, gamma_zero) alone and is built once and cached.  The table, the
+h^1 values and both monad builders read their columns from it.
 """
 
 from functools import lru_cache
@@ -33,7 +33,7 @@ from . import chow, cohomology, instanton
 from .chow import ChowClass
 from .cohomology import FormalSheaf, Summand, les_chase, line, omega
 from .cohomology import _summand_chi, _summand_log_chern
-from .errors import Inadmissible, _decoder, _int, _keys, _one_of
+from .errors import Inadmissible, _decoder, _int, _keys, _one_of, _rebuild
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
 
@@ -184,19 +184,10 @@ def _h1_candidate(e: int, alpha: int, beta: int, s: Summand) -> int:
     return chi - 3 * chow.chi_instanton(e, alpha, beta, s.a, s.b - 1)
 
 
-class TableTwist(NamedTuple):
-    """One table column: its label, the twist of E, and the matching dual
-    sheaf with its position in the monad (-1 = A, 0 = B, +1 = C)."""
-
-    label: str
-    twist: Summand
-    dual: Summand
-    position: int
-
-
 # Twist i of variant v is E_(4-i) of the geometric collection of
 # DUAL_PAIRS[v], with dual F_(4-i) and monad position MONAD_POSITIONS[i];
-# only its label, a key of ``h1_values``, is written out.
+# only its label, a key of ``h1_values``, is written out.  ``_table_frame``
+# zips the four into the variant's columns.
 VARIANT_LABELS = {
     1: ("-xi", "-xi+f", "-(e+1)f", "-ef", "-(e-1)f"),
     2: ("omega(-xi+f)", "-xi", "-(e+1)f", "omega(-(e-1)f)", "-ef"),
@@ -209,18 +200,15 @@ MONAD_POSITIONS = (-1, 0, -1, 0, 1)
 H2_PARAMS = {2: "gamma", 3: "eta", 4: "delta"}
 
 
-@lru_cache(maxsize=64, typed=True)
-def _layout(e: int, variant: int) -> tuple:
-    """The variant's five ``TableTwist`` columns, keyed by (e, variant), at most 64 entries."""
-    ecoll, fcoll = _pair(e, variant)
-    columns = zip(VARIANT_LABELS[variant], ecoll[4::-1], fcoll[4::-1], MONAD_POSITIONS)
-    return tuple(TableTwist(*column) for column in columns)
+def _columns(e: int, variant: int) -> tuple:
+    """The variant's five (label, twist, dual, position) columns, from the cached frame."""
+    return _table_frame(e, variant, True)[5]
 
 
-def _candidates(e: int, alpha: int, beta: int, twists) -> dict:
+def _candidates(e: int, alpha: int, beta: int, columns) -> dict:
     """-chi at every twist, keyed by label in column order, for int alpha, beta; no gate."""
     _int(alpha), _int(beta)
-    return {tw.label: _h1_candidate(e, alpha, beta, tw.twist) for tw in twists}
+    return {label: _h1_candidate(e, alpha, beta, twist) for label, twist, _, _ in columns}
 
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
@@ -231,12 +219,12 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     candidate means no earnest instanton with these parameters exists, and
     is reported as ``Inadmissible`` carrying the violated bound.
     """
-    twists = _layout(e, variant)
+    columns = _columns(e, variant)
     if variant == 3 and alpha != 0:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
         )
-    values = _candidates(e, alpha, beta, twists)
+    values = _candidates(e, alpha, beta, columns)
     for label, cand in values.items():
         if cand < 0:
             raise Inadmissible(
@@ -322,11 +310,13 @@ def _rendered_labels(labels: tuple, ascii_only: bool) -> tuple:
 
 @lru_cache(maxsize=64, typed=True)
 def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
-    """(top, bottom, shifts, cells, slots) of a table, keyed by (e, variant, gamma_zero),
-    at most 64 entries: ``cells`` holds every cell but the five h^1 values,
-    which ``slots`` lists as (row, column, twist label)."""
+    """(top, bottom, shifts, cells, slots, columns) of a table, keyed by
+    (e, variant, gamma_zero), at most 64 entries: ``cells`` holds every cell
+    but the five h^1 values, which ``slots`` lists as (row, column, twist
+    label), and ``columns`` those five twists as (label, twist, dual, position)."""
     ecoll, fcoll = _pair(e, variant)
     top, bottom, shifts = fcoll[::-1], ecoll[::-1], GEOMETRIC_SHIFTS[::-1]
+    columns = tuple(zip(VARIANT_LABELS[variant], bottom[1:], top[1:], MONAD_POSITIONS))
     cells = [[STAR] * 6 for _ in range(6)]
     slots = []
     for c, s in enumerate(bottom):
@@ -351,7 +341,7 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
                 else:
                     tag = "gamma-hypothesis" if s.b == -(e + 1) else "gamma-chain"
             cells[r][c] = Cell("zero", tag=tag)
-    return top, bottom, shifts, tuple(map(tuple, cells)), tuple(slots)
+    return top, bottom, shifts, tuple(map(tuple, cells)), tuple(slots), columns
 
 
 def beilinson_table(
@@ -368,13 +358,13 @@ def beilinson_table(
     """
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
+    top, bottom, shifts, frame, slots, columns = _table_frame(e, variant, gamma_zero)
     if gamma_zero:
         values = h1_values(e, alpha, beta, variant)
     else:
-        values = _candidates(e, alpha, beta, _layout(e, variant))
+        values = _candidates(e, alpha, beta, columns)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
-    top, bottom, shifts, frame, slots = _table_frame(e, variant, gamma_zero)
     cells = [list(row) for row in frame]
     for r, c, label in slots:
         cells[r][c] = Cell("value", value=values[label])
@@ -402,13 +392,14 @@ class Monad(NamedTuple("Monad", [
     C -> C1 of sheaves, stored as the pair (C, C1); plain monads have
     ``c_tail`` None.  ``extra`` carries (gamma, delta, eta) when present.
     Every construction, ``_replace`` and ``_make`` included, checks each field:
-    int e, alpha, beta; variant in (1, 2, 3, None); sheaves on X_e; extra None
-    or three ints."""
+    int e >= 0, int alpha and beta; variant in (1, 2, 3, None); sheaves on
+    X_e; extra None or three ints."""
 
     __slots__ = ()
 
     def __new__(cls, e, alpha, beta, variant, A, B, C, c_tail=None, extra=None):
-        _int(e), _int(alpha), _int(beta)
+        instanton.require_scroll(e)
+        _int(alpha), _int(beta)
         _one_of(variant, (1, 2, 3, None), "variant")
         tail = () if c_tail is None else (("c_tail", c_tail),)
         for name, sheaf in (("A", A), ("B", B), ("C", C), *tail):
@@ -421,9 +412,7 @@ class Monad(NamedTuple("Monad", [
             _int(x)
         return tuple.__new__(cls, (e, alpha, beta, variant, A, B, C, c_tail, extra))
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
+    _make = classmethod(_rebuild)
 
     def render(self, ascii_only: bool = False) -> str:
         arrow = "->" if ascii_only else "→"
@@ -458,7 +447,6 @@ class Monad(NamedTuple("Monad", [
     @_decoder
     def from_dict(data: dict) -> "Monad":
         e = _keys(data, _MONAD_KEYS)["e"]
-        instanton.require_scroll(e)
         def sheaf(key):  # A, B and C are required, the tail C1 is not
             return FormalSheaf.from_dict({"e": e, "terms": data[key]})
         tail = sheaf("C1") if "C1" in data else None
@@ -467,15 +455,15 @@ class Monad(NamedTuple("Monad", [
                      sheaf("A"), sheaf("B"), sheaf("C"), tail, extra)
 
 
-def _monad_sheaves(e: int, twists, exponents: dict, params: dict) -> list:
+def _monad_sheaves(e: int, columns, exponents: dict, params: dict) -> list:
     """A, B, C and the tail C1: each twist's dual sheaf enters its own
     position with the twist's exponent, and a parameter at twist index i
     reenters one position later (position 2 is the tail)."""
     buckets = {-1: [], 0: [], 1: [], 2: []}
-    for tw in twists:
-        buckets[tw.position].append((tw.dual, exponents[tw.label]))
-    for i, val in params.items():
-        buckets[twists[i].position + 1].append((twists[i].dual, val))
+    for i, (label, _, dual, position) in enumerate(columns):
+        buckets[position].append((dual, exponents[label]))
+        if i in params:
+            buckets[position + 1].append((dual, params[i]))
     return [FormalSheaf.of(e, buckets[p]) for p in (-1, 0, 1, 2)]
 
 
@@ -483,7 +471,7 @@ def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     """The variant's monad, multiplicities taken from ``h1_values`` (the
     Riemann-Roch route), never from display strings."""
     values = h1_values(e, alpha, beta, variant)
-    A, B, C, _ = _monad_sheaves(e, _layout(e, variant), values, {})
+    A, B, C, _ = _monad_sheaves(e, _columns(e, variant), values, {})
     return Monad(e, alpha, beta, variant, A, B, C)
 
 
@@ -502,17 +490,16 @@ def monad_general(
     for name, val in (*given.items(), ("alpha", alpha)):
         if _int(val) < 0:
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
-    twists = _layout(e, 1)
+    columns = _columns(e, 1)
     params = {i: given[name] for i, name in H2_PARAMS.items()}
-    exponents = _candidates(e, alpha, beta, twists)
-    for i, tw in enumerate(twists):
-        exponents[tw.label] += params.get(i, 0)
-        if exponents[tw.label] < 0:
+    exponents = _candidates(e, alpha, beta, columns)
+    for i, label in enumerate(exponents):
+        exponents[label] += params.get(i, 0)
+        if exponents[label] < 0:
             raise Inadmissible(
-                f"exponent at twist {tw.label} is {exponents[tw.label]} < 0",
-                f"h1[{tw.label}] >= 0",
+                f"exponent at twist {label} is {exponents[label]} < 0", f"h1[{label}] >= 0"
             )
-    A, B, C, tail = _monad_sheaves(e, twists, exponents, params)
+    A, B, C, tail = _monad_sheaves(e, columns, exponents, params)
     return Monad(e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta))
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _keys
+from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _keys, _rebuild
 
 _BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
 # Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
@@ -35,21 +35,26 @@ _new = tuple.__new__
 _JSON_KEYS = ("1", "xi", "f", "xif", "ff", "pt")
 
 
-class ChowClass(NamedTuple):
+class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS_CODIM])):
     """A Chow class on X_e in normal form.
 
     Fields are the integer coefficients on the basis 1, xi, f, xi*f, f^2,
     xi*f^2 (the last named ``pt`` since xi*f^2 is the class of a point).
+    Every construction, ``_replace`` and ``_make`` included, checks that all
+    seven fields are ints; the operators build their results unchecked.
     Instances are immutable; all operations return fresh values.
     """
 
-    e: int
-    one: int = 0
-    xi: int = 0
-    f: int = 0
-    xif: int = 0
-    ff: int = 0
-    pt: int = 0
+    __slots__ = ()
+
+    def __new__(cls, e, one=0, xi=0, f=0, xif=0, ff=0, pt=0):  # hot: _int only raises
+        if not (type(e) is type(one) is type(xi) is type(f) is type(xif) is type(ff)
+                is type(pt) is int):
+            for x in (e, one, xi, f, xif, ff, pt):
+                _int(x)
+        return _new(cls, (e, one, xi, f, xif, ff, pt))
+
+    _make = classmethod(_rebuild)
 
     def _check(self, other: "ChowClass") -> None:
         if self.e != other.e:
@@ -170,7 +175,7 @@ class ChowClass(NamedTuple):
     @_decoder
     def from_dict(data: dict) -> "ChowClass":
         coeffs = _keys(_keys(data, ("e", "coeffs"))["coeffs"], _JSON_KEYS)
-        return ChowClass(_int(data["e"]), *(_int(coeffs.get(k, 0)) for k in _JSON_KEYS))
+        return ChowClass(data["e"], *(coeffs.get(k, 0) for k in _JSON_KEYS))
 
 
 def _nilpotent_powers(x: ChowClass) -> tuple:
@@ -261,13 +266,13 @@ class ChernData(NamedTuple("ChernData", [
 ])):
     """Rank and Chern classes (c1, c2, c3) of a sheaf on X_e.
 
-    Each c_i must be homogeneous of codimension i.
+    The rank must be an int >= 1, and each c_i homogeneous of codimension i.
     """
 
     __slots__ = ()
 
     def __init__(self, rank, c1, c2, c3):
-        if rank < 1:
+        if _int(rank) < 1:
             raise Inadmissible("rank must be positive", "rank >= 1")
         if not (c1.e == c2.e == c3.e):
             raise Inadmissible("Chern classes live on different scrolls", "same e")
@@ -278,9 +283,7 @@ class ChernData(NamedTuple("ChernData", [
                     f"c{i} homogeneous of codimension {i}",
                 )
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
+    _make = classmethod(_rebuild)
 
     @property
     def e(self) -> int:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 from . import chow
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, _decoder, _int, _keys
+from .errors import Inadmissible, _decoder, _int, _keys, _rebuild
 
 LINE = "line"
 OMEGA = "omega"
@@ -42,9 +42,7 @@ class Summand(NamedTuple("Summand", [("kind", str), ("a", int), ("b", int)])):
             _int(a), _int(b)  # raises for the first that is not
         return tuple.__new__(cls, (kind, a, b))
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
+    _make = classmethod(_rebuild)
 
     def rank(self) -> int:
         return 1 if self.kind == LINE else 2
@@ -142,9 +140,7 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
                                "terms are (Summand, mult) pairs") from exc
         return tuple.__new__(cls, (e, tuple(sorted(merged.items()))))
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
+    _make = classmethod(_rebuild)
 
     @staticmethod
     def of(e, terms) -> "FormalSheaf":
@@ -327,10 +323,6 @@ def h_vector(e: int, s: Summand) -> CohVector:
 
 def chi_line(e: int, a: int, b: int) -> int:
     return h_vector(e, line(a, b)).chi
-
-
-def chi_omega_twist(e: int, a: int, b: int) -> int:
-    return h_vector(e, omega(a, b)).chi
 
 
 def serre_dual_twist(i: int, a: int, b: int) -> tuple:

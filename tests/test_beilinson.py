@@ -623,7 +623,6 @@ def test_monad_render():
 # Per-scroll caches
 
 CACHES = (
-    bl._layout,
     bl._table_frame,
     bl._rendered_labels,
     coh._summand_log_chern,

@@ -23,6 +23,7 @@ from scrollcalc.errors import Inadmissible
 SRC = Path(__file__).resolve().parent.parent / "src" / "scrollcalc"
 
 RAISED = {"Inadmissible", "NonIntegralValue"}
+RECORDS = ("ChowClass", "ChernData", "Summand", "FormalSheaf", "Monad", "InstantonParams")
 DEFINED = {"ScrollcalcError", "Inadmissible", "NonIntegralValue"}
 
 
@@ -80,12 +81,46 @@ def _raisers(bound: str):
     ("terms are (Summand, mult) pairs", ("cohomology.py", "FormalSheaf.__new__")),
     ("sheaves are FormalSheafs on X_e", ("beilinson.py", "Monad.__new__")),
     ("extra is None or 3 ints", ("beilinson.py", "Monad.__new__")),
+    ("e >= 0", ("instanton.py", "require_scroll")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
     # where the sheaf is built, and an int field only through ``_int``; no
     # function re-checks a record it takes.
     assert _raisers(bound) == {owner}
+
+
+def _nodes(kind):
+    """Every ``kind`` node (``ast.ClassDef``, …) of the package's source."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, kind):
+                yield node
+
+
+def test_checking_records_share_one_make():
+    # Each record that checks its fields builds through its constructor on
+    # every path: ``_make`` (and so ``_replace``) is the one ``_rebuild``.
+    makes = {
+        cls.name: ast.unparse(stmt.value)
+        for cls in _nodes(ast.ClassDef) for stmt in cls.body
+        if isinstance(stmt, ast.Assign) and "_make" in [ast.unparse(t) for t in stmt.targets]
+    }
+    assert makes == dict.fromkeys(RECORDS, "classmethod(_rebuild)")
+    defined = [node.name for node in _nodes(ast.FunctionDef)]
+    assert "_make" not in defined and defined.count("_rebuild") == 1
+
+
+def test_record_decoders_leave_the_field_checks_to_the_record():
+    decoders = [
+        (cls.name, stmt) for cls in _nodes(ast.ClassDef) if cls.name in RECORDS
+        for stmt in cls.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "from_dict"
+    ]
+    assert sorted(name for name, _ in decoders) == ["ChowClass", "FormalSheaf", "Monad"]
+    for name, decoder in decoders:
+        called = {ast.unparse(node.func) for node in ast.walk(decoder)
+                  if isinstance(node, ast.Call)}
+        assert not called & {"_int", "_one_of", "instanton.require_scroll"}, name
 
 
 def test_errors_module_defines_exactly_three_classes():
@@ -99,6 +134,7 @@ def _rejected_inputs():
     library modules that has no test of its own bound elsewhere."""
     z, data = chow.zero(1), chow.instanton_chern(1, 2, 3)
     good = coh.FormalSheaf.of(1, [(coh.line(0, 0), 1)])
+    on_xm1 = coh.FormalSheaf.of(-1, [(coh.line(0, 0), 2)])
     return [
         (lambda: chow.xi_class(1) * chow.xi_class(2),
          "cannot combine classes on X_1 and X_2", "same e"),
@@ -107,6 +143,11 @@ def _rejected_inputs():
         (lambda: ChowClass(1, one=2).inverse(),
          "only classes with constant term 1 are invertible", "one == 1"),
         (lambda: ChernData(0, z, z, z), "rank must be positive", "rank >= 1"),
+        (lambda: ChernData(2.0, z, z, z), "expected an int, got 2.0", "type(value) is int"),
+        (lambda: ChowClass(1, xi=2.5), "expected an int, got 2.5", "type(value) is int"),
+        (lambda: ChowClass(1, xi=True), "expected an int, got True", "type(value) is int"),
+        (lambda: bl.Monad(-1, 0, 0, None, on_xm1, on_xm1, on_xm1),
+         "the scroll parameter e must be non-negative", "e >= 0"),
         (lambda: ChernData(2, chow.zero(2), z, z),
          "Chern classes live on different scrolls", "same e"),
         (lambda: ChernData(2, z, ChowClass(1, xi=1), z),
@@ -204,13 +245,16 @@ _FIELD_VALUES = st.one_of(
 )
 
 # Each entry point with valid arguments; every argument is a fuzzed field.
+_GENERAL = bl.monad_general(1, 2, 5, 1, 2, 1)
 _ENTRY_POINTS = {
+    "ChowClass": (ChowClass, (1, 1, 2, -3, 0, 4, 5)),
     "Summand": (coh.Summand, ("omega", 1, -2)),
     "FormalSheaf.of": (lambda e, m: coh.FormalSheaf.of(e, [(coh.line(0, 1), m)]), (1, 2)),
     "InstantonParams": (inst.InstantonParams, (1, 2, 0)),
     "collection": (bl.collection, (1, 2)),
     "h1_values": (bl.h1_values, (1, 1, 2, 1)),
     "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
+    "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (1, 2, 5)),
 }
 
 

@@ -61,6 +61,14 @@ def test_replace_and_make_run_the_checks():
         with pytest.raises(Inadmissible) as info:
             build()
         assert info.value.bound == "e >= 0"
+    x = ChowClass(1, one=1, xi=2)
+    assert x._replace(f=3) == ChowClass._make([1, 1, 2, 3, 0, 0, 0]) == ChowClass(1, 1, 2, 3)
+    assert type(x._replace(f=3)) is ChowClass
+    for build in (lambda: x._replace(xi=2.5), lambda: x._replace(e="1"),
+                  lambda: ChowClass._make([1, 0, 0, 0, 0, 0, True])):
+        with pytest.raises(Inadmissible) as info:
+            build()
+        assert info.value.bound == "type(value) is int"
     s = coh.omega(1, -2)
     assert s._replace(kind="line", a=3) == coh.Summand._make(["line", 3, -2]) == coh.line(3, -2)
     assert type(s._replace(b=0)) is coh.Summand
@@ -101,6 +109,7 @@ def test_replace_and_make_run_the_checks():
         (lambda: m._replace(e=2), f"A is not a FormalSheaf on X_2: {m.A!r}",
          "sheaves are FormalSheafs on X_e"),
         (lambda: m._replace(alpha=1.5), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: m._replace(e=-1), "the scroll parameter e must be non-negative", "e >= 0"),
         (lambda: bl.Monad._make([*m[:2], True, *m[3:]]),
          "expected an int, got True", "type(value) is int"),
         (lambda: m._replace(variant=True), "variant True is not one of (1, 2, 3, None)",
