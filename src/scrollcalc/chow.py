@@ -41,7 +41,8 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
     Fields are the integer coefficients on the basis 1, xi, f, xi*f, f^2,
     xi*f^2 (the last named ``pt`` since xi*f^2 is the class of a point).
     Every construction, ``_replace`` and ``_make`` included, checks that all
-    seven fields are ints; the operators build their results unchecked.
+    seven fields are ints.  The operators test each operand's type once
+    (``_check`` and ``_int`` only raise) and build their results unchecked.
     Instances are immutable; all operations return fresh values.
     """
 
@@ -56,12 +57,16 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
 
     _make = classmethod(_rebuild)
 
-    def _check(self, other: "ChowClass") -> None:
+    def _check(self, other) -> None:
+        if type(other) is not ChowClass:
+            raise Inadmissible(f"cannot combine a ChowClass with {other!r}", "other is a ChowClass")
         if self.e != other.e:
             raise Inadmissible(f"cannot combine classes on X_{self.e} and X_{other.e}", "same e")
 
     # The operators are hot: they unpack tuples and build with tuple.__new__.
     def __add__(self, other):
+        if type(other) is not ChowClass:
+            self._check(other)
         e, a0, a1, a2, a3, a4, a5 = self
         e2, b0, b1, b2, b3, b4, b5 = other
         if e != e2:
@@ -69,19 +74,28 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
         return _new(ChowClass, (e, a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5))
 
     def __sub__(self, other):
+        if type(other) is not ChowClass:
+            self._check(other)
         e, a0, a1, a2, a3, a4, a5 = self
         e2, b0, b1, b2, b3, b4, b5 = other
         if e != e2:
             self._check(other)
         return _new(ChowClass, (e, a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
 
+    def __radd__(self, other):
+        """``other + self``, called only for an ``other`` that is not a
+        ``ChowClass`` (a plain tuple would concatenate): refused."""
+        self._check(other)
+
+    __rsub__ = __radd__
+
     def __neg__(self):
         e, a0, a1, a2, a3, a4, a5 = self
         return _new(ChowClass, (e, -a0, -a1, -a2, -a3, -a4, -a5))
 
     def __mul__(self, other):
-        if not isinstance(other, ChowClass):
-            return self.scale(other) if isinstance(other, int) else NotImplemented
+        if type(other) is not ChowClass:
+            return self.scale(other)
         e, a0, a1, a2, a3, a4, a5 = self
         e2, b0, b1, b2, b3, b4, b5 = other
         if e != e2:
@@ -102,6 +116,8 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
 
     def pairing(self, other: "ChowClass") -> int:
         """deg(self * other), from the complementary coefficients alone."""
+        if type(other) is not ChowClass:
+            self._check(other)
         e, a0, a1, a2, a3, a4, a5 = self
         e2, b0, b1, b2, b3, b4, b5 = other
         if e != e2:
@@ -111,14 +127,18 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
             + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2
         )
 
-    def __rmul__(self, other):
-        return self.scale(other) if isinstance(other, int) else NotImplemented
-
     def scale(self, n: int) -> "ChowClass":
+        """n times the class, for an int n (a bool or float raises)."""
+        if type(n) is not int:
+            _int(n)
         e, a0, a1, a2, a3, a4, a5 = self
         return _new(ChowClass, (e, n * a0, n * a1, n * a2, n * a3, n * a4, n * a5))
 
+    __rmul__ = scale
+
     def __pow__(self, n: int):
+        if type(n) is not int:
+            _int(n)
         if n < 0:
             raise Inadmissible("negative powers are not defined in the Chow ring", "n >= 0")
         return _power(self.one, _nilpotent_powers(self), n)
@@ -266,22 +286,35 @@ class ChernData(NamedTuple("ChernData", [
 ])):
     """Rank and Chern classes (c1, c2, c3) of a sheaf on X_e.
 
-    The rank must be an int >= 1, and each c_i homogeneous of codimension i.
+    The rank must be an int >= 1, each c_i a ``ChowClass`` homogeneous of
+    codimension i, all three on one scroll.  Every construction, ``_replace``
+    and ``_make`` included, checks this; the derived builder ``twist_chern``
+    builds its result unchecked from a checked ``ChernData`` and a checked
+    divisor, as the ring operators do.
     """
 
     __slots__ = ()
 
-    def __init__(self, rank, c1, c2, c3):
-        if _int(rank) < 1:
+    def __init__(self, rank, c1, c2, c3):  # one pass: _int and Inadmissible only raise
+        if type(rank) is not int:
+            _int(rank)
+        if rank < 1:
             raise Inadmissible("rank must be positive", "rank >= 1")
-        if not (c1.e == c2.e == c3.e):
+        if not (type(c1) is type(c2) is type(c3) is ChowClass):
+            for i, c in ((1, c1), (2, c2), (3, c3)):
+                if type(c) is not ChowClass:
+                    raise Inadmissible(f"c{i} {c!r} is not a ChowClass", f"c{i} is a ChowClass")
+        e1, o1, _, _, q1, r1, p1 = c1
+        e2, o2, x2, f2, _, _, p2 = c2
+        e3, o3, x3, f3, q3, r3, _ = c3
+        if not e1 == e2 == e3:
             raise Inadmissible("Chern classes live on different scrolls", "same e")
-        for i, c in ((1, c1), (2, c2), (3, c3)):
-            if any(_OTHER_COEFFS[i](c)):  # not c.is_homogeneous(i), inlined
-                raise Inadmissible(
-                    f"c{i} is not homogeneous of codimension {i}",
-                    f"c{i} homogeneous of codimension {i}",
-                )
+        if o1 or q1 or r1 or p1 or o2 or x2 or f2 or p2 or o3 or x3 or f3 or q3 or r3:
+            i = next(i for i, c in ((1, c1), (2, c2), (3, c3)) if not c.is_homogeneous(i))
+            raise Inadmissible(
+                f"c{i} is not homogeneous of codimension {i}",
+                f"c{i} homogeneous of codimension {i}",
+            )
 
     _make = classmethod(_rebuild)
 
@@ -297,11 +330,22 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     D = c1(L): c1 + 2D, c2 + D (c1 + D), and c3 unchanged.  The terms
     c1 + 2D and D (c1 + D) depend on (c1, D) alone and come from a small
     per-twist cache (``_twist_terms``), which also checks the divisor.
+
+    ``data`` must be a ``ChernData`` of rank 2 and ``div`` a ``ChowClass``.
+    The result is built unchecked, like a ring operator's: ``data`` was
+    checked when it was built, ``_twist_terms`` checks that D is a
+    codimension-1 class on the same scroll, and a product of two
+    codimension-1 classes has codimension 2.
     """
-    if data.rank != 2:
+    if type(data) is not ChernData:
+        raise Inadmissible(f"twist_chern takes a ChernData, got {data!r}", "data is a ChernData")
+    if type(div) is not ChowClass:  # before the cache, which an equal plain tuple would hit
+        raise Inadmissible(f"twisting divisor {div!r} is not a ChowClass", "div is a ChowClass")
+    rank, c1, c2, c3 = data
+    if rank != 2:
         raise Inadmissible("twist_chern is the rank-2 specialization", "rank == 2")
-    c1, dc2 = _twist_terms(data.c1, div)
-    return ChernData(2, c1, data.c2 + dc2, data.c3)
+    c1, dc2 = _twist_terms(c1, div)
+    return _new(ChernData, (2, c1, c2 + dc2, c3))
 
 
 @lru_cache(maxsize=256)

@@ -26,6 +26,8 @@ DEFAULT_SEED = 20240613
 E_MAX = 5
 AB_MAX = 10
 PARAM_MAX = 8
+# The (alpha, beta) points at which chow-riemann-roch-cross evaluates chi_rr.
+RR_PROBES = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (8, 8))
 
 
 class SuiteResult:
@@ -107,9 +109,8 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     corner), then sweep the closed form over the whole parameter box.
     """
     r = SuiteResult("chow-riemann-roch-cross")
-    probes = [(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (8, 8)]
     for e in range(E_MAX + 1):
-        probe_data = [(p, chow.instanton_chern(e, *p)) for p in probes]
+        probe_data = [(p, chow.instanton_chern(e, *p)) for p in RR_PROBES]
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 d = chow.divisor(e, a, b)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scrollcalc import chow
+from scrollcalc import chow, verification
 from scrollcalc.chow import ChernData, ChowClass
 from scrollcalc.errors import Inadmissible, NonIntegralValue
 
@@ -315,6 +315,17 @@ def test_twist_general_rank_reduces_to_rank2():
     assert got.c3 == data.c3
 
 
+def _checked_twist(data, d):
+    """The Chern data of E(D) built through the checking constructor."""
+    _, c1, c2, c3 = data
+    return ChernData(2, c1 + d + d, c2 + d * (c1 + d), c3)
+
+
+def _assert_same_record(got, want):
+    assert [type(got)] + [type(x) for x in got] == [ChernData, int, ChowClass, ChowClass, ChowClass]
+    assert got == want
+
+
 def _binom(n, k):
     """C(n, k) for any integer n (n may be negative) and k >= 0."""
     return prod(range(n - k + 1, n + 1)) // prod(range(1, k + 1))
@@ -335,7 +346,8 @@ def twist_cases(draw):
 @given(twist_cases())
 @settings(max_examples=200)
 def test_twist_matches_full_binomial_sum(case):
-    # c_k(E(D)) = sum_i C(r-i, k-i) c_i D^(k-i), with every term kept.
+    # c_k(E(D)) = sum_i C(r-i, k-i) c_i D^(k-i), with every term kept; the
+    # unchecked result also equals the checked build.
     data, d = case
     e, r = data.e, data.rank
     chern = (chow.unit(e), data.c1, data.c2, data.c3)
@@ -351,6 +363,20 @@ def test_twist_matches_full_binomial_sum(case):
         ]
         want = poly_lin(e, *terms)
         assert have == want, (r, k)
+    _assert_same_record(got, _checked_twist(data, d))
+
+
+def test_twist_chern_equals_the_checked_build_on_the_rr_grid():
+    # Every twist the chow-riemann-roch-cross suite makes: e <= 5,
+    # |a|, |b| <= 10, at each of its seven (alpha, beta) probes.
+    ab = range(-verification.AB_MAX, verification.AB_MAX + 1)
+    for e in range(verification.E_MAX + 1):
+        probes = [chow.instanton_chern(e, *p) for p in verification.RR_PROBES]
+        for a in ab:
+            for b in ab:
+                d = chow.divisor(e, a, b)
+                for data in probes:
+                    _assert_same_record(chow.twist_chern(data, d), _checked_twist(data, d))
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +473,38 @@ def test_chi_instanton_integrality_guard():
 def test_chi_rr_rejects_other_ranks():
     with pytest.raises(ValueError):
         chow.chi_rr(ChernData(3, chow.zero(1), chow.zero(1), chow.zero(1)))
+
+
+# One wrong value at one point of the grid fails the cross-check suite.
+_TWIST = (2, 3, -4)  # (e, a, b), inside e <= 5, |a|, |b| <= 10
+
+
+def test_rr_cross_suite_catches_one_wrong_closed_form_value(monkeypatch):
+    closed = chow.chi_instanton
+    wrong = (_TWIST[0], 5, 7, *_TWIST[1:])  # (alpha, beta) = (5, 7), inside 0..8
+
+    def off_by_one(*args):
+        return closed(*args) + (args == wrong)
+
+    monkeypatch.setattr(chow, "chi_instanton", off_by_one)
+    result = verification.chow_riemann_roch_cross(verification.DEFAULT_SEED)
+    assert result.failures == [f"chi mismatch somewhere at (e,a,b)={_TWIST}"]
+
+
+def test_rr_cross_suite_catches_one_wrong_twist(monkeypatch):
+    twist = chow.twist_chern
+    e, a, b = _TWIST
+    wrong = (chow.instanton_chern(e, 1, 1), chow.divisor(e, a, b))
+
+    def off_at_one_probe(data, div):
+        got = twist(data, div)
+        if (data, div) == wrong:  # chi_rr reads 6 c3 / 12: pt + 2 is chi + 1
+            return got._replace(c3=got.c3 + ChowClass(e, pt=2))
+        return got
+
+    monkeypatch.setattr(chow, "twist_chern", off_at_one_probe)
+    result = verification.chow_riemann_roch_cross(verification.DEFAULT_SEED)
+    assert result.failures == [f"chi_rr not affine in (alpha,beta) at {_TWIST}"]
 
 
 def _chi_instanton_expanded(e, alpha, beta, a, b):

@@ -7,6 +7,7 @@ report, never raised.  ``ScrollcalcError`` is only their base class.
 
 import ast
 import json
+import operator
 from pathlib import Path
 
 import pytest
@@ -52,9 +53,9 @@ def test_only_the_two_error_classes_are_raised():
     assert other_raises() == []
 
 
-def _raisers(bound: str):
-    """``(file, qualified scope)`` of every raise in the package whose
-    ``Inadmissible`` names ``bound`` as a literal."""
+def _scopes(match):
+    """``(file, qualified scope)`` of every node of the package's source for
+    which ``match(node)`` holds."""
     found = set()
 
     def visit(node, scope, path):
@@ -62,15 +63,30 @@ def _raisers(bound: str):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, scope + (child.name,), path)
                 continue
-            if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call):
-                if any(isinstance(arg, ast.Constant) and arg.value == bound
-                       for arg in child.exc.args):
-                    found.add((path.name, ".".join(scope)))
+            if match(child):
+                found.add((path.name, ".".join(scope)))
             visit(child, scope, path)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), (), path)
     return found
+
+
+def _template(node):
+    """A string literal's value, or an f-string's with each field as ``{expr}``."""
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value if isinstance(v, ast.Constant) else f"{{{ast.unparse(v.value)}}}"
+                       for v in node.values)
+    return None
+
+
+def _raisers(bound: str):
+    """Scopes of every raise in the package whose ``Inadmissible`` names
+    ``bound`` as a literal (an f-string bound as its template)."""
+    return _scopes(lambda node: isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                   and any(_template(arg) == bound for arg in node.exc.args))
 
 
 @pytest.mark.parametrize("bound, owner", [
@@ -82,12 +98,26 @@ def _raisers(bound: str):
     ("sheaves are FormalSheafs on X_e", ("beilinson.py", "Monad.__new__")),
     ("extra is None or 3 ints", ("beilinson.py", "Monad.__new__")),
     ("e >= 0", ("instanton.py", "require_scroll")),
+    ("c{i} is a ChowClass", ("chow.py", "ChernData.__init__")),
+    ("c{i} homogeneous of codimension {i}", ("chow.py", "ChernData.__init__")),
+    ("data is a ChernData", ("chow.py", "twist_chern")),
+    ("div is a ChowClass", ("chow.py", "twist_chern")),
+    ("other is a ChowClass", ("chow.py", "ChowClass._check")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
     # where the sheaf is built, and an int field only through ``_int``; no
     # function re-checks a record it takes.
     assert _raisers(bound) == {owner}
+
+
+def test_unchecked_chern_data_is_built_only_by_derived_builders():
+    # ``twist_chern`` builds from checked operands, like the ring operators;
+    # every other ``ChernData`` goes through the checking constructor.
+    unchecked = _scopes(lambda node: isinstance(node, ast.Call) and node.args
+                        and ast.unparse(node.func) in ("_new", "tuple.__new__")
+                        and ast.unparse(node.args[0]) == "ChernData")
+    assert unchecked == {("chow.py", "twist_chern")}
 
 
 def _nodes(kind):
@@ -148,6 +178,27 @@ def _rejected_inputs():
         (lambda: ChowClass(1, xi=True), "expected an int, got True", "type(value) is int"),
         (lambda: bl.Monad(-1, 0, 0, None, on_xm1, on_xm1, on_xm1),
          "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: ChernData(2, 5, z, z), "c1 5 is not a ChowClass", "c1 is a ChowClass"),
+        (lambda: ChernData(2, z, tuple(z), z),
+         "c2 (1, 0, 0, 0, 0, 0, 0) is not a ChowClass", "c2 is a ChowClass"),
+        (lambda: ChernData(2, z, z, None), "c3 None is not a ChowClass", "c3 is a ChowClass"),
+        (lambda: chow.twist_chern(data, (1, 0, 1, 0, 0, 0, 0)),
+         "twisting divisor (1, 0, 1, 0, 0, 0, 0) is not a ChowClass", "div is a ChowClass"),
+        (lambda: chow.twist_chern(tuple(data), chow.divisor(1, 1, 0)),
+         f"twist_chern takes a ChernData, got {tuple(data)!r}", "data is a ChernData"),
+        (lambda: chow.hyperplane(1) ** 1.5, "expected an int, got 1.5", "type(value) is int"),
+        (lambda: chow.hyperplane(1) ** True, "expected an int, got True", "type(value) is int"),
+        (lambda: chow.hyperplane(1).scale(0.5), "expected an int, got 0.5", "type(value) is int"),
+        (lambda: chow.hyperplane(1) * True, "expected an int, got True", "type(value) is int"),
+        (lambda: 1.5 * chow.hyperplane(1), "expected an int, got 1.5", "type(value) is int"),
+        *((lambda op=op: op(z, (1, 0, 1, 0, 0, 0, 0)),
+           "cannot combine a ChowClass with (1, 0, 1, 0, 0, 0, 0)", "other is a ChowClass")
+          for op in (operator.add, operator.sub, ChowClass.pairing)),
+        *((lambda op=op: op((1, 0, 1, 0, 0, 0, 0), z),
+           "cannot combine a ChowClass with (1, 0, 1, 0, 0, 0, 0)", "other is a ChowClass")
+          for op in (operator.add, operator.sub)),
+        (lambda: z + 1, "cannot combine a ChowClass with 1", "other is a ChowClass"),
+        (lambda: sum([z, z]), "cannot combine a ChowClass with 0", "other is a ChowClass"),
         (lambda: ChernData(2, chow.zero(2), z, z),
          "Chern classes live on different scrolls", "same e"),
         (lambda: ChernData(2, z, ChowClass(1, xi=1), z),
@@ -255,6 +306,12 @@ _ENTRY_POINTS = {
     "h1_values": (bl.h1_values, (1, 1, 2, 1)),
     "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
     "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (1, 2, 5)),
+    "ChernData": (ChernData, tuple(chow.instanton_chern(1, 2, 3))),
+    "twist_chern": (chow.twist_chern, (chow.instanton_chern(1, 2, 3), chow.divisor(1, 1, -2))),
+    "ChowClass.__add__": (chow.hyperplane(1).__add__, (chow.xi_class(1),)),
+    "ChowClass.pairing": (chow.hyperplane(1).pairing, (chow.xi_class(1),)),
+    "ChowClass.scale": (chow.hyperplane(1).scale, (3,)),
+    "ChowClass.__pow__": (chow.hyperplane(1).__pow__, (3,)),  # constant term 0: any n is cheap
 }
 
 
