@@ -30,6 +30,12 @@ _OTHER_COEFFS = {
     k: itemgetter(*(i for i, c in _CODIM_AT.items() if c != k)) for k in range(4)
 }
 _new = tuple.__new__
+# Largest exponent ``ChowClass.__pow__`` takes when the constant term c is
+# not 0 or ±1: c**n has about n*log2|c| bits, so its cost grows without bound
+# in n.  Otherwise every coefficient is a polynomial of degree <= 3 in n, and
+# any n is cheap.  The package itself raises classes only to the powers 2 and
+# 3, and total Chern classes (c = 1) to a multiplicity.
+POWER_MAX = 1000
 
 # JSON keys follow the serialized schema: {"1", "xi", "f", "xif", "ff", "pt"}.
 _JSON_KEYS = ("1", "xi", "f", "xif", "ff", "pt")
@@ -137,10 +143,18 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
     __rmul__ = scale
 
     def __pow__(self, n: int):
+        """The n-th power, for an int n >= 0; n <= ``POWER_MAX`` unless the
+        constant term is 0 or ±1."""
         if type(n) is not int:
             _int(n)
         if n < 0:
             raise Inadmissible("negative powers are not defined in the Chow ring", "n >= 0")
+        if n > POWER_MAX and not -1 <= self.one <= 1:
+            raise Inadmissible(
+                f"powers above {POWER_MAX} of a class with constant term {self.one}"
+                " are not computed",
+                f"n <= {POWER_MAX} or |one| <= 1",
+            )
         return _power(self.one, _nilpotent_powers(self), n)
 
     def homogeneous_part(self, codim: int) -> "ChowClass":
@@ -323,6 +337,15 @@ class ChernData(NamedTuple("ChernData", [
         return self.c1.e
 
 
+def _require_chern(name: str, data) -> ChernData:
+    """``data`` if its type is exactly ``ChernData``; else the refusal names
+    the function ``name``.  ``twist_chern`` and ``chi_rr`` test the type
+    themselves and call this only to raise."""
+    if type(data) is not ChernData:
+        raise Inadmissible(f"{name} takes a ChernData, got {data!r}", "data is a ChernData")
+    return data
+
+
 def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     """Chern data of the rank-2 bundle E tensored with the line bundle O(div).
 
@@ -338,7 +361,7 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     codimension-1 classes has codimension 2.
     """
     if type(data) is not ChernData:
-        raise Inadmissible(f"twist_chern takes a ChernData, got {data!r}", "data is a ChernData")
+        _require_chern("twist_chern", data)
     if type(div) is not ChowClass:  # before the cache, which an equal plain tuple would hit
         raise Inadmissible(f"twisting divisor {div!r} is not a ChowClass", "div is a ChowClass")
     rank, c1, c2, c3 = data
@@ -394,7 +417,11 @@ def chi_rr(data: ChernData) -> int:
     from a per-e cache (``_rr_constants``); c2 and c3 enter through one
     pairing and one coefficient per call.  The result must be an integer
     for integral Chern data; a fractional value raises ``NonIntegralValue``.
+
+    ``data`` must be a ``ChernData`` of rank 2.
     """
+    if type(data) is not ChernData:
+        _require_chern("chi_rr", data)
     if data.rank != 2:
         raise Inadmissible("chi_rr is the rank-2 specialization", "rank == 2")
     cubic, c1_minus_k = _rr_c1_terms(data.c1)

@@ -8,6 +8,11 @@ recorded tension between two encoded sources of truth (currently: points
 where the existence decision and a monad admissibility gate disagree);
 findings are printed but do not fail the run.
 
+A suite counts each case through ``SuiteResult.check(condition, message,
+*args)``.  The message is a ``str.format`` template and ``args`` its values;
+the text ``message.format(*args)`` is built only when the case fails, so a
+passing case formats nothing.
+
 Everything is deterministic: randomized sweeps draw from ``random.Random``
 with an explicit seed that is echoed in the report.
 """
@@ -31,6 +36,14 @@ RR_PROBES = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (8, 8))
 
 
 class SuiteResult:
+    """One suite's report: its name, the number of cases, the failure texts
+    and the findings.
+
+    Every ``check`` counts one case.  Its message is formatted, and appended
+    to ``failures``, only when the case fails; the template and its values
+    are not kept, so the report holds exactly these four fields.
+    """
+
     def __init__(self, name: str):
         self.name, self.cases, self.failures, self.findings = name, 0, [], []
 
@@ -38,10 +51,11 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, message: str) -> None:
+    def check(self, condition: bool, message: str, *args) -> None:
+        """Count one case; if ``condition`` is false, record ``message.format(*args)``."""
         self.cases += 1
         if not condition:
-            self.failures.append(message)
+            self.failures.append(message.format(*args))
 
 
 def _random_class(rng: random.Random, e: int) -> ChowClass:
@@ -54,9 +68,9 @@ def chow_ring_axioms(seed: int) -> SuiteResult:
     for e in range(9):
         for _ in range(40):
             x, y, z = (_random_class(rng, e) for _ in range(3))
-            r.check(x * y == y * x, f"commutativity at e={e}")
-            r.check((x * y) * z == x * (y * z), f"associativity at e={e}")
-            r.check(x * (y + z) == x * y + x * z, f"distributivity at e={e}")
+            r.check(x * y == y * x, "commutativity at e={}", e)
+            r.check((x * y) * z == x * (y * z), "associativity at e={}", e)
+            r.check(x * (y + z) == x * y + x * z, "distributivity at e={}", e)
     return r
 
 
@@ -65,20 +79,20 @@ def chow_degree_identities(_seed: int) -> SuiteResult:
     for e in range(9):
         h = chow.hyperplane(e)
         xi, f = chow.xi_class(e), chow.f_class(e)
-        r.check((h * f * f).degree() == 1, f"deg((xi+f)f^2) at e={e}")
-        r.check((h ** 3).degree() == e * e + 3 * e + 3, f"deg(H^3) at e={e}")
-        r.check((xi ** 3).degree() == e * e, f"deg(xi^3) at e={e}")
-        r.check((xi * xi * f).degree() == e, f"deg(xi^2 f) at e={e}")
+        r.check((h * f * f).degree() == 1, "deg((xi+f)f^2) at e={}", e)
+        r.check((h ** 3).degree() == e * e + 3 * e + 3, "deg(H^3) at e={}", e)
+        r.check((xi ** 3).degree() == e * e, "deg(xi^3) at e={}", e)
+        r.check((xi * xi * f).degree() == e, "deg(xi^2 f) at e={}", e)
         r.check(
             ((-chow.canonical_class(e)) * chow.c2_cotangent(e)).degree() == 24,
-            f"deg(-K c2(Omega)) at e={e}",
+            "deg(-K c2(Omega)) at e={}", e,
         )
         r.check(
             chow.canonical_class(e) + 2 * h == chow.divisor(e, 0, e - 1),
-            f"K + 2H = (e-1)f at e={e}",
+            "K + 2H = (e-1)f at e={}", e,
         )
         r.check(
-            chow.exceptional_divisor(e) == xi - e * f, f"contracted divisor at e={e}"
+            chow.exceptional_divisor(e) == xi - e * f, "contracted divisor at e={}", e
         )
     return r
 
@@ -89,13 +103,13 @@ def chow_slope_oracle(_seed: int) -> SuiteResult:
         h2 = chow.hyperplane(e) ** 2
         r.check(
             2 * chow.slope_mu_H(e) == (chow.divisor(e, 0, e - 1) * h2).degree(),
-            f"2 mu_H at e={e}",
+            "2 mu_H at e={}", e,
         )
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 r.check(
                     chow.delta_H(e, a, b) == (chow.divisor(e, a, b) * h2).degree(),
-                    f"delta_H({e},{a},{b})",
+                    "delta_H({},{},{})", e, a, b,
                 )
     return r
 
@@ -109,28 +123,33 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     corner), then sweep the closed form over the whole parameter box.
     """
     r = SuiteResult("chow-riemann-roch-cross")
+    # Bound per call, not per module: a patched or traced chow function is
+    # the one called.
+    chi_instanton, chi_rr, twist_chern = chow.chi_instanton, chow.chi_rr, chow.twist_chern
+    box = [(al, be) for al in range(PARAM_MAX + 1) for be in range(PARAM_MAX + 1)]
     for e in range(E_MAX + 1):
-        probe_data = [(p, chow.instanton_chern(e, *p)) for p in RR_PROBES]
+        probe_data = [chow.instanton_chern(e, *p) for p in RR_PROBES]
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 d = chow.divisor(e, a, b)
-                vals = {p: chow.chi_rr(chow.twist_chern(data, d)) for p, data in probe_data}
-                c0 = vals[(0, 0)]
-                da = vals[(1, 0)] - c0
-                db = vals[(0, 1)] - c0
+                # in RR_PROBES order: (0,0), (1,0), (0,1), (2,0), (0,2), (1,1), (8,8)
+                c0, v10, v01, v20, v02, v11, v88 = [
+                    chi_rr(twist_chern(data, d)) for data in probe_data
+                ]
+                da = v10 - c0
+                db = v01 - c0
                 affine = (
-                    vals[(2, 0)] - 2 * vals[(1, 0)] + c0 == 0
-                    and vals[(0, 2)] - 2 * vals[(0, 1)] + c0 == 0
-                    and vals[(1, 1)] == c0 + da + db
-                    and vals[(8, 8)] == c0 + 8 * da + 8 * db
+                    v20 - 2 * v10 + c0 == 0
+                    and v02 - 2 * v01 + c0 == 0
+                    and v11 == c0 + da + db
+                    and v88 == c0 + 8 * da + 8 * db
                 )
-                r.check(affine, f"chi_rr not affine in (alpha,beta) at {(e,a,b)}")
+                r.check(affine, "chi_rr not affine in (alpha,beta) at {}", (e, a, b))
                 good = all(
-                    chow.chi_instanton(e, al, be, a, b) == c0 + al * da + be * db
-                    for al in range(PARAM_MAX + 1)
-                    for be in range(PARAM_MAX + 1)
+                    chi_instanton(e, al, be, a, b) == c0 + al * da + be * db
+                    for al, be in box
                 )
-                r.check(good, f"chi mismatch somewhere at (e,a,b)={(e,a,b)}")
+                r.check(good, "chi mismatch somewhere at (e,a,b)={}", (e, a, b))
     # integrality and correctness of chi_rr on random rank-2 sheaf data:
     # split sums of two line bundles and twisted Omega pullbacks cover all
     # the rank-2 Chern data this artifact ever feeds it.
@@ -151,11 +170,11 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
             )
         try:
             r.check(
-                chow.chi_rr(sheaf.chern_data()) == sheaf.chi(),
-                f"chi_rr disagrees with cohomology on {sheaf}",
+                chi_rr(sheaf.chern_data()) == sheaf.chi(),
+                "chi_rr disagrees with cohomology on {}", sheaf,
             )
         except ScrollcalcError as exc:
-            r.check(False, f"chi_rr failed on {sheaf}: {exc}")
+            r.check(False, "chi_rr failed on {}: {}", sheaf, exc)
     return r
 
 
@@ -166,7 +185,7 @@ def coh_serre_duality(_seed: int) -> SuiteResult:
             for b in range(-AB_MAX, AB_MAX + 1):
                 dual = cohomology.h_vector(e, line(-a - 2, e - 3 - b))
                 ok = cohomology.h_vector(e, line(a, b)) == dual[::-1]
-                r.check(ok, f"line duality at {(e,a,b)}")
+                r.check(ok, "line duality at {}", (e, a, b))
     return r
 
 
@@ -178,7 +197,7 @@ def coh_chi_additivity(_seed: int) -> SuiteResult:
                 for name, fn in cohomology.NAMED_SEQUENCES.items():
                     r.check(
                         cohomology.chi_alternating(fn(e, a, b)) == 0,
-                        f"chi additivity of {name} at {(e,a,b)}",
+                        "chi additivity of {} at {}", name, (e, a, b),
                     )
     return r
 
@@ -191,12 +210,12 @@ def coh_omega_consistency(_seed: int) -> SuiteResult:
                 r.check(
                     3 * cohomology.chi_line(e, a, b - 1) - cohomology.chi_line(e, a, b)
                     == cohomology.h_vector(e, omega(a, b)).chi,
-                    f"Euler-sequence chi at {(e,a,b)}",
+                    "Euler-sequence chi at {}", (e, a, b),
                 )
     for k in range(-12, 13):
         euler_chi = 3 * (k * (k + 1) // 2) - (k + 1) * (k + 2) // 2
         got = sum((-1) ** i * cohomology.h_omega_p2(i, k) for i in range(3))
-        r.check(got == euler_chi, f"plane Omega chi at k={k}")
+        r.check(got == euler_chi, "plane Omega chi at k={}", k)
     return r
 
 
@@ -207,9 +226,9 @@ def coh_nonnegativity(_seed: int) -> SuiteResult:
             for b in range(-AB_MAX, AB_MAX + 1):
                 hs = cohomology.h_vector(e, line(a, b))
                 ho = cohomology.h_vector(e, omega(a, b))
-                r.check(min(hs + ho) >= 0, f"negative h at {(e,a,b)}")
+                r.check(min(hs + ho) >= 0, "negative h at {}", (e, a, b))
                 if a >= 0:
-                    r.check(hs[3] == 0 and ho[3] == 0, f"h3 nonzero at {(e,a,b)}")
+                    r.check(hs[3] == 0 and ho[3] == 0, "h3 nonzero at {}", (e, a, b))
     return r
 
 
@@ -218,7 +237,7 @@ def beilinson_orthogonality(_seed: int) -> SuiteResult:
     for e in range(6):
         for pair in (1, 2, 3):
             report = beilinson.orthogonality_check(e, pair)
-            r.check(report.ok, f"pair {pair} at e={e}: {report.violations[:4]}")
+            r.check(report.ok, "pair {} at e={}: {}", pair, e, report.violations[:4])
     return r
 
 
@@ -226,7 +245,7 @@ def beilinson_strongness(_seed: int) -> SuiteResult:
     r = SuiteResult("beilinson-strongness")
     for e in range(6):
         for item in beilinson.strongness_check(e).items:
-            r.check(item.ok, f"{item.source} -> {item.target} at e={e}")
+            r.check(item.ok, "{} -> {} at e={}", item.source, item.target, e)
     return r
 
 
@@ -243,12 +262,12 @@ def beilinson_monads(_seed: int) -> SuiteResult:
                         continue
                     rep = beilinson.monad_consistency(m)
                     r.check(
-                        rep.ok, f"consistency at {(e,alpha,beta)} variant {variant}"
+                        rep.ok, "consistency at {} variant {}", (e, alpha, beta), variant
                     )
                     table = beilinson.beilinson_table(e, alpha, beta, variant)
                     r.check(
                         table.value_positions() == expected_positions,
-                        f"table positions at {(e,alpha,beta)} variant {variant}",
+                        "table positions at {} variant {}", (e, alpha, beta), variant,
                     )
                     if variant == 3:
                         pullback = all(
@@ -256,7 +275,7 @@ def beilinson_monads(_seed: int) -> SuiteResult:
                             for sheaf in (m.A, m.B, m.C)
                             for s, _ in sheaf.terms
                         )
-                        r.check(pullback, f"variant 3 not a pullback at {(e,beta)}")
+                        r.check(pullback, "variant 3 not a pullback at {}", (e, beta))
     return r
 
 
@@ -273,7 +292,7 @@ def beilinson_general_monad(_seed: int) -> SuiteResult:
                             continue
                         r.check(
                             beilinson.monad_consistency(m).ok,
-                            f"general monad at {(e,alpha,beta,g,d,t)}",
+                            "general monad at {}", (e, alpha, beta, g, d, t),
                         )
     return r
 
@@ -286,14 +305,14 @@ def instanton_charge_ulrich(_seed: int) -> SuiteResult:
                 p = instanton.InstantonParams(e, alpha, beta)
                 r.check(
                     p.charge - instanton.InstantonParams(e, alpha, beta - 1).charge == 1,
-                    f"charge/beta at {(e,alpha,beta)}",
+                    "charge/beta at {}", (e, alpha, beta),
                 )
                 if alpha >= 1:
                     r.check(
                         p.charge
                         - instanton.InstantonParams(e, alpha - 1, beta).charge
                         == e + 1,
-                        f"charge/alpha at {(e,alpha,beta)}",
+                        "charge/alpha at {}", (e, alpha, beta),
                     )
                 direct = (
                     e * e + e - 2 * e * alpha - 2 * alpha - 2 * beta + 2
@@ -301,7 +320,7 @@ def instanton_charge_ulrich(_seed: int) -> SuiteResult:
                 r.check(
                     instanton.is_ulrich_twist(p) == direct
                     == (chow.chi_instanton(e, alpha, beta, 0, 0) == 0),
-                    f"ulrich criterion at {(e,alpha,beta)}",
+                    "ulrich criterion at {}", (e, alpha, beta),
                 )
     return r
 
@@ -317,7 +336,7 @@ def instanton_stability_region(_seed: int) -> SuiteResult:
             for b in range(-AB_MAX, AB_MAX + 1):
                 oracle = 2 * (chow.divisor(e, a, b) * h2).degree() <= -mu2
                 r.check(
-                    ((a, b) in region) == oracle, f"region membership at {(e,a,b)}"
+                    ((a, b) in region) == oracle, "region membership at {}", (e, a, b)
                 )
     return r
 
@@ -330,11 +349,11 @@ def instanton_ext_grr(_seed: int) -> SuiteResult:
                 dims = instanton.ext_dimensions(e, alpha, beta)
                 r.check(
                     dims.ext1_minus_ext2 == 1 - instanton.chi_end_grr(e, alpha, beta),
-                    f"GRR at {(e,alpha,beta)}",
+                    "GRR at {}", (e, alpha, beta),
                 )
         r.check(
             instanton.pullback_moduli_dim(e, 12) == instanton.plane_moduli_dim(e, 12),
-            f"moduli dims at e={e}",
+            "moduli dims at e={}", e,
         )
     return r
 
@@ -350,16 +369,16 @@ def instanton_modification(_seed: int) -> SuiteResult:
                 p, ext1 = instanton.elementary_modification(p, ext1)
                 r.check(
                     p.beta == n and ext1 == rep.ext1 + 4 * n,
-                    f"modification step {n} at e={e}, alpha={alpha}",
+                    "modification step {} at e={}, alpha={}", n, e, alpha,
                 )
                 r.check(
                     p.charge == instanton.InstantonParams(e, alpha, 0).charge + n,
-                    f"charge after {n} modifications",
+                    "charge after {} modifications", n,
                 )
                 follow = instanton.existence_report(p)
                 r.check(
                     follow.status == instanton.EXISTS and follow.ext1 == ext1,
-                    f"modification tracks the existence formula at {(e,alpha,n)}",
+                    "modification tracks the existence formula at {}", (e, alpha, n),
                 )
     return r
 
@@ -406,7 +425,7 @@ def serialization_roundtrip(seed: int) -> SuiteResult:
         e = rng.randint(0, 4)
         if kind == "chow":
             x = _random_class(rng, e)
-            r.check(ChowClass.from_dict(through_json(x)) == x, f"chow roundtrip {x}")
+            r.check(ChowClass.from_dict(through_json(x)) == x, "chow roundtrip {}", x)
         elif kind == "sheaf":
             terms = [
                 (
@@ -419,7 +438,7 @@ def serialization_roundtrip(seed: int) -> SuiteResult:
             ]
             s = FormalSheaf.of(e, terms)
             r.check(
-                FormalSheaf.from_dict(through_json(s)) == s, f"sheaf roundtrip {s}"
+                FormalSheaf.from_dict(through_json(s)) == s, "sheaf roundtrip {}", s
             )
         elif kind == "monad":
             alpha, beta = rng.randint(0, 6), rng.randint(0, 8)
@@ -432,14 +451,14 @@ def serialization_roundtrip(seed: int) -> SuiteResult:
                 continue
             r.check(
                 beilinson.Monad.from_dict(through_json(m)) == m,
-                f"monad roundtrip {m}",
+                "monad roundtrip {}", m,
             )
         else:
             p = instanton.InstantonParams(e, rng.randint(-1, 8), rng.randint(-1, 12))
             rep = instanton.existence_report(p)
             r.check(
                 instanton.ExistenceReport.from_dict(through_json(rep)) == rep,
-                f"report roundtrip {rep}",
+                "report roundtrip {}", rep,
             )
         produced += 1
     return r

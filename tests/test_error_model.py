@@ -100,7 +100,7 @@ def _raisers(bound: str):
     ("e >= 0", ("instanton.py", "require_scroll")),
     ("c{i} is a ChowClass", ("chow.py", "ChernData.__init__")),
     ("c{i} homogeneous of codimension {i}", ("chow.py", "ChernData.__init__")),
-    ("data is a ChernData", ("chow.py", "twist_chern")),
+    ("data is a ChernData", ("chow.py", "_require_chern")),
     ("div is a ChowClass", ("chow.py", "twist_chern")),
     ("other is a ChowClass", ("chow.py", "ChowClass._check")),
 ])
@@ -211,6 +211,15 @@ def _rejected_inputs():
            "twist_chern is the rank-2 specialization", "rank == 2") for r in (1, 3, 4)),
         (lambda: chow.chi_rr(ChernData(3, z, z, z)),
          "chi_rr is the rank-2 specialization", "rank == 2"),
+        (lambda: chow.chi_rr(None), "chi_rr takes a ChernData, got None", "data is a ChernData"),
+        (lambda: chow.chi_rr(tuple(data)),
+         f"chi_rr takes a ChernData, got {tuple(data)!r}", "data is a ChernData"),
+        (lambda: ChowClass(1, one=3, xi=1) ** (chow.POWER_MAX + 1),
+         f"powers above {chow.POWER_MAX} of a class with constant term 3 are not computed",
+         f"n <= {chow.POWER_MAX} or |one| <= 1"),
+        (lambda: ChowClass(1, one=-2) ** 10**7,
+         f"powers above {chow.POWER_MAX} of a class with constant term -2 are not computed",
+         f"n <= {chow.POWER_MAX} or |one| <= 1"),
         (lambda: coh.FormalSheaf.of(1, [(coh.line(0, 0), -1)]),
          "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0"),
         (lambda: coh.Summand("zz", 0, 2), "unknown kind 'zz'", "kind in (line, omega)"),
@@ -308,6 +317,7 @@ _ENTRY_POINTS = {
     "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (1, 2, 5)),
     "ChernData": (ChernData, tuple(chow.instanton_chern(1, 2, 3))),
     "twist_chern": (chow.twist_chern, (chow.instanton_chern(1, 2, 3), chow.divisor(1, 1, -2))),
+    "chi_rr": (chow.chi_rr, (chow.instanton_chern(1, 2, 3),)),
     "ChowClass.__add__": (chow.hyperplane(1).__add__, (chow.xi_class(1),)),
     "ChowClass.pairing": (chow.hyperplane(1).pairing, (chow.xi_class(1),)),
     "ChowClass.scale": (chow.hyperplane(1).scale, (3,)),
