@@ -15,20 +15,12 @@ integral before being returned (``NonIntegralValue`` otherwise).
 """
 
 from functools import lru_cache
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _keys, _rebuild
 
-_BASIS_CODIM = {"one": 0, "xi": 1, "f": 1, "xif": 2, "ff": 2, "pt": 3}
-# Tuple position (``e`` is at 0) -> codimension; per codimension, its positions
-# and a getter for the others (four or five, so the getter returns a tuple).
-_CODIM_AT = dict(enumerate(_BASIS_CODIM.values(), 1))
-_INDICES_OF_CODIM = {k: [i for i, c in _CODIM_AT.items() if c == k] for k in range(4)}
-_ALL_COEFFS = itemgetter(*_CODIM_AT)
-_OTHER_COEFFS = {
-    k: itemgetter(*(i for i, c in _CODIM_AT.items() if c != k)) for k in range(4)
-}
+# Per codimension, the tuple positions of its coefficients (``e`` is at 0).
+_POSITIONS = {0: range(1, 2), 1: range(2, 4), 2: range(4, 6), 3: range(6, 7)}
 _new = tuple.__new__
 # Largest exponent ``ChowClass.__pow__`` takes when the constant term c is
 # not 0 or ±1: c**n has about n*log2|c| bits, so its cost grows without bound
@@ -41,7 +33,7 @@ POWER_MAX = 1000
 _JSON_KEYS = ("1", "xi", "f", "xif", "ff", "pt")
 
 
-class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS_CODIM])):
+class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt".split()])):
     """A Chow class on X_e in normal form.
 
     Fields are the integer coefficients on the basis 1, xi, f, xi*f, f^2,
@@ -96,8 +88,7 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
     __rsub__ = __radd__
 
     def __neg__(self):
-        e, a0, a1, a2, a3, a4, a5 = self
-        return _new(ChowClass, (e, -a0, -a1, -a2, -a3, -a4, -a5))
+        return self.scale(-1)
 
     def __mul__(self, other):
         if type(other) is not ChowClass:
@@ -160,12 +151,13 @@ class ChowClass(NamedTuple("ChowClass", [("e", int)] + [(k, int) for k in _BASIS
     def homogeneous_part(self, codim: int) -> "ChowClass":
         """The codimension-``codim`` component, all other coefficients dropped."""
         out = [self[0], 0, 0, 0, 0, 0, 0]
-        for i in _INDICES_OF_CODIM.get(codim, ()):
+        for i in _POSITIONS.get(codim, ()):
             out[i] = self[i]
         return _new(ChowClass, out)
 
     def is_homogeneous(self, codim: int) -> bool:
-        return not any(_OTHER_COEFFS.get(codim, _ALL_COEFFS)(self))
+        own = _POSITIONS.get(codim, range(1, 1))
+        return not (any(self[1:own.start]) or any(self[own.stop:]))
 
     def degree(self) -> int:
         """Coefficient of the point class xi*f^2 (other components ignored)."""
@@ -300,35 +292,28 @@ class ChernData(NamedTuple("ChernData", [
 ])):
     """Rank and Chern classes (c1, c2, c3) of a sheaf on X_e.
 
-    The rank must be an int >= 1, each c_i a ``ChowClass`` homogeneous of
-    codimension i, all three on one scroll.  Every construction, ``_replace``
-    and ``_make`` included, checks this; the derived builder ``twist_chern``
-    builds its result unchecked from a checked ``ChernData`` and a checked
-    divisor, as the ring operators do.
+    The rank must be an int >= 1, each c_i a ``ChowClass``, all three on one
+    scroll, and c_i homogeneous of codimension i.  Every construction,
+    ``_replace`` and ``_make`` included, checks this in that order; the derived
+    builder ``twist_chern`` builds its result unchecked from a checked
+    ``ChernData`` and a checked divisor, as the ring operators do.
     """
 
     __slots__ = ()
 
-    def __init__(self, rank, c1, c2, c3):  # one pass: _int and Inadmissible only raise
-        if type(rank) is not int:
-            _int(rank)
+    def __init__(self, rank, c1, c2, c3):
+        _int(rank)
         if rank < 1:
             raise Inadmissible("rank must be positive", "rank >= 1")
-        if not (type(c1) is type(c2) is type(c3) is ChowClass):
-            for i, c in ((1, c1), (2, c2), (3, c3)):
-                if type(c) is not ChowClass:
-                    raise Inadmissible(f"c{i} {c!r} is not a ChowClass", f"c{i} is a ChowClass")
-        e1, o1, _, _, q1, r1, p1 = c1
-        e2, o2, x2, f2, _, _, p2 = c2
-        e3, o3, x3, f3, q3, r3, _ = c3
-        if not e1 == e2 == e3:
+        for i, c in enumerate((c1, c2, c3), 1):
+            if type(c) is not ChowClass:
+                raise Inadmissible(f"c{i} {c!r} is not a ChowClass", f"c{i} is a ChowClass")
+        if not c1.e == c2.e == c3.e:
             raise Inadmissible("Chern classes live on different scrolls", "same e")
-        if o1 or q1 or r1 or p1 or o2 or x2 or f2 or p2 or o3 or x3 or f3 or q3 or r3:
-            i = next(i for i, c in ((1, c1), (2, c2), (3, c3)) if not c.is_homogeneous(i))
-            raise Inadmissible(
-                f"c{i} is not homogeneous of codimension {i}",
-                f"c{i} homogeneous of codimension {i}",
-            )
+        for i, c in enumerate((c1, c2, c3), 1):
+            if not c.is_homogeneous(i):
+                raise Inadmissible(f"c{i} is not homogeneous of codimension {i}",
+                                   f"c{i} homogeneous of codimension {i}")
 
     _make = classmethod(_rebuild)
 

@@ -6,7 +6,8 @@ says otherwise) and reports the number of cases, any failures, and any
 findings.  A *failure* means the artifact is wrong.  A *finding* is a
 recorded tension between two encoded sources of truth (currently: points
 where the existence decision and a monad admissibility gate disagree);
-findings are printed but do not fail the run.
+findings are printed but do not fail the run.  A suite reads its grid from
+``E_MAX``, ``AB_MAX``, ``PARAM_MAX`` and ``RR_PROBES`` when it is called.
 
 A suite counts each case through ``SuiteResult.check(condition, message,
 *args)``.  The message is a ``str.format`` template and ``args`` its values;
@@ -31,7 +32,7 @@ DEFAULT_SEED = 20240613
 E_MAX = 5
 AB_MAX = 10
 PARAM_MAX = 8
-# The (alpha, beta) points at which chow-riemann-roch-cross evaluates chi_rr.
+# The (alpha, beta) points at which chow-riemann-roch-cross evaluates chi_rr, far corner last.
 RR_PROBES = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (8, 8))
 
 
@@ -127,13 +128,14 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     # the one called.
     chi_instanton, chi_rr, twist_chern = chow.chi_instanton, chow.chi_rr, chow.twist_chern
     box = [(al, be) for al in range(PARAM_MAX + 1) for be in range(PARAM_MAX + 1)]
+    far_al, far_be = RR_PROBES[-1]
     for e in range(E_MAX + 1):
         probe_data = [chow.instanton_chern(e, *p) for p in RR_PROBES]
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 d = chow.divisor(e, a, b)
-                # in RR_PROBES order: (0,0), (1,0), (0,1), (2,0), (0,2), (1,1), (8,8)
-                c0, v10, v01, v20, v02, v11, v88 = [
+                # in RR_PROBES order: (0,0), (1,0), (0,1), (2,0), (0,2), (1,1), far corner
+                c0, v10, v01, v20, v02, v11, vfar = [
                     chi_rr(twist_chern(data, d)) for data in probe_data
                 ]
                 da = v10 - c0
@@ -142,7 +144,7 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
                     v20 - 2 * v10 + c0 == 0
                     and v02 - 2 * v01 + c0 == 0
                     and v11 == c0 + da + db
-                    and v88 == c0 + 8 * da + 8 * db
+                    and vfar == c0 + far_al * da + far_be * db
                 )
                 r.check(affine, "chi_rr not affine in (alpha,beta) at {}", (e, a, b))
                 good = all(

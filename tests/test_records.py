@@ -36,6 +36,22 @@ def test_chern_data_checks():
             ChernData(2, *args)
 
 
+@pytest.mark.parametrize("args, message, bound", [
+    ((True, 5, chow.zero(1), chow.zero(1)), "expected an int, got True", "type(value) is int"),
+    ((2, chow.zero(1), None, chow.zero(2)), "c2 None is not a ChowClass", "c2 is a ChowClass"),
+    ((2, ChowClass(1, one=1), chow.zero(2), chow.zero(1)),
+     "Chern classes live on different scrolls", "same e"),
+    ((2, chow.zero(1), ChowClass(1, xi=1), ChowClass(1, ff=1)),
+     "c2 is not homogeneous of codimension 2", "c2 homogeneous of codimension 2"),
+])
+def test_chern_data_checks_in_order(args, message, bound):
+    # Each input breaks two rules; the first in the order rank, types,
+    # scroll, homogeneity (and c1 before c2 before c3) is the one named.
+    with pytest.raises(Inadmissible) as info:
+        ChernData(*args)
+    assert (str(info.value), info.value.bound) == (message, bound)
+
+
 def test_instanton_params_check():
     assert inst.InstantonParams(0, 0, 0) == (0, 0, 0)
     for args in ((-1, 0, 0), (-7, 3, 2)):
