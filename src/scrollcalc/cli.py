@@ -151,17 +151,19 @@ def _cmd_chow(args) -> int:
         if args.a is None or args.b is None:
             raise Inadmissible("--a and --b must be given together", "--a iff --b")
         d = chow.divisor(e, args.a, args.b)
+        d2 = d * d
+        d3 = d2 * d
         payload.update(
             {
                 "divisor": d.to_dict(),
-                "divisor_squared": (d * d).to_dict(),
-                "divisor_cubed": (d * d * d).to_dict(),
+                "divisor_squared": d2.to_dict(),
+                "divisor_cubed": d3.to_dict(),
                 "delta_H": chow.delta_H(e, args.a, args.b),
             }
         )
         lines.append(f"  D             {d.render(a)}")
-        lines.append(f"  D^2           {(d * d).render(a)}")
-        lines.append(f"  D^3           {(d * d * d).render(a)}")
+        lines.append(f"  D^2           {d2.render(a)}")
+        lines.append(f"  D^3           {d3.render(a)}")
         lines.append(f"  delta_H(D)    {payload['delta_H']}")
     _emit(args, payload, "\n".join(lines))
     return 0

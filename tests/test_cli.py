@@ -1,12 +1,18 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from scrollcalc import cli, verification
 from scrollcalc.beilinson import Monad, monad_shape
@@ -226,6 +232,64 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
     e, a, b = (int(args[args.index(flag) + 1]) for flag in ("--e", "--a", "--b"))
     summand = (omega if "--omega" in args else line)(a, b)
     assert data["chi"] == rr_chi(e, summand)
+
+
+def _subcommand_flags():
+    """{subcommand: its flags but --help}, for every subcommand but verify."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings[0] != "-h"]
+            for name, p in sub.choices.items() if name != "verify"}
+
+
+SUBCOMMAND_FLAGS = _subcommand_flags()
+BIG = 10**18
+# Window sides are at most 200 wide: a full window then renders in well under
+# a second, while a near-cap one takes seconds (the cap has its own test).
+WIDE = 200
+# Two draws in three are small, so that most subcommands also answer.
+small = st.integers(-2, 12)
+flag_ints = st.integers(-BIG, BIG) | small | small
+corners = st.integers(-BIG, BIG - WIDE) | small | small
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with each required flag and any optional ones: ints with
+    |x| <= 10^18, a choice among the flag's choices, a switch set or not."""
+    name = draw(st.sampled_from(sorted(SUBCOMMAND_FLAGS)))
+    argv = [name]
+    for action in SUBCOMMAND_FLAGS[name]:
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            values = []
+        elif action.choices:
+            values = [draw(st.sampled_from(action.choices))]
+        elif action.nargs == 4:
+            a, b = draw(corners), draw(corners)
+            width = st.integers(-3, WIDE)
+            values = [a, a + draw(width), b, b + draw(width)]
+        else:
+            assert action.type is int
+            values = [draw(flag_ints)]
+        argv += [action.option_strings[0], *map(str, values)]
+    return argv
+
+
+@given(cli_argvs())
+@settings(max_examples=300, deadline=1000)
+def test_any_int_flags_answer_or_name_the_bound(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    event(f"{argv[0]}: exit {code}")
+    assert code in (0, 2)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: .+ \[violated bound: .+\]\n", err.getvalue())
 
 
 def test_verify_runs_clean_and_deterministic(
