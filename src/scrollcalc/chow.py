@@ -25,8 +25,8 @@ _new = tuple.__new__
 # Largest exponent ``ChowClass.__pow__`` takes when the constant term c is
 # not 0 or ±1: c**n has about n*log2|c| bits, so its cost grows without bound
 # in n.  Otherwise every coefficient is a polynomial of degree <= 3 in n, and
-# any n is cheap.  The package itself raises classes only to the power 3
-# (the H^3 of ``scrollcalc chow`` and the degree checks of ``verify``).
+# any n is cheap.  The package itself raises classes only to the powers 2 and
+# 3 (H^2 and H^3 in ``verify``, H^3 in ``scrollcalc chow``).
 POWER_MAX = 1000
 
 # JSON keys follow the serialized schema: {"1", "xi", "f", "xif", "ff", "pt"}.
