@@ -12,12 +12,13 @@ Submodules:
                    bookkeeping, the existence decision procedure;
 * ``verification`` — the cross-check suites behind ``scrollcalc verify``;
 * ``cli``        — the command-line interface.
+
+The submodules and the exported records load on first use (PEP 562), so
+``import scrollcalc`` loads none of them and a ``scrollcalc`` process loads
+only what its subcommand runs.
 """
 
-from . import beilinson, chow, cohomology, instanton, verification
-from .chow import ChernData, ChowClass
-from .cohomology import CohVector, FormalSheaf, Summand
-from .instanton import ExistenceReport, InstantonParams
+import sys
 
 __version__ = "0.1.0"
 
@@ -35,3 +36,27 @@ __all__ = [
     "instanton",
     "verification",
 ]
+
+_SUBMODULES = frozenset({"beilinson", "chow", "cohomology", "instanton", "verification"})
+_RECORDS = {
+    "ChernData": "chow",
+    "ChowClass": "chow",
+    "CohVector": "cohomology",
+    "FormalSheaf": "cohomology",
+    "Summand": "cohomology",
+    "ExistenceReport": "instanton",
+    "InstantonParams": "instanton",
+}
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # __import__ takes the import path that ``-X importtime`` reports, which
+        # importlib.import_module does not; it binds the submodule here too.
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
+    if name in _RECORDS:
+        globals()[name] = getattr(__getattr__(_RECORDS[name]), name)
+        return globals()[name]
+    # Not an export: the module's own lookup fails again, with its AttributeError.
+    return object.__getattribute__(sys.modules[__name__], name)

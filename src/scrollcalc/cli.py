@@ -12,30 +12,35 @@ convention with alpha attached to xi^2 differs by a factor of e in the
 first coordinate and is *not* used here).
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or inadmissible
-parameter combinations.
+parameter combinations, reported as one ``error: … [violated bound: …]``
+line.
+
+A process loads only what its subcommand runs: the parser gets the flags of
+that subcommand alone, and each handler imports its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import beilinson, chow, cohomology, instanton, verification
 from .errors import Inadmissible, ScrollcalcError
 
 
-def _common(sub):
-    sub.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    sub.add_argument(
-        "--ascii", action="store_true", help="ASCII output (xi/Omega instead of ξ/Ω)"
-    )
+class _Parser(argparse.ArgumentParser):
+    """A parser whose flag errors raise ``Inadmissible``, so that ``main``
+    reports them as one ``error: … [violated bound: …]`` line with exit code
+    2; the subparsers are built by the same class (argparse's default
+    ``parser_class``)."""
+
+    def error(self, message):
+        raise Inadmissible(message, f"flags of '{self.prog} --help'")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand and its help line; the flags are added
+    for ``command`` only, or for every subcommand when it is None."""
+    parser = _Parser(
         prog="scrollcalc",
         description=(
             "Exact intersection theory, sheaf cohomology and instanton-monad "
@@ -44,91 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chow", help="intersection numbers and standard classes")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--a", type=int, help="xi-coefficient of a divisor")
-    p.add_argument("--b", type=int, help="f-coefficient of a divisor")
-    _common(p)
-
-    p = sub.add_parser("coh", help="cohomology of O(a xi + b f) or an Omega twist")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--omega", action="store_true", help="twist of pulled-back Omega^1")
-    _common(p)
-
-    p = sub.add_parser(
-        "chi", help="Euler characteristic of a line bundle or a twisted instanton"
-    )
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--alpha", type=int, help="with --beta: instanton chi")
-    p.add_argument("--beta", type=int)
-    _common(p)
-
-    p = sub.add_parser("monad", help="monad of an instanton with given (alpha, beta)")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument("--gamma", type=int, help="h2 at -(e+1)f (non-earnest monad)")
-    p.add_argument("--delta", type=int, help="h2 at -(e-1)f (non-earnest monad)")
-    p.add_argument("--eta", type=int, help="h2 at -ef (non-earnest monad)")
-    _common(p)
-
-    p = sub.add_parser("table", help="first-page cohomology table against a dual pair")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--variant", type=int, choices=(1, 2, 3), default=1)
-    p.add_argument(
-        "--gamma-nonzero",
-        action="store_true",
-        help="keep the h2 cells symbolic (non-earnest case, variant 1)",
-    )
-    p.add_argument("--raw", action="store_true", help="show the H^m staircase only")
-    _common(p)
-
-    p = sub.add_parser("stability", help="slope test region in a window")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument(
-        "--window",
-        type=int,
-        nargs=4,
-        metavar=("A_MIN", "A_MAX", "B_MIN", "B_MAX"),
-        default=(-10, 10, -10, 10),
-    )
-    p.add_argument("--strict", action="store_true", help="strict inequality")
-    _common(p)
-
-    p = sub.add_parser("existence", help="existence/moduli report for (e, alpha, beta)")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    _common(p)
-
-    p = sub.add_parser("curves", help="ruling curve classes and their Hilbert data")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--curve-class", choices=("xif", "ff"), help="restrict to one class")
-    _common(p)
-
-    p = sub.add_parser("verify", help="run every invariant suite; exit 0 iff all pass")
-    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED)
-    _common(p)
-
+    for name, (summary, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            for flag, spec in {**flags, **_COMMON}.items():
+                p.add_argument(flag, **spec)
     return parser
 
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
 
 
 def _cmd_chow(args) -> int:
+    from . import chow
+
     e = args.e
     a = args.ascii
     constants = {
@@ -170,6 +110,8 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_coh(args) -> int:
+    from . import cohomology
+
     s = (cohomology.omega if args.omega else cohomology.line)(args.a, args.b)
     sheaf = cohomology.FormalSheaf.of(args.e, [(s, 1)])
     vec = sheaf.coh_vector()
@@ -188,6 +130,8 @@ def _cmd_coh(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    from . import chow, cohomology
+
     if (args.alpha is None) != (args.beta is None):
         raise Inadmissible("--alpha and --beta must be given together", "--alpha iff --beta")
     if args.alpha is None:
@@ -201,6 +145,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_monad(args) -> int:
+    from . import beilinson
+
     general = [x for x in (args.gamma, args.delta, args.eta) if x is not None]
     if general:
         if args.variant != 1:
@@ -236,6 +182,8 @@ def _cmd_monad(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import beilinson
+
     table = beilinson.beilinson_table(
         args.e, args.alpha, args.beta, args.variant, not args.gamma_nonzero
     )
@@ -255,6 +203,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from . import chow, instanton
+
     region = instanton.stability_test_region(args.e, tuple(args.window), args.strict)
     payload = {
         "e": args.e,
@@ -272,6 +222,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_existence(args) -> int:
+    from . import instanton
+
     p = instanton.InstantonParams(args.e, args.alpha, args.beta)
     rep = instanton.existence_report(p)
     bits = [f"status: {rep.status}", f"charge: {p.charge}"]
@@ -288,6 +240,8 @@ def _cmd_existence(args) -> int:
 
 
 def _cmd_curves(args) -> int:
+    from . import instanton
+
     classes = (args.curve_class,) if args.curve_class else ("xif", "ff")
     infos = [instanton.curve_info(args.e, c) for c in classes]
     payload = {
@@ -318,16 +272,19 @@ def _cmd_curves(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verification.run_all(args.seed)
+    from . import verification
+
+    seed = verification.DEFAULT_SEED if args.seed is None else args.seed
+    results = verification.run_all(seed)
     total = sum(r.cases for r in results)
     failed = [r for r in results if not r.ok]
     payload = {
-        "seed": args.seed,
+        "seed": seed,
         "total_cases": total,
         "suites": [vars(r) for r in results],  # name, cases, failures, findings
         "passed": not failed,
     }
-    lines = [f"scrollcalc verify  (seed={args.seed})"]
+    lines = [f"scrollcalc verify  (seed={seed})"]
     for r in results:
         lines.append(f"{'ok  ' if r.ok else 'FAIL'} {r.name:32s} ({r.cases} cases)")
         lines += [f"     failure: {msg}" for msg in r.failures[:5]]
@@ -338,26 +295,81 @@ def _cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-_HANDLERS = {
-    "chow": _cmd_chow,
-    "coh": _cmd_coh,
-    "chi": _cmd_chi,
-    "monad": _cmd_monad,
-    "table": _cmd_table,
-    "stability": _cmd_stability,
-    "existence": _cmd_existence,
-    "curves": _cmd_curves,
-    "verify": _cmd_verify,
+_REQUIRED = {"type": int, "required": True}
+_INT = {"type": int}
+_VARIANT = {"type": int, "choices": (1, 2, 3), "default": 1}
+_COMMON = {
+    "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
+    "--ascii": {"action": "store_true", "help": "ASCII output (xi/Omega instead of ξ/Ω)"},
+}
+# name -> (help line, flags before --format and --ascii, handler)
+_COMMANDS = {
+    "chow": ("intersection numbers and standard classes", {
+        "--e": _REQUIRED,
+        "--a": {**_INT, "help": "xi-coefficient of a divisor"},
+        "--b": {**_INT, "help": "f-coefficient of a divisor"},
+    }, _cmd_chow),
+    "coh": ("cohomology of O(a xi + b f) or an Omega twist", {
+        "--e": _REQUIRED, "--a": _REQUIRED, "--b": _REQUIRED,
+        "--omega": {"action": "store_true", "help": "twist of pulled-back Omega^1"},
+    }, _cmd_coh),
+    "chi": ("Euler characteristic of a line bundle or a twisted instanton", {
+        "--e": _REQUIRED, "--a": _REQUIRED, "--b": _REQUIRED,
+        "--alpha": {**_INT, "help": "with --beta: instanton chi"},
+        "--beta": _INT,
+    }, _cmd_chi),
+    "monad": ("monad of an instanton with given (alpha, beta)", {
+        "--e": _REQUIRED, "--alpha": _REQUIRED, "--beta": _REQUIRED, "--variant": _VARIANT,
+        "--gamma": {**_INT, "help": "h2 at -(e+1)f (non-earnest monad)"},
+        "--delta": {**_INT, "help": "h2 at -(e-1)f (non-earnest monad)"},
+        "--eta": {**_INT, "help": "h2 at -ef (non-earnest monad)"},
+    }, _cmd_monad),
+    "table": ("first-page cohomology table against a dual pair", {
+        "--e": _REQUIRED, "--alpha": _REQUIRED, "--beta": _REQUIRED, "--variant": _VARIANT,
+        "--gamma-nonzero": {
+            "action": "store_true",
+            "help": "keep the h2 cells symbolic (non-earnest case, variant 1)",
+        },
+        "--raw": {"action": "store_true", "help": "show the H^m staircase only"},
+    }, _cmd_table),
+    "stability": ("slope test region in a window", {
+        "--e": _REQUIRED,
+        "--window": {
+            **_INT,
+            "nargs": 4,
+            "metavar": ("A_MIN", "A_MAX", "B_MIN", "B_MAX"),
+            "default": (-10, 10, -10, 10),
+        },
+        "--strict": {"action": "store_true", "help": "strict inequality"},
+    }, _cmd_stability),
+    "existence": ("existence/moduli report for (e, alpha, beta)", {
+        "--e": _REQUIRED, "--alpha": _REQUIRED, "--beta": _REQUIRED,
+    }, _cmd_existence),
+    "curves": ("ruling curve classes and their Hilbert data", {
+        "--e": _REQUIRED,
+        "--curve-class": {"choices": ("xif", "ff"), "help": "restrict to one class"},
+    }, _cmd_curves),
+    # the default seed, verification.DEFAULT_SEED, is read in _cmd_verify, so
+    # that building the parser loads no verification module
+    "verify": ("run every invariant suite; exit 0 iff all pass", {
+        "--seed": _INT,
+    }, _cmd_verify),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the subcommand that ``argv`` names and return its exit code; the
+    parser gets the flags of ``argv[0]`` only, when it names a subcommand."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
+        args = build_parser(command).parse_args(argv)
         if hasattr(args, "e"):
+            from . import instanton
+
             instanton.require_scroll(args.e)
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ScrollcalcError as exc:
         bound = getattr(exc, "bound", "")
         suffix = f" [violated bound: {bound}]" if bound else ""

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,54 @@ def test_bad_flags_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        (["monad", "--e", "1", "--alpha", "1", "--beta", "2", "--variant", "9"],
+         "scrollcalc monad", "argument --variant: invalid choice: 9 (choose from 1, 2, 3)"),
+        (["chow", "--e", "1x"], "scrollcalc chow", "argument --e: invalid int value: '1x'"),
+        (["chow", "--e", "1", "--bogus"], "scrollcalc", "unrecognized arguments: --bogus"),
+        (["coh", "--a", "1", "--b", "0"], "scrollcalc coh",
+         "the following arguments are required: --e"),
+        (["nonsense"], "scrollcalc", "argument command: invalid choice: 'nonsense' "),
+        ([], "scrollcalc", "the following arguments are required: command"),
+    ],
+)
+def test_malformed_flags_name_the_bound(argv, prog, message, capsys):
+    # argparse's message, bound by the help of the parser that refused the flags
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    head, sep, bound = err.rpartition(" [violated bound: ")
+    assert (out, sep) == ("", " [violated bound: ")
+    assert head.startswith(f"error: {message}") and "\n" not in head
+    assert bound == f"flags of '{prog} --help']\n"
+
+
+def _subparsers(parser):
+    """{subcommand: its parser} of a ``cli.build_parser`` result."""
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_partial_parser_matches_the_full_one(name, capsys):
+    full, partial = cli.build_parser(), cli.build_parser(name)
+    assert list(_subparsers(partial)) == list(_subparsers(full)) == [
+        "chow", "coh", "chi", "monad", "table", "stability", "existence", "curves", "verify"
+    ]
+    assert partial.format_usage() == full.format_usage()
+    assert partial.format_help() == full.format_help()
+    assert _subparsers(partial)[name].format_help() == _subparsers(full)[name].format_help()
+    # the other subcommands get no flag but -h
+    assert {len(p._actions) for n, p in _subparsers(partial).items() if n != name} == {1}
+    # main builds the partial parser, and --help still prints the full text and exits 0
+    for argv, parser in (([name, "--help"], _subparsers(full)[name]), (["--help"], full)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (parser.format_help(), "")
+
+
 def test_ascii_fallback():
     code, out, _ = run_cli(
         ["monad", "--e", "1", "--alpha", "1", "--beta", "2", "--ascii"]
@@ -178,7 +227,7 @@ NEGATIVE_E = [
 def test_bad_domain_exits_2_without_traceback(capsys):
     # Every subcommand with --e shares the e >= 0 check of InstantonParams.
     # In-process, an escaping exception would fail the test outright.
-    assert sorted(a[0] for a in NEGATIVE_E) == sorted(set(cli._HANDLERS) - {"verify"})
+    assert sorted(a[0] for a in NEGATIVE_E) == sorted(set(cli._COMMANDS) - {"verify"})
     for args in NEGATIVE_E:
         code = cli.main(args)
         out, err = capsys.readouterr()
@@ -236,10 +285,8 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
 
 def _subcommand_flags():
     """{subcommand: its flags but --help}, for every subcommand but verify."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     return {name: [a for a in p._actions if a.option_strings[0] != "-h"]
-            for name, p in sub.choices.items() if name != "verify"}
+            for name, p in _subparsers(cli.build_parser()).items() if name != "verify"}
 
 
 SUBCOMMAND_FLAGS = _subcommand_flags()
@@ -290,6 +337,67 @@ def test_any_int_flags_answer_or_name_the_bound(argv):
     else:
         assert out.getvalue() == ""
         assert re.fullmatch(r"error: .+ \[violated bound: .+\]\n", err.getvalue())
+
+
+# One small query per subcommand; verify's fresh process is the session's
+# ``verify_subprocess``, checked against the in-process run below.
+FRESH = {
+    "chow": ["--e", "2"],
+    "coh": ["--e", "1", "--a", "1", "--b", "0", "--omega"],
+    "chi": ["--e", "1", "--a", "-1", "--b", "0", "--alpha", "3", "--beta", "2"],
+    "monad": ["--e", "1", "--alpha", "1", "--beta", "2"],
+    "table": ["--e", "1", "--alpha", "1", "--beta", "2"],
+    "stability": ["--e", "2", "--window", "-3", "3", "-3", "3"],
+    "existence": ["--e", "2", "--alpha", "3", "--beta", "0"],
+    "curves": ["--e", "2"],
+}
+# What ``python -m scrollcalc`` does, then the modules that the run added to
+# sys.modules, printed as the last line of stderr.
+PROBE = (
+    "import atexit, runpy, sys; before = set(sys.modules); "
+    "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr)); "
+    "runpy.run_module('scrollcalc', run_name='__main__', alter_sys=True)"
+)
+# The e >= 0 check of every subcommand with --e loads instanton, and with it
+# chow and cohomology.
+E_CHECK = {"scrollcalc", "scrollcalc.cli", "scrollcalc.errors",
+           "scrollcalc.instanton", "scrollcalc.chow", "scrollcalc.cohomology"}
+
+
+def _fresh_argv(name, fmt):
+    return (name, *FRESH[name], *(["--format", "json"] if fmt == "json" else []))
+
+
+def _run_fresh(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True
+    )
+    *errors, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, errors, set(loaded.split())
+
+
+@pytest.fixture(scope="module")
+def fresh_runs():
+    """{argv: (exit code, stdout, other stderr lines, loaded modules)} of every
+    FRESH query in text and in JSON, each in its own interpreter, four at a time."""
+    argvs = [_fresh_argv(name, fmt) for name in FRESH for fmt in ("text", "json")]
+    with ThreadPoolExecutor(4) as pool:
+        return dict(zip(argvs, pool.map(_run_fresh, argvs)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(FRESH))
+def test_fresh_process_loads_only_its_subcommand(name, fmt, fresh_runs, capsys):
+    # In-process, every module is loaded by now: only a fresh process shows a
+    # lazy import that a handler is missing, or one that it does not need.
+    argv = _fresh_argv(name, fmt)
+    code, out, errors, loaded = fresh_runs[argv]
+    assert (code, errors) == (0, [])
+    assert cli.main(list(argv)) == 0
+    assert out == capsys.readouterr().out
+    beilinson = {"scrollcalc.beilinson"} if name in ("monad", "table") else set()
+    assert {m for m in loaded if m.startswith("scrollcalc")} == E_CHECK | beilinson
+    assert ("json" in loaded) == (fmt == "json")
 
 
 def test_verify_runs_clean_and_deterministic(

@@ -329,14 +329,35 @@ def test_every_existence_report_decodes_to_itself():
 
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
     # Measured against the modules this interpreter has before the import,
-    # so that whatever site hooks load is not charged to the package.
+    # so that whatever site hooks load is not charged to the package.  The
+    # package and the CLI load no compute module until a subcommand runs.
     probe = (
-        "import sys; before = set(sys.modules); import scrollcalc.cli; "
+        "import sys; before = set(sys.modules); import scrollcalc; "
+        "print(' '.join(sorted(set(sys.modules) - before))); import scrollcalc.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True
     )
-    loaded = set(proc.stdout.split())
-    assert "scrollcalc.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions"}
+    package, cli = (set(line.split()) for line in proc.stdout.splitlines())
+    assert package == {"scrollcalc"}
+    assert {m for m in cli if m.startswith("scrollcalc")} == {
+        "scrollcalc", "scrollcalc.cli", "scrollcalc.errors"
+    }
+    assert not cli & {"dataclasses", "inspect", "fractions", "json"}
+
+
+def test_package_exports_resolve_on_first_use():
+    import scrollcalc
+
+    assert scrollcalc.ChowClass is ChowClass and scrollcalc.beilinson is bl
+    assert scrollcalc.ExistenceReport is inst.ExistenceReport
+    namespace = {}
+    exec("from scrollcalc import *", namespace)
+    assert {name: namespace[name] for name in scrollcalc.__all__} == {
+        name: getattr(scrollcalc, name) for name in scrollcalc.__all__
+    }
+    assert namespace["cohomology"] is coh and namespace["Summand"] is coh.Summand
+    assert not hasattr(scrollcalc, "nope")
+    with pytest.raises(AttributeError, match="nope"):
+        getattr(scrollcalc, "nope")
