@@ -13,33 +13,36 @@ first coordinate and is *not* used here).
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or inadmissible
 parameter combinations, reported as one ``error: … [violated bound: …]``
-line.
+line; ``python -m scrollcalc`` exits 141 (128 + SIGPIPE), silently, when
+the reader of its stdout closes the pipe early (``… | head -1``).
 
-A process loads only what its subcommand runs: the parser gets the flags of
-that subcommand alone, and each handler imports its own modules.
+A process loads only what its subcommand runs: a well-formed argv is read
+straight from the command table, argparse is built only for ``--help`` and
+refused flags, and each handler imports its own modules.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import Inadmissible, ScrollcalcError
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose flag errors raise ``Inadmissible``, so that ``main``
-    reports them as one ``error: … [violated bound: …]`` line with exit code
-    2; the subparsers are built by the same class (argparse's default
-    ``parser_class``)."""
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of every subcommand, its help line and its flags; ``main``
+    builds it only for an argv that ``_read_flags`` declines."""
+    import argparse
 
-    def error(self, message):
-        raise Inadmissible(message, f"flags of '{self.prog} --help'")
+    class _Parser(argparse.ArgumentParser):
+        """A parser whose flag errors raise ``Inadmissible``, so that ``main``
+        reports them as one ``error: … [violated bound: …]`` line with exit
+        code 2; the subparsers are built by the same class (argparse's
+        default ``parser_class``)."""
 
+        def error(self, message):
+            raise Inadmissible(message, f"flags of '{self.prog} --help'")
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand and its help line; the flags are added
-    for ``command`` only, or for every subcommand when it is None."""
     parser = _Parser(
         prog="scrollcalc",
         description=(
@@ -51,10 +54,57 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        if command in (None, name):
-            for flag, spec in {**flags, **_COMMON}.items():
-                p.add_argument(flag, **spec)
+        for flag, spec in {**flags, **_COMMON}.items():
+            p.add_argument(flag, **spec)
     return parser
+
+
+def _ascii_int(text):
+    """``int(text)`` for an ASCII ``-?[0-9]+`` that ``int`` accepts, else None."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more than sys.get_int_max_str_digits() digits
+            pass
+    return None
+
+
+def _read_flags(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` gives, read from
+    ``_COMMANDS`` without argparse; None unless ``argv`` names a subcommand
+    and then gives each flag at most once, exactly and in ``--flag value``
+    form, with ASCII ints, listed choices and every required flag.  argparse
+    reads (or refuses) each argv declined here."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    specs = {**_COMMANDS[argv[0]][1], **_COMMON}
+    given = {}
+    i = 1
+    while i < len(argv):
+        flag = argv[i]
+        spec = specs.get(flag)
+        if spec is None or flag in given:
+            return None
+        if "action" in spec:  # store_true
+            given[flag], i = True, i + 1
+            continue
+        n = spec.get("nargs", 1)
+        values = argv[i + 1:i + 1 + n]
+        if spec.get("type") is int:
+            values = [_ascii_int(text) for text in values]
+        if len(values) < n or None in values:
+            return None
+        if "choices" in spec and values[0] not in spec["choices"]:
+            return None
+        given[flag], i = (values if "nargs" in spec else values[0]), i + 1 + n
+    if any(spec.get("required") and flag not in given for flag, spec in specs.items()):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag, spec in specs.items():
+        default = spec.get("default", False if "action" in spec else None)
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -350,7 +400,7 @@ _COMMANDS = {
         "--curve-class": {"choices": ("xif", "ff"), "help": "restrict to one class"},
     }, _cmd_curves),
     # the default seed, verification.DEFAULT_SEED, is read in _cmd_verify, so
-    # that building the parser loads no verification module
+    # that reading the flags loads no verification module
     "verify": ("run every invariant suite; exit 0 iff all pass", {
         "--seed": _INT,
     }, _cmd_verify),
@@ -358,13 +408,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run the subcommand that ``argv`` names and return its exit code; the
-    parser gets the flags of ``argv[0]`` only, when it names a subcommand."""
+    """Run the subcommand that ``argv`` names and return its exit code; argv
+    is read from the command table, or by argparse when ``_read_flags``
+    declines it."""
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _read_flags(argv) or build_parser().parse_args(argv)
         if hasattr(args, "e"):
             from . import instanton
 

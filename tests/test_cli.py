@@ -144,6 +144,7 @@ def test_bad_flags_exit_2():
          "the following arguments are required: --e"),
         (["nonsense"], "scrollcalc", "argument command: invalid choice: 'nonsense' "),
         ([], "scrollcalc", "the following arguments are required: command"),
+        (["chow", "--e", "9" * 5000], "scrollcalc chow", "argument --e: invalid int value:"),
     ],
 )
 def test_malformed_flags_name_the_bound(argv, prog, message, capsys):
@@ -164,16 +165,11 @@ def _subparsers(parser):
 
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_partial_parser_matches_the_full_one(name, capsys):
-    full, partial = cli.build_parser(), cli.build_parser(name)
-    assert list(_subparsers(partial)) == list(_subparsers(full)) == [
+    # main builds argparse for --help, and prints its full text with exit 0
+    full = cli.build_parser()
+    assert list(_subparsers(full)) == [
         "chow", "coh", "chi", "monad", "table", "stability", "existence", "curves", "verify"
     ]
-    assert partial.format_usage() == full.format_usage()
-    assert partial.format_help() == full.format_help()
-    assert _subparsers(partial)[name].format_help() == _subparsers(full)[name].format_help()
-    # the other subcommands get no flag but -h
-    assert {len(p._actions) for n, p in _subparsers(partial).items() if n != name} == {1}
-    # main builds the partial parser, and --help still prints the full text and exits 0
     for argv, parser in (([name, "--help"], _subparsers(full)[name]), (["--help"], full)):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -284,12 +280,13 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
 
 
 def _subcommand_flags():
-    """{subcommand: its flags but --help}, for every subcommand but verify."""
+    """{subcommand: its flags but --help}, for all nine subcommands."""
     return {name: [a for a in p._actions if a.option_strings[0] != "-h"]
-            for name, p in _subparsers(cli.build_parser()).items() if name != "verify"}
+            for name, p in _subparsers(cli.build_parser()).items()}
 
 
-SUBCOMMAND_FLAGS = _subcommand_flags()
+ALL_FLAGS = _subcommand_flags()
+SUBCOMMAND_FLAGS = {name: flags for name, flags in ALL_FLAGS.items() if name != "verify"}
 BIG = 10**18
 # Window sides are at most 200 wide: a full window then renders in well under
 # a second, while a near-cap one takes seconds (the cap has its own test).
@@ -337,6 +334,74 @@ def test_any_int_flags_answer_or_name_the_bound(argv):
     else:
         assert out.getvalue() == ""
         assert re.fullmatch(r"error: .+ \[violated bound: .+\]\n", err.getvalue())
+
+
+# Each turns a canonical argv into one that _read_flags declines and argparse
+# reads its own way (accepting ``+3`` or ``--e=2``) or refuses.
+PERTURBATIONS = ("repeat", "abbreviate", "--e=2", "+3", " 4", "٣", "1_0", "--", "-h",
+                 "9" * 5000)
+
+
+@st.composite
+def read_flag_argvs(draw):
+    """``(argv, perturbation)``: a canonical argv of any subcommand, with its
+    flags in any order, and None or one of PERTURBATIONS applied to it."""
+    name = draw(st.sampled_from(sorted(ALL_FLAGS)))
+    groups = []
+    for action in draw(st.permutations(ALL_FLAGS[name])):
+        if not action.required and draw(st.booleans()):
+            continue
+        if action.nargs == 0:
+            values = []
+        elif action.choices:
+            values = [draw(st.sampled_from(action.choices))]
+        else:
+            values = [draw(flag_ints) for _ in range(action.nargs or 1)]
+        groups.append([action.option_strings[0], *map(str, values)])
+    argv = [name, *(token for group in groups for token in group)]
+    int_values = [i for i, token in enumerate(argv) if re.fullmatch(r"-?[0-9]+", token)]
+    perturbation = draw(st.sampled_from((None,) * len(PERTURBATIONS) + PERTURBATIONS))
+    at = draw(st.integers(1, len(argv)))
+    if perturbation == "repeat":
+        argv += draw(st.sampled_from(groups + [["--ascii"]])) * 2
+    elif perturbation == "abbreviate":
+        # a prefix of four or more characters is no flag itself (--a is one)
+        flag = draw(st.sampled_from(
+            [a.option_strings[0] for a in ALL_FLAGS[name] if len(a.option_strings[0]) > 4]))
+        argv.insert(at, flag[:draw(st.integers(4, len(flag) - 1))])
+    elif perturbation in ("--e=2", "--", "-h"):
+        argv.insert(at, perturbation)
+    elif perturbation is not None and int_values:
+        argv[draw(st.sampled_from(int_values))] = perturbation
+    elif perturbation is not None:
+        argv += ["--seed", perturbation]  # verify without --seed
+    return argv, perturbation
+
+
+@given(read_flag_argvs())
+@settings(max_examples=500)
+def test_read_flags_agrees_with_argparse(drawn):
+    argv, perturbation = drawn
+    event(f"perturbation: {perturbation!r:.12}")
+    args = cli._read_flags(argv)
+    assert (args is None) == (perturbation is not None)
+    if args is not None:
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    # The reader takes one line and closes the pipe while the output (several
+    # MB) is still being written.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scrollcalc", "stability", "--e", "1",
+         "--window", "-300", "300", "-300", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"h0-test twists on X_1")
+    proc.stdout.close()
+    assert proc.wait() == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 # One small query per subcommand; verify's fresh process is the session's
@@ -398,6 +463,7 @@ def test_fresh_process_loads_only_its_subcommand(name, fmt, fresh_runs, capsys):
     beilinson = {"scrollcalc.beilinson"} if name in ("monad", "table") else set()
     assert {m for m in loaded if m.startswith("scrollcalc")} == E_CHECK | beilinson
     assert ("json" in loaded) == (fmt == "json")
+    assert "argparse" not in loaded
 
 
 def test_verify_runs_clean_and_deterministic(

@@ -344,7 +344,7 @@ def test_cli_import_skips_dataclasses_inspect_and_fractions():
     assert {m for m in cli if m.startswith("scrollcalc")} == {
         "scrollcalc", "scrollcalc.cli", "scrollcalc.errors"
     }
-    assert not cli & {"dataclasses", "inspect", "fractions", "json"}
+    assert not cli & {"dataclasses", "inspect", "fractions", "json", "argparse"}
 
 
 def test_package_exports_resolve_on_first_use():
