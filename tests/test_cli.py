@@ -279,13 +279,10 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
     assert data["chi"] == rr_chi(e, summand)
 
 
-def _subcommand_flags():
-    """{subcommand: its flags but --help}, for all nine subcommands."""
-    return {name: [a for a in p._actions if a.option_strings[0] != "-h"]
-            for name, p in _subparsers(cli.build_parser()).items()}
-
-
-ALL_FLAGS = _subcommand_flags()
+PARSER = cli.build_parser()
+# {subcommand: its flags but --help}
+ALL_FLAGS = {name: [a for a in p._actions if a.option_strings[0] != "-h"]
+             for name, p in _subparsers(PARSER).items()}
 SUBCOMMAND_FLAGS = {name: flags for name, flags in ALL_FLAGS.items() if name != "verify"}
 BIG = 10**18
 # Window sides are at most 200 wide: a full window then renders in well under
@@ -338,70 +335,84 @@ def test_any_int_flags_answer_or_name_the_bound(argv):
 
 # Each turns a canonical argv into one that _read_flags declines and argparse
 # reads its own way (accepting ``+3`` or ``--e=2``) or refuses.
-PERTURBATIONS = ("repeat", "abbreviate", "--e=2", "+3", " 4", "٣", "1_0", "--", "-h",
-                 "9" * 5000)
+PERTURBATIONS = ("repeat", "abbreviate", "missing", "bad choice", "--e=2", "+3", " 4",
+                 "٣", "1_0", "--", "-h", "9" * 5000)
 
 
 @st.composite
-def read_flag_argvs(draw):
-    """``(argv, perturbation)``: a canonical argv of any subcommand, with its
-    flags in any order, and None or one of PERTURBATIONS applied to it."""
+def canonical_argvs(draw):
+    """``(argv, groups, ints, choices)``: an argv of any subcommand that gives
+    each required flag and any optional ones, in any order, in ``--flag
+    value`` form; its flag groups, and the indices of its int and choice values."""
     name = draw(st.sampled_from(sorted(ALL_FLAGS)))
-    groups = []
+    argv, groups, ints, choices = [name], [], [], []
     for action in draw(st.permutations(ALL_FLAGS[name])):
         if not action.required and draw(st.booleans()):
             continue
-        if action.nargs == 0:
-            values = []
-        elif action.choices:
-            values = [draw(st.sampled_from(action.choices))]
-        else:
-            values = [draw(flag_ints) for _ in range(action.nargs or 1)]
-        groups.append([action.option_strings[0], *map(str, values)])
-    argv = [name, *(token for group in groups for token in group)]
-    int_values = [i for i, token in enumerate(argv) if re.fullmatch(r"-?[0-9]+", token)]
-    perturbation = draw(st.sampled_from((None,) * len(PERTURBATIONS) + PERTURBATIONS))
+        start = len(argv)
+        argv.append(action.option_strings[0])
+        if action.choices:
+            choices.append(len(argv))
+            argv.append(str(draw(st.sampled_from(action.choices))))
+        elif action.nargs != 0:
+            ints += range(len(argv), len(argv) + (action.nargs or 1))
+            argv += [str(draw(flag_ints)) for _ in range(action.nargs or 1)]
+        groups.append(argv[start:])
+    return argv, groups, ints, choices
+
+
+def _perturbed(draw, canonical, perturbation):
+    """A copy of a ``canonical_argvs`` argv with one of PERTURBATIONS."""
+    argv, groups, ints, choices = canonical
+    argv = list(argv)
     at = draw(st.integers(1, len(argv)))
     if perturbation == "repeat":
         argv += draw(st.sampled_from(groups + [["--ascii"]])) * 2
     elif perturbation == "abbreviate":
         # a prefix of four or more characters is no flag itself (--a is one)
         flag = draw(st.sampled_from(
-            [a.option_strings[0] for a in ALL_FLAGS[name] if len(a.option_strings[0]) > 4]))
+            [a.option_strings[0] for a in ALL_FLAGS[argv[0]] if len(a.option_strings[0]) > 4]))
         argv.insert(at, flag[:draw(st.integers(4, len(flag) - 1))])
+    elif perturbation == "missing":  # the required --e, or verify's --seed value
+        if "--e" in argv:
+            del argv[argv.index("--e"):argv.index("--e") + 2]
+        else:
+            argv.append("--seed")
+    elif perturbation == "bad choice":
+        if choices:
+            argv[draw(st.sampled_from(choices))] = "9"
+        else:
+            argv += ["--format", "9"]
     elif perturbation in ("--e=2", "--", "-h"):
         argv.insert(at, perturbation)
-    elif perturbation is not None and int_values:
-        argv[draw(st.sampled_from(int_values))] = perturbation
-    elif perturbation is not None:
+    elif ints:
+        argv[draw(st.sampled_from(ints))] = perturbation
+    else:
         argv += ["--seed", perturbation]  # verify without --seed
-    return argv, perturbation
+    return argv
 
 
-@given(read_flag_argvs())
-@settings(max_examples=500)
-def test_read_flags_agrees_with_argparse(drawn):
-    argv, perturbation = drawn
-    event(f"perturbation: {perturbation!r:.12}")
-    args = cli._read_flags(argv)
-    assert (args is None) == (perturbation is not None)
-    if args is not None:
-        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+@given(st.data())
+@settings(max_examples=200)
+def test_read_flags_agrees_with_argparse(data):
+    canonical = data.draw(canonical_argvs())
+    args = cli._read_flags(canonical[0])
+    assert args is not None and vars(args) == vars(PARSER.parse_args(canonical[0]))
+    for perturbation in PERTURBATIONS:
+        assert cli._read_flags(_perturbed(data.draw, canonical, perturbation)) is None
 
 
 def test_closed_pipe_exits_141_without_traceback():
     # The reader takes one line and closes the pipe while the output (several
     # MB) is still being written.
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "scrollcalc", "stability", "--e", "1",
          "--window", "-300", "300", "-300", "300"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    assert proc.stdout.readline().startswith(b"h0-test twists on X_1")
-    proc.stdout.close()
-    assert proc.wait() == 141
-    assert proc.stderr.read() == b""
-    proc.stderr.close()
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"h0-test twists on X_1")
+        proc.stdout.close()
+        assert (proc.wait(), proc.stderr.read()) == (141, b"")
 
 
 # One small query per subcommand; verify's fresh process is the session's
