@@ -30,9 +30,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from . import chow, cohomology, instanton
-from .chow import ChowClass
-from .cohomology import FormalSheaf, Summand, les_chase, line, omega
-from .cohomology import _summand_chi, _summand_log_chern
+from .chow import ChowClass, _new
+from .cohomology import FormalSheaf, Summand, _summand_record, les_chase, line, omega
 from .errors import Inadmissible, _decoder, _int, _keys, _one_of, _rebuild
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
@@ -193,7 +192,8 @@ VARIANT_LABELS = {
     2: ("omega(-xi+f)", "-xi", "-(e+1)f", "omega(-(e-1)f)", "-ef"),
     3: ("omega(-xi+f)", "-xi", "-(e+2)f", "omega(-ef)", "-(e+1)f"),
 }
-MONAD_POSITIONS = (-1, 0, -1, 0, 1)
+# Beilinson's E_1 page holds the h^1 group against E_j at (p, q) = (-j, 1 + s_j): degree p + q.
+MONAD_POSITIONS = tuple(1 + GEOMETRIC_SHIFTS[4 - i] - (4 - i) for i in range(5))
 
 # The h^2 parameters of the non-earnest first variant, by twist index:
 # gamma at -(e+1)f, eta at -ef, delta at -(e-1)f.
@@ -205,10 +205,18 @@ def _columns(e: int, variant: int) -> tuple:
     return _table_frame(e, variant, True)[5]
 
 
-def _candidates(e: int, alpha: int, beta: int, columns) -> dict:
-    """-chi at every twist, keyed by label in column order, for int alpha, beta; no gate."""
-    _int(alpha), _int(beta)
+@lru_cache(maxsize=256, typed=True)
+def _cached_candidates(e: int, alpha: int, beta: int, variant: int) -> dict:
+    """-chi by twist label in column order, keyed by (e, alpha, beta, variant), at
+    most 256 entries: shared by a monad and its table, read via ``_candidates``."""
+    columns = _columns(e, variant)
     return {label: _h1_candidate(e, alpha, beta, twist) for label, twist, _, _ in columns}
+
+
+def _candidates(e: int, alpha: int, beta: int, variant: int) -> dict:
+    """A fresh copy of ``_cached_candidates``, for a checked e and variant; no gate."""
+    _int(alpha), _int(beta)
+    return _cached_candidates(e, alpha, beta, variant).copy()
 
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
@@ -217,14 +225,17 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
 
     These are exactly the multiplicities of the variant's monad. A negative
     candidate means no earnest instanton with these parameters exists, and
-    is reported as ``Inadmissible`` carrying the violated bound.
+    is reported as ``Inadmissible`` carrying the violated bound, on every
+    call; the arguments are checked before ``_cached_candidates`` is read.
     """
-    columns = _columns(e, variant)
+    if type(variant) is not int or variant not in DUAL_PAIRS:
+        _pair(e, variant)  # raises
+    instanton.require_scroll(e)
     if variant == 3 and alpha != 0:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
         )
-    values = _candidates(e, alpha, beta, columns)
+    values = _candidates(e, alpha, beta, variant)
     for label, cand in values.items():
         if cand < 0:
             raise Inadmissible(
@@ -356,15 +367,18 @@ def beilinson_table(
     unshifted block become the free parameters gamma, eta, delta and the
     h^1 cells below them hold the base values still owed their corrections.
     """
+    if type(gamma_zero) is not bool:
+        _one_of(gamma_zero, (True, False), "gamma_zero")
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
-    top, bottom, shifts, frame, slots, columns = _table_frame(e, variant, gamma_zero)
     if gamma_zero:
         values = h1_values(e, alpha, beta, variant)
     else:
-        values = _candidates(e, alpha, beta, columns)
+        instanton.require_scroll(e)
+        values = _candidates(e, alpha, beta, 1)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
+    top, bottom, shifts, frame, slots, _ = _table_frame(e, variant, gamma_zero)
     cells = [list(row) for row in frame]
     for r, c, label in slots:
         cells[r][c] = Cell("value", value=values[label])
@@ -490,9 +504,10 @@ def monad_general(
     for name, val in (*given.items(), ("alpha", alpha)):
         if _int(val) < 0:
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
+    instanton.require_scroll(e)
     columns = _columns(e, 1)
     params = {i: given[name] for i, name in H2_PARAMS.items()}
-    exponents = _candidates(e, alpha, beta, columns)
+    exponents = _candidates(e, alpha, beta, 1)
     for i, label in enumerate(exponents):
         exponents[label] += params.get(i, 0)
         if exponents[label] < 0:
@@ -538,24 +553,24 @@ def monad_consistency(m: Monad) -> ConsistencyReport:
     rank 2, c1 = (e-1)f, c2 = alpha xi f + beta f^2, and the right chi.
     Its K-theory class is [B] + [C1] - [A] - [C], on which rank, chi and
     L = 6 log c are additive (Whitney's formula): one pass over the signed
-    summands sums cached per-summand ints, and c = exp(L/6) (``chow._exp6``),
-    so c1 = L_1/6 and c2 = (12 L_2 + L_1^2)/72."""
-    e = m.e
-    rank, chi, log = 0, 0, (0, 0, 0, 0, 0)
+    summands adds up their cached seven-int records (``_summand_record``),
+    and c = exp(L/6) (``chow._exp6``), so c1 = L_1/6 and c2 = (12 L_2 +
+    L_1^2)/72; the classes are built unchecked from checked ints."""
+    if type(m) is not Monad:
+        raise Inadmissible(f"expected a Monad, got {m!r}", "m is a Monad")
+    e, alpha, beta = m.e, m.alpha, m.beta
+    rank = chi = l1 = l2 = l3 = l4 = l5 = 0
     tail = m.c_tail.terms if m.c_tail is not None else ()
     for sign, terms in ((1, m.B.terms), (1, tail), (-1, m.A.terms), (-1, m.C.terms)):
         for s, k in terms:
             k *= sign
-            rank += k * s.rank()
-            chi += k * _summand_chi(e, s)
-            log = [x + k * y for x, y in zip(log, _summand_log_chern(e, s))]
-    total = chow._exp6(e, *log)
+            r, x, d1, d2, d3, d4, d5 = _summand_record(e, s)
+            rank, chi = rank + k * r, chi + k * x
+            l1, l2, l3 = l1 + k * d1, l2 + k * d2, l3 + k * d3
+            l4, l5 = l4 + k * d4, l5 + k * d5
+    _, _, xi, f, xif, ff, _ = chow._exp6(e, l1, l2, l3, l4, l5)
     return ConsistencyReport(
-        rank_defect=rank,
-        c1_defect=total.homogeneous_part(1),
-        c2_defect=total.homogeneous_part(2),
-        chi_defect=chi,
-        expected_c1=chow.divisor(e, 0, e - 1),
-        expected_c2=ChowClass(e, xif=m.alpha, ff=m.beta),
-        expected_chi=chow.chi_instanton(e, m.alpha, m.beta, 0, 0),
+        rank, _new(ChowClass, (e, 0, xi, f, 0, 0, 0)), _new(ChowClass, (e, 0, 0, 0, xif, ff, 0)),
+        chi, _new(ChowClass, (e, 0, 0, e - 1, 0, 0, 0)),
+        _new(ChowClass, (e, 0, 0, 0, alpha, beta, 0)), chow.chi_instanton(e, alpha, beta, 0, 0),
     )

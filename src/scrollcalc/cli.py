@@ -13,8 +13,8 @@ first coordinate and is *not* used here).
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or inadmissible
 parameter combinations, reported as one ``error: … [violated bound: …]``
-line; ``python -m scrollcalc`` exits 141 (128 + SIGPIPE), silently, when
-the reader of its stdout closes the pipe early (``… | head -1``).
+line; the ``scrollcalc`` script and ``python -m scrollcalc`` (``console_main``)
+exit 141 (128 + SIGPIPE), silently, when their reader closes stdout early.
 
 A process loads only what its subcommand runs: a well-formed argv is read
 straight from the command table, argparse is built only for ``--help`` and
@@ -23,6 +23,7 @@ refused flags, and each handler imports its own modules.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -427,5 +428,13 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def console_main() -> int:
+    """``main()`` for the console script and ``python -m scrollcalc``; a closed
+    stdout is pointed at devnull (a silent exit-time flush) and exits 141."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    return code

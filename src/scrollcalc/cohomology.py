@@ -87,16 +87,17 @@ def _twist_str(a: int, b: int, ascii_only: bool) -> str:
 
 
 @lru_cache(maxsize=1024, typed=True)
-def _summand_log_chern(e: int, s: Summand) -> tuple:
-    """6 log c(s) on X_e, five ints (``chow._log6``), keyed by (e, s), at most
-    1024 entries: m copies of s add m times this to the log of a direct sum."""
-    return chow._log6(s.total_chern(e))
-
-
-@lru_cache(maxsize=1024, typed=True)
 def _summand_chi(e: int, s: Summand) -> int:
     """chi(s) on X_e from the closed forms, keyed by (e, s), at most 1024 entries."""
     return h_vector(e, s).chi
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _summand_record(e: int, s: Summand) -> tuple:
+    """(rank, chi, l1, .., l5) of s on X_e, seven ints, keyed by (e, s), at most
+    1024 entries; l1..l5 is 6 log c(s) (``chow._log6``).  All seven are
+    additive: m copies of s add m times each to a direct sum's."""
+    return (s.rank(), _summand_chi(e, s), *chow._log6(s.total_chern(e)))
 
 
 class CohVector(NamedTuple):
@@ -154,7 +155,7 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         """exp of the summed 6 log c(s), by Whitney's formula: no ring product."""
         log = (0, 0, 0, 0, 0)
         for s, m in self.terms:
-            log = [x + m * y for x, y in zip(log, _summand_log_chern(self.e, s))]
+            log = [x + m * y for x, y in zip(log, _summand_record(self.e, s)[2:])]
         return chow._exp6(self.e, *log)
 
     def chern_data(self) -> ChernData:

@@ -55,8 +55,15 @@ def _rebuild(cls, iterable):
     return cls(*iterable)
 
 
+_KEY_SETS: dict = {}  # frozenset(known) of each ``known`` tuple passed to ``_keys``
+
+
 def _keys(data, known: tuple):
-    """``data`` if it has no key outside ``known``; a decoder never drops one."""
+    """``data`` if it has no key outside ``known``; a decoder never drops one.
+    A dict passes by one inclusion in ``frozenset(known)``, built once per ``known``."""
+    key_set = _KEY_SETS.get(known) or _KEY_SETS.setdefault(known, frozenset(known))
+    if type(data) is dict and data.keys() <= key_set:
+        return data
     unknown = [str(key) for key in data if key not in known]
     if unknown:
         raise Inadmissible(f"unknown payload keys {sorted(unknown)}", f"keys in {known}")

@@ -107,14 +107,14 @@ def stability_test_region(e, window, strict: bool = False):
     """Twists (a, b) in the window whose h0-vanishing feeds the slope criterion.
 
     The criterion on a rank-2 bundle over a variety with free Picard group:
-    mu-(semi)stability is equivalent to h0(E(B)) = 0 for every divisor B
-    with delta_H(B) <= -mu_H(E) (strict: <).  The window is a finite box
-    (a_min, a_max, b_min, b_max) of ints; the underlying region is infinite.
-    e < 0, or a window that is not four ints or is empty, is ``Inadmissible``.
-    delta_H is linear in b, so each row a is cut by one division and costs
-    the same whatever the window's width.  delta_H(a, 0) = a(e+1)^2 is
-    monotone in a, so the non-empty rows are one interval, found by one more
-    division; no other row is visited.
+    mu-stability is equivalent to h0(E(B)) = 0 for every divisor B with
+    delta_H(B) <= -mu_H(E) (the default), mu-semistability to the same with <
+    (``strict``).  The window is a finite box (a_min, a_max, b_min, b_max) of
+    ints; the underlying region is infinite.  e < 0, or a window that is not
+    four ints or is empty, is ``Inadmissible``.  delta_H is linear in b, so
+    each row a is cut by one division and costs the same whatever the window's
+    width.  delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows
+    are one interval, found by one more division; no other row is visited.
     A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
     """
     require_scroll(e)
@@ -351,6 +351,8 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     * Everything else (e >= 4 with alpha > e, or 0 < alpha <= e, or small
       beta) is open: status unknown rather than an extrapolated answer.
     """
+    if type(p) is not InstantonParams:
+        raise Inadmissible(f"expected an InstantonParams, got {p!r}", "p is an InstantonParams")
     e, alpha, beta = p.e, p.alpha, p.beta
     if alpha < 0:
         return ExistenceReport(INADMISSIBLE)

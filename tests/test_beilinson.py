@@ -266,6 +266,34 @@ def test_h1_values_gate():
         h1_values(1, 1, 0, 3)  # variant 3 needs alpha = 0
 
 
+def test_h1_values_are_fresh_and_gated_on_a_warm_cache():
+    # The candidates are cached per point; each answer is a fresh dict, so a
+    # caller's mutation never reaches the next answer, nor the monad or table.
+    bl._cached_candidates.cache_clear()
+    first = h1_values(1, 2, 3, 2)
+    want = dict(first)
+    first["-xi"] += 100
+    first.pop("omega(-xi+f)")
+    first["extra"] = 1
+    assert h1_values(1, 2, 3, 2) == want and list(h1_values(1, 2, 3, 2)) == list(want)
+    m = monad_shape(1, 2, 3, 2)
+    table = beilinson_table(1, 2, 3, 2)
+    assert [table.cells[r][c].value for r, c in table.value_positions()] == [
+        want[label] for _, _, label in bl._table_frame(1, 2, True)[4]
+    ]
+    assert m == monad_shape(1, 2, 3, 2) and bl._cached_candidates.cache_info().hits >= 4
+    # A negative candidate raises on every call, cold or warm, from each entry.
+    bl._cached_candidates.cache_clear()
+    raised = []
+    for build in (h1_values, h1_values, monad_shape, beilinson_table):
+        with pytest.raises(Inadmissible) as exc:
+            build(0, 1, 0, 1)
+        raised.append((str(exc.value), exc.value.bound))
+    assert raised == [("h1 at twist -(e-1)f is -2 < 0 for (e, alpha, beta) = (0, 1, 0)",
+                       "h1[-(e-1)f] >= 0")] * 4
+    assert bl._cached_candidates.cache_info()[:2] == (3, 1)  # hits, misses
+
+
 # ---------------------------------------------------------------------------
 # Tables
 
@@ -611,6 +639,25 @@ def test_monad_consistency_matches_the_ring_quotient():
     assert oks == {True, False}  # consistent and inconsistent monads both occur
 
 
+def test_consistency_report_fields_equal_their_checked_construction():
+    # The report's classes are built unchecked; each must be what the checking
+    # constructor builds from its fields, homogeneous of its codimension, and
+    # every other field an int, on consistent and inconsistent monads alike.
+    codims = {"c1_defect": 1, "c2_defect": 2, "expected_c1": 1, "expected_c2": 2}
+    oks = set()
+    for m in _oracle_monads():
+        report = monad_consistency(m)
+        oks.add(report.ok)
+        for name, value in report._asdict().items():
+            if name in codims:
+                checked = chow.ChowClass(*value)
+                assert type(value) is chow.ChowClass and value == checked, (m, name)
+                assert checked == checked.homogeneous_part(codims[name]), (m, name)
+            else:
+                assert type(value) is int, (m, name)
+    assert oks == {True, False}
+
+
 def test_monad_render():
     m = monad_shape(1, 1, 2, 1)
     text = m.render(ascii_only=True)
@@ -625,7 +672,8 @@ def test_monad_render():
 CACHES = (
     bl._table_frame,
     bl._rendered_labels,
-    coh._summand_log_chern,
+    bl._cached_candidates,
+    coh._summand_record,
     coh._summand_chi,
     chow._rr_constants,
     chow._rr_c1_terms,
@@ -653,8 +701,9 @@ def _clear_caches():
 
 
 def _answers(e, alpha, beta, variant, cold):
-    """Tables (both gamma_zero, every render), monads and their reports at
-    one point; with ``cold`` every call starts on empty caches."""
+    """Tables (both gamma_zero, every render), monads, their reports and the
+    chi of their terms at one point; with ``cold`` every call starts on empty
+    caches."""
 
     def run(f, *args):
         if cold:
@@ -674,7 +723,9 @@ def _answers(e, alpha, beta, variant, cold):
     out.append(run(lambda: chow.chi_rr(chow.twist_chern(chow.instanton_chern(e, alpha, beta), div))))
     general = run(monad_general, e, alpha, beta, variant - 1, variant % 2, 3 - variant)
     for m in (run(monad_shape, e, alpha, beta, variant), general):
-        out += [m, run(monad_consistency, m) if isinstance(m, Monad) else None]
+        out.append(m)
+        if isinstance(m, Monad):  # its report, and its terms' chi through ``_summand_chi``
+            out += [run(monad_consistency, m), run(lambda: [x.chi() for x in m[4:7]])]
     return out
 
 

@@ -415,6 +415,21 @@ def test_closed_pipe_exits_141_without_traceback():
         assert (proc.wait(), proc.stderr.read()) == (141, b"")
 
 
+def test_console_script_exits_141_on_a_closed_pipe():
+    # Exactly what the script generated from ``[project.scripts]`` runs,
+    # piped into ``head -1``.
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    module, entry = re.search(r'^scrollcalc = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = f"import sys; from {module} import {entry}; sys.exit({entry}())"
+    argv = [sys.executable, "-c", script, "stability", "--e", "1",
+            "--window", "-300", "300", "-300", "300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = subprocess.run(["head", "-1"], stdin=proc.stdout, capture_output=True)
+        proc.stdout.close()
+        assert head.stdout.startswith(b"h0-test twists on X_1")
+        assert (proc.wait(), proc.stderr.read()) == (141, b"")
+
+
 # One small query per subcommand; verify's fresh process is the session's
 # ``verify_subprocess``, checked against the in-process run below.
 FRESH = {

@@ -352,7 +352,7 @@ def test_summand_chern_power_cache_does_not_leak():
         for e in scrolls
         for _ in range(30)
     ]
-    cached = coh._summand_log_chern
+    cached = coh._summand_record
     first = {}
     for e in scrolls:
         cached.cache_clear()

@@ -8,6 +8,7 @@ report, never raised.  ``ScrollcalcError`` is only their base class.
 import ast
 import json
 import operator
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from scrollcalc.chow import ChernData, ChowClass
 from scrollcalc.errors import Inadmissible
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scrollcalc"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RAISED = {"Inadmissible", "NonIntegralValue"}
 RECORDS = ("ChowClass", "ChernData", "Summand", "FormalSheaf", "Monad", "InstantonParams")
@@ -103,6 +105,8 @@ def _raisers(bound: str):
     ("data is a ChernData", ("chow.py", "_require_chern")),
     ("div is a ChowClass", ("chow.py", "twist_chern")),
     ("other is a ChowClass", ("chow.py", "ChowClass._check")),
+    ("m is a Monad", ("beilinson.py", "monad_consistency")),
+    ("p is an InstantonParams", ("instanton.py", "existence_report")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
@@ -273,6 +277,27 @@ def _rejected_inputs():
          "unknown curve class 'zz'", "curve_class in (xif, ff)"),
         (lambda: inst.curve_info(0, "zz"),
          "unknown curve class 'zz'", "curve_class in (xif, ff)"),
+        # Foreign inputs of the monad layer are refused before any cache.
+        (lambda: bl.h1_values([1], 0, 0, 1), "expected an int, got [1]", "type(value) is int"),
+        (lambda: bl.h1_values(1, 0, 0, [1]),
+         "variant must be 1, 2 or 3, got [1]", "variant in (1, 2, 3)"),
+        (lambda: bl.beilinson_table([1], 0, 0, 1),
+         "expected an int, got [1]", "type(value) is int"),
+        (lambda: bl.beilinson_table([1], 0, 0, 1, False),
+         "expected an int, got [1]", "type(value) is int"),
+        (lambda: bl.beilinson_table(1, 0, 0, 1, [1]),
+         "gamma_zero [1] is not one of (True, False)", "gamma_zero in (True, False)"),
+        (lambda: bl.beilinson_table(1, 0, 0, 1, 1),
+         "gamma_zero 1 is not one of (True, False)", "gamma_zero in (True, False)"),
+        (lambda: bl.monad_shape(1, 0, 0, {}),
+         "variant must be 1, 2 or 3, got {}", "variant in (1, 2, 3)"),
+        (lambda: bl.monad_general([1], 1, 1, 0, 0, 0),
+         "expected an int, got [1]", "type(value) is int"),
+        (lambda: bl.monad_consistency(5), "expected a Monad, got 5", "m is a Monad"),
+        (lambda: bl.monad_consistency(tuple(_GENERAL)),
+         f"expected a Monad, got {tuple(_GENERAL)!r}", "m is a Monad"),
+        (lambda: inst.existence_report((1, 2, 3)),
+         "expected an InstantonParams, got (1, 2, 3)", "p is an InstantonParams"),
     ]
 
 
@@ -298,10 +323,12 @@ def test_flag_pairs_exit_2_naming_their_bound(argv, message, capsys):
 
 
 # Ints (small and up to 10^18), bools, floats, strings (the two summand kinds
-# among them) and None, fed to one field at a time.
+# among them), None, and lists and dicts (unhashable), fed to one field at a time.
 _FIELD_VALUES = st.one_of(
     st.integers(-10**18, 10**18), st.integers(-3, 8), st.booleans(), st.floats(),
     st.text(max_size=3), st.sampled_from(coh.KINDS), st.none(),
+    st.lists(st.integers(-3, 8), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 8), max_size=2),
 )
 
 # Each entry point with valid arguments; every argument is a fuzzed field.
@@ -313,6 +340,10 @@ _ENTRY_POINTS = {
     "InstantonParams": (inst.InstantonParams, (1, 2, 0)),
     "collection": (bl.collection, (1, 2)),
     "h1_values": (bl.h1_values, (1, 1, 2, 1)),
+    "beilinson_table": (bl.beilinson_table, (1, 1, 2, 1, True)),
+    "monad_shape": (bl.monad_shape, (1, 1, 2, 1)),
+    "monad_consistency": (bl.monad_consistency, (_GENERAL,)),
+    "existence_report": (inst.existence_report, (inst.InstantonParams(1, 2, 0),)),
     "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
     "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (1, 2, 5)),
     "ChernData": (ChernData, tuple(chow.instanton_chern(1, 2, 3))),
@@ -375,3 +406,39 @@ def test_payload_fields_decode_or_name_a_bound(name, data, value):
         decode(payload)
     except Inadmissible as exc:
         assert exc.bound
+
+
+# Not a dict, at a position of a payload that holds one.
+_NOT_A_DICT = (["e", 0], "e", None)
+
+
+def _decoder_refusals():
+    """``[payload, path, value, message, bound]`` for each value of
+    ``_NOT_A_DICT`` at each dict position of each payload, the root included."""
+    found = []
+    for name, (decode, payload) in sorted(_PAYLOADS.items()):
+        for path in [(), *sorted(_paths(payload), key=repr)]:
+            copy = json.loads(json.dumps(payload))
+            node = copy
+            for key in path[:-1]:
+                node = node[key]
+            if not isinstance(node[path[-1]] if path else copy, dict):
+                continue
+            for value in _NOT_A_DICT:
+                if path:
+                    node[path[-1]] = value
+                with pytest.raises(Inadmissible) as info:
+                    decode(copy if path else value)
+                found.append([name, list(path), value, str(info.value), info.value.bound])
+    return found
+
+
+def test_decoder_refusals_keep_their_message_and_bound():
+    # Recorded before ``_keys`` tested a dict by set inclusion: each refusal
+    # keeps its bound, and its message too on the Python that recorded them
+    # (the messages quote the interpreter's own TypeError text).
+    recorded = json.loads((GOLDEN / "decoder_refusals.json").read_text(encoding="utf-8"))
+    got = _decoder_refusals()
+    assert [row[:3] + row[4:] for row in got] == [row[:3] + row[4:] for row in recorded["refusals"]]
+    if list(sys.version_info[:2]) == recorded["python"]:
+        assert got == recorded["refusals"]
