@@ -378,13 +378,14 @@ def beilinson_table(
         values = _candidates(e, alpha, beta, 1)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
+    # The arguments are checked and the rest comes from the frame: build unchecked.
     top, bottom, shifts, frame, slots, _ = _table_frame(e, variant, gamma_zero)
     cells = [list(row) for row in frame]
     for r, c, label in slots:
-        cells[r][c] = Cell("value", value=values[label])
-    return BeilinsonTable(
+        cells[r][c] = _new(Cell, ("value", values[label], None))
+    return _new(BeilinsonTable, (
         e, alpha, beta, variant, gamma_zero, top, bottom, shifts, tuple(map(tuple, cells))
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +408,8 @@ class Monad(NamedTuple("Monad", [
     ``c_tail`` None.  ``extra`` carries (gamma, delta, eta) when present.
     Every construction, ``_replace`` and ``_make`` included, checks each field:
     int e >= 0, int alpha and beta; variant in (1, 2, 3, None); sheaves on
-    X_e; extra None or three ints."""
+    X_e; extra None or three ints.  ``monad_shape`` and ``monad_general``,
+    whose fields are all checked on the way in, build it unchecked."""
 
     __slots__ = ()
 
@@ -472,13 +474,17 @@ class Monad(NamedTuple("Monad", [
 def _monad_sheaves(e: int, columns, exponents: dict, params: dict) -> list:
     """A, B, C and the tail C1: each twist's dual sheaf enters its own
     position with the twist's exponent, and a parameter at twist index i
-    reenters one position later (position 2 is the tail)."""
+    reenters one position later (position 2 is the tail).  Every part is
+    checked (the duals are ``Summand``s, distinct within a position, and the
+    exponents and parameters ints >= 0), so each sheaf is built unchecked:
+    its nonzero terms, sorted."""
     buckets = {-1: [], 0: [], 1: [], 2: []}
     for i, (label, _, dual, position) in enumerate(columns):
         buckets[position].append((dual, exponents[label]))
         if i in params:
             buckets[position + 1].append((dual, params[i]))
-    return [FormalSheaf.of(e, buckets[p]) for p in (-1, 0, 1, 2)]
+    return [_new(FormalSheaf, (e, tuple(sorted([t for t in buckets[p] if t[1]]))))
+            for p in (-1, 0, 1, 2)]
 
 
 def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
@@ -486,7 +492,7 @@ def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     Riemann-Roch route), never from display strings."""
     values = h1_values(e, alpha, beta, variant)
     A, B, C, _ = _monad_sheaves(e, _columns(e, variant), values, {})
-    return Monad(e, alpha, beta, variant, A, B, C)
+    return _new(Monad, (e, alpha, beta, variant, A, B, C, None, None))
 
 
 def monad_general(
@@ -515,7 +521,7 @@ def monad_general(
                 f"exponent at twist {label} is {exponents[label]} < 0", f"h1[{label}] >= 0"
             )
     A, B, C, tail = _monad_sheaves(e, columns, exponents, params)
-    return Monad(e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta))
+    return _new(Monad, (e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta)))
 
 
 class ConsistencyReport(NamedTuple):

@@ -407,6 +407,7 @@ def instanton_chern(e: int, alpha: int, beta: int) -> ChernData:
     c3 is 0: the twisted Riemann-Roch closed form below is only consistent
     with vanishing c3, and the kernel-sheaf modification keeps it 0.
     """
+    _int(e), _int(alpha), _int(beta)
     return ChernData(
         2, ChowClass(e, f=e - 1), ChowClass(e, xif=alpha, ff=beta), ChowClass(e)
     )

@@ -116,7 +116,9 @@ class CohVector(NamedTuple):
 class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
     """A finite direct sum on X_e: sorted, distinct (Summand, mult >= 1) terms.
     Every construction, ``of``, ``_replace`` and ``_make`` included, checks
-    ``e`` and each term, merges repeats and drops zero multiplicities, once."""
+    ``e`` and each term, merges repeats and drops zero multiplicities, once.
+    Builders whose terms are already in that form (``from_dict`` on rows in
+    ``to_dict``'s order, the monad builders) build it unchecked."""
 
     __slots__ = ()
 
@@ -205,10 +207,24 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         terms = _keys(data, ("e", "terms"))["terms"]
         pairs = [(Summand(t["kind"], t["a"], t["b"]), t["mult"])
                  for t in (_keys(t, ("kind", "a", "b", "mult")) for t in terms)]
-        sheaf = FormalSheaf.of(data["e"], pairs)
+        e = data["e"]
+        if type(e) is int and _in_normal_form(pairs):  # as to_dict writes them
+            return tuple.__new__(FormalSheaf, (e, tuple(pairs)))
+        sheaf = FormalSheaf.of(e, pairs)
         if len(sheaf.terms) != len(pairs):  # to_dict writes each summand once, mult >= 1
             raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
         return sheaf
+
+
+def _in_normal_form(pairs: list) -> bool:
+    """Whether (Summand, mult) pairs are a ``FormalSheaf``'s terms as they
+    stand: strictly increasing summands, each mult an int >= 1."""
+    last = ()  # a tuple below every summand
+    for s, m in pairs:
+        if type(m) is not int or m < 1 or s <= last:
+            return False
+        last = s
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +425,8 @@ def _is_bounds_row(x) -> bool:
 def les_chase(entries: Sequence, target_position: int) -> tuple:
     """Bound every h^i of the unknown entry of a short exact sequence.
 
-    ``entries`` has length 3; the slot at ``target_position`` is the unknown
+    ``entries`` is a tuple or list of length 3, and ``target_position`` an
+    int in 0..2, a bool refused; the slot at ``target_position`` is the unknown
     (pass ``None`` there, or anything: it is ignored).  Each other slot is a
     ``FormalSheaf``, whose h^i are exact, or four (lo, hi) int pairs with
     0 <= lo <= hi, which is how hypothesized cohomology enters a chase; any
@@ -420,9 +437,9 @@ def les_chase(entries: Sequence, target_position: int) -> tuple:
     rank(P -> target) + rank(target -> N), and exactness alone gives
     lo = max(0, lo_P - hi_P') + max(0, lo_N - hi_N') and hi = hi_P + hi_N.
     """
-    if len(entries) != 3:
+    if not isinstance(entries, (tuple, list)) or len(entries) != 3:
         raise Inadmissible("only three-term exact sequences are chased", "len(entries) == 3")
-    if not 0 <= target_position <= 2:
+    if type(target_position) is not int or not 0 <= target_position <= 2:
         raise Inadmissible(f"bad target position {target_position}", "target_position in 0..2")
     known = {p: x for p, x in enumerate(entries) if p != target_position}
     if any(x is None for x in known.values()):

@@ -53,8 +53,15 @@ class InstantonParams(
         return (self.e + 1) * self.alpha + self.beta
 
 
+def _require_params(p) -> None:
+    """Refuse anything but an ``InstantonParams``, whose fields are checked."""
+    if type(p) is not InstantonParams:
+        raise Inadmissible(f"expected an InstantonParams, got {p!r}", "p is an InstantonParams")
+
+
 def is_ulrich_twist(p: InstantonParams) -> bool:
     """True when the H-twist of the bundle is Ulrich, i.e. chi(E) = 0."""
+    _require_params(p)
     return chow.chi_instanton(p.e, p.alpha, p.beta, 0, 0) == 0
 
 
@@ -115,7 +122,8 @@ def stability_test_region(e, window, strict: bool = False):
     each row a is cut by one division and costs the same whatever the window's
     width.  delta_H(a, 0) = a(e+1)^2 is monotone in a, so the non-empty rows
     are one interval, found by one more division; no other row is visited.
-    A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``.
+    A region of more than ``REGION_CELLS_MAX`` twists is ``Inadmissible``, and
+    so is a ``strict`` that is not exactly a bool.
     """
     require_scroll(e)
     if not (isinstance(window, (tuple, list)) and len(window) == 4
@@ -128,6 +136,7 @@ def stability_test_region(e, window, strict: bool = False):
         raise Inadmissible(f"empty window: a_min = {a_min} > a_max = {a_max}", "a_min <= a_max")
     if b_min > b_max:
         raise Inadmissible(f"empty window: b_min = {b_min} > b_max = {b_max}", "b_min <= b_max")
+    _one_of(strict, (True, False), "strict")
     # 2*delta <= -2*mu_H avoids rationals.  With 2*delta = q*a + m*b, where
     # q = 2(e+1)^2 and m = 2(e+2) are positive, a row keeps the b with
     # m*b <= k0 - q*a, and it is non-empty iff b_min is kept.
@@ -244,6 +253,7 @@ def ext_dimensions(e: int, alpha: int, beta: int) -> ExtDimensions:
     ext0 = 1 (simple), ext3 = 0, ext2 = C(e-2, 2) for e >= 4 and 0 below,
     and ext1 - ext2 = (6+2e) alpha + 4 beta - (e-1)^2 - 3.
     """
+    _int(e), _int(alpha), _int(beta)
     ext2 = comb(e - 2, 2) if e >= 4 else 0
     defect = (6 + 2 * e) * alpha + 4 * beta - (e - 1) ** 2 - 3
     return ExtDimensions(1, defect, ext2, 0)
@@ -255,6 +265,7 @@ def chi_end_grr(e: int, alpha: int, beta: int) -> int:
     With c1(End) = c3(End) = 0 and c2(End) = 4 c2 - c1^2 the theorem reads
     chi = c1(T) c2(T) / 6 - c1(T) (4 c2 - c1^2) / 2.
     """
+    _int(e), _int(alpha), _int(beta)
     c1t = chow.divisor(e, 2, 3 - e)
     c2t = chow.c2_cotangent(e)
     c1 = chow.divisor(e, 0, e - 1)
@@ -271,8 +282,12 @@ def elementary_modification(p: InstantonParams, ext1: int):
 
     Sends (alpha, beta) to (alpha, beta+1), raises the charge by 1, keeps
     c1 and c3, and raises the Ext^1 dimension by exactly 4.  Stated for the
-    e <= 3 range where the obstruction spaces vanish.
+    e <= 3 range where the obstruction spaces vanish; a larger e is refused.
     """
+    _require_params(p)
+    _int(ext1)
+    if p.e > 3:
+        raise Inadmissible(f"the modification is stated for e <= 3, got e = {p.e}", "e <= 3")
     return InstantonParams(p.e, p.alpha, p.beta + 1), ext1 + 4
 
 
@@ -351,8 +366,7 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     * Everything else (e >= 4 with alpha > e, or 0 < alpha <= e, or small
       beta) is open: status unknown rather than an extrapolated answer.
     """
-    if type(p) is not InstantonParams:
-        raise Inadmissible(f"expected an InstantonParams, got {p!r}", "p is an InstantonParams")
+    _require_params(p)
     e, alpha, beta = p.e, p.alpha, p.beta
     if alpha < 0:
         return ExistenceReport(INADMISSIBLE)

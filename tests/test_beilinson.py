@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import itertools
+import json
 import pkgutil
 import random
 
@@ -657,6 +658,62 @@ def test_monad_render():
     assert text == (
         "0 -> Omega(-xi+f) + O(-f)^2 -> Omega(f)^3 + O(-xi)^2 -> O^2 -> 0"
     )
+
+
+# ---------------------------------------------------------------------------
+# Records built unchecked from checked parts
+
+# e <= 6, alpha, beta <= 8: every variant, and every general monad with
+# gamma, delta, eta <= 2.
+_GRID = list(itertools.product(range(7), range(9), range(9)))
+
+
+def _grid_monads():
+    for e, alpha, beta in _GRID:
+        for variant in (1, 2, 3):
+            with contextlib.suppress(Inadmissible):
+                yield monad_shape(e, alpha, beta, variant)
+        for params in itertools.product(range(3), repeat=3):
+            with contextlib.suppress(Inadmissible):
+                yield monad_general(e, alpha, beta, *params)
+
+
+def _checked_sheaf(sheaf):
+    """The sheaf rebuilt through the checking constructor, type for type."""
+    assert type(sheaf) is coh.FormalSheaf and type(sheaf.terms) is tuple
+    assert all(type(t) is tuple for t in sheaf.terms)
+    return coh.FormalSheaf.of(sheaf.e, sheaf.terms)
+
+
+def test_unchecked_monads_equal_their_checked_rebuilds():
+    count = 0
+    for m in _grid_monads():
+        count += 1
+        assert type(m) is Monad and m == Monad(*m), m
+        back = Monad.from_dict(json.loads(json.dumps(m.to_dict())))
+        assert back == m, m
+        for sheaf in (x for x in (*m[4:8], *back[4:8]) if x is not None):  # A, B, C, C1
+            assert sheaf == _checked_sheaf(sheaf), m  # sorted, merged, no zero term
+    assert count == 9736
+
+
+def test_unchecked_tables_equal_their_checked_rebuilds():
+    count = 0
+    for (e, alpha, beta), (variant, gamma_zero) in itertools.product(
+            _GRID, ((1, True), (2, True), (3, True), (1, False))):
+        try:
+            table = beilinson_table(e, alpha, beta, variant, gamma_zero)
+        except Inadmissible:
+            continue
+        count += 1
+        cells = tuple(tuple(bl.Cell(*cell) for cell in row) for row in table.cells)
+        assert type(table) is bl.BeilinsonTable
+        assert table == bl.BeilinsonTable(*table[:8], cells)
+        assert all(type(cell) is bl.Cell for row in table.cells for cell in row)
+        values = [table.cells[r][c] for r, c in table.value_positions()]
+        assert len(values) == 5 and all(
+            type(cell.value) is int and cell.tag is None for cell in values), table
+    assert count == 1210
 
 
 # ---------------------------------------------------------------------------

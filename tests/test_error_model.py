@@ -106,7 +106,10 @@ def _raisers(bound: str):
     ("div is a ChowClass", ("chow.py", "twist_chern")),
     ("other is a ChowClass", ("chow.py", "ChowClass._check")),
     ("m is a Monad", ("beilinson.py", "monad_consistency")),
-    ("p is an InstantonParams", ("instanton.py", "existence_report")),
+    ("p is an InstantonParams", ("instanton.py", "_require_params")),
+    ("e <= 3", ("instanton.py", "elementary_modification")),
+    ("len(entries) == 3", ("cohomology.py", "les_chase")),
+    ("target_position in 0..2", ("cohomology.py", "les_chase")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
@@ -122,6 +125,22 @@ def test_unchecked_chern_data_is_built_only_by_derived_builders():
                         and ast.unparse(node.func) in ("_new", "tuple.__new__")
                         and ast.unparse(node.args[0]) == "ChernData")
     assert unchecked == {("chow.py", "twist_chern")}
+
+
+def test_monad_layer_records_are_built_unchecked_only_from_checked_parts():
+    # The monad builders, the table and the sheaf decoder's normal-form rows
+    # build from checked parts; every other record goes through its constructor.
+    def unchecked(record):
+        return _scopes(lambda node: isinstance(node, ast.Call) and node.args
+                       and ast.unparse(node.func) in ("_new", "tuple.__new__")
+                       and ast.unparse(node.args[0]) == record)
+
+    assert unchecked("FormalSheaf") == {
+        ("cohomology.py", "FormalSheaf.from_dict"), ("beilinson.py", "_monad_sheaves")}
+    assert unchecked("Monad") == {
+        ("beilinson.py", "monad_shape"), ("beilinson.py", "monad_general")}
+    assert unchecked("Cell") == unchecked("BeilinsonTable") == {
+        ("beilinson.py", "beilinson_table")}
 
 
 def _nodes(kind):
@@ -298,6 +317,31 @@ def _rejected_inputs():
          f"expected a Monad, got {tuple(_GENERAL)!r}", "m is a Monad"),
         (lambda: inst.existence_report((1, 2, 3)),
          "expected an InstantonParams, got (1, 2, 3)", "p is an InstantonParams"),
+        # Foreign arguments of the chase and of the other instanton helpers.
+        (lambda: coh.les_chase(5, 1),
+         "only three-term exact sequences are chased", "len(entries) == 3"),
+        (lambda: coh.les_chase([good, good, None], [1]),
+         "bad target position [1]", "target_position in 0..2"),
+        (lambda: coh.les_chase([good, good, None], 1.5),
+         "bad target position 1.5", "target_position in 0..2"),
+        (lambda: coh.les_chase([good, None, good], True),
+         "bad target position True", "target_position in 0..2"),
+        (lambda: inst.is_ulrich_twist((1, 2, 3)),
+         "expected an InstantonParams, got (1, 2, 3)", "p is an InstantonParams"),
+        (lambda: inst.elementary_modification((1, 2, 3), 4),
+         "expected an InstantonParams, got (1, 2, 3)", "p is an InstantonParams"),
+        (lambda: inst.elementary_modification(inst.InstantonParams(1, 2, 0), 4.0),
+         "expected an int, got 4.0", "type(value) is int"),
+        (lambda: inst.elementary_modification(inst.InstantonParams(6, 7, 0), 4),
+         "the modification is stated for e <= 3, got e = 6", "e <= 3"),
+        (lambda: inst.ext_dimensions([1], 0, 0), "expected an int, got [1]", "type(value) is int"),
+        (lambda: inst.chi_end_grr(1, 0, True), "expected an int, got True", "type(value) is int"),
+        (lambda: chow.instanton_chern([1], 0, 0),
+         "expected an int, got [1]", "type(value) is int"),
+        (lambda: inst.stability_test_region(1, (0, 1, 0, 1), [1]),
+         "strict [1] is not one of (True, False)", "strict in (True, False)"),
+        (lambda: inst.stability_test_region(1, (0, 1, 0, 1), 1),
+         "strict 1 is not one of (True, False)", "strict in (True, False)"),
     ]
 
 
@@ -333,6 +377,7 @@ _FIELD_VALUES = st.one_of(
 
 # Each entry point with valid arguments; every argument is a fuzzed field.
 _GENERAL = bl.monad_general(1, 2, 5, 1, 2, 1)
+_LINE_SHEAF = coh.FormalSheaf.of(1, [(coh.line(0, 0), 1)])
 _ENTRY_POINTS = {
     "ChowClass": (ChowClass, (1, 1, 2, -3, 0, 4, 5)),
     "Summand": (coh.Summand, ("omega", 1, -2)),
@@ -353,6 +398,13 @@ _ENTRY_POINTS = {
     "ChowClass.pairing": (chow.hyperplane(1).pairing, (chow.xi_class(1),)),
     "ChowClass.scale": (chow.hyperplane(1).scale, (3,)),
     "ChowClass.__pow__": (chow.hyperplane(1).__pow__, (3,)),  # constant term 0: any n is cheap
+    "les_chase": (coh.les_chase, ([_LINE_SHEAF, _LINE_SHEAF, None], 2)),
+    "is_ulrich_twist": (inst.is_ulrich_twist, (inst.InstantonParams(1, 2, 0),)),
+    "elementary_modification": (inst.elementary_modification, (inst.InstantonParams(1, 2, 0), 13)),
+    "ext_dimensions": (inst.ext_dimensions, (1, 2, 5)),
+    "chi_end_grr": (inst.chi_end_grr, (1, 2, 5)),
+    "instanton_chern": (chow.instanton_chern, (1, 2, 5)),
+    "stability_test_region": (inst.stability_test_region, (1, (-2, 2, -2, 2), False)),
 }
 
 

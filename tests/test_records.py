@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scrollcalc import beilinson as bl
 from scrollcalc import chow
@@ -316,6 +318,48 @@ def test_decoders_refuse_payloads_to_dict_never_writes(decode, message, bound):
     with pytest.raises(Inadmissible) as info:
         decode()
     assert (str(info.value), info.value.bound) == (message, bound)
+
+
+def _reference_sheaf_decode(data):
+    """``FormalSheaf.from_dict`` without its shortcut for rows in ``to_dict``'s
+    order: every row goes through ``FormalSheaf.of``."""
+    pairs = [(coh.Summand(t["kind"], t["a"], t["b"]), t["mult"]) for t in data["terms"]]
+    sheaf = coh.FormalSheaf.of(data["e"], pairs)
+    if len(sheaf.terms) != len(pairs):
+        raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
+    return sheaf
+
+
+def _decoded(decode, data):
+    """The decoded sheaf with the type of each part, or the refusal's (message, bound)."""
+    try:
+        sheaf = decode(data)
+    except Inadmissible as exc:
+        return str(exc), exc.bound
+    return sheaf, type(sheaf), type(sheaf.terms), [tuple(map(type, t)) for t in sheaf.terms]
+
+
+_POOL = [coh.Summand(kind, a, b) for kind in coh.KINDS for a in (-1, 0, 2) for b in (-1, 0, 3)]
+
+
+@st.composite
+def _sheaf_rows(draw):
+    """Rows in to_dict's order, or shuffled or repeated; mults >= 1, or any of
+    zero, negative and bool; an int e, or a bool, float, string or None."""
+    rows = draw(st.lists(st.sampled_from(_POOL), max_size=5))
+    distinct = sorted(set(rows))
+    summands = draw(st.one_of(st.just(rows), st.just(distinct), st.permutations(distinct)))
+    mult = draw(st.sampled_from([st.integers(1, 9), st.one_of(st.integers(-2, 3), st.booleans())]))
+    e = draw(st.one_of(st.integers(-2, 6), st.sampled_from([True, 1.0, 2.5, "1", None])))
+    return {"e": e, "terms": [{"kind": s.kind, "a": s.a, "b": s.b, "mult": draw(mult)}
+                              for s in summands]}
+
+
+@given(data=_sheaf_rows())
+@example(data={"e": 1, "terms": [{"kind": "omega", "a": 0, "b": 0, "mult": 2},
+                                 {"kind": "line", "a": 0, "b": 0, "mult": 1}]})  # out of order
+def test_sheaf_decoder_answers_as_the_checked_route(data):
+    assert _decoded(coh.FormalSheaf.from_dict, data) == _decoded(_reference_sheaf_decode, data)
 
 
 def test_every_existence_report_decodes_to_itself():
