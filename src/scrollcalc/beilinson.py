@@ -449,12 +449,12 @@ class Monad(NamedTuple("Monad", [
             "alpha": self.alpha,
             "beta": self.beta,
             "variant": self.variant,
-            "A": self.A.to_dict()["terms"],
-            "B": self.B.to_dict()["terms"],
-            "C": self.C.to_dict()["terms"],
+            "A": self.A._rows(),
+            "B": self.B._rows(),
+            "C": self.C._rows(),
         }
         if self.c_tail is not None:
-            out["C1"] = self.c_tail.to_dict()["terms"]
+            out["C1"] = self.c_tail._rows()
         if self.extra is not None:
             out["gamma"], out["delta"], out["eta"] = self.extra
         return out
@@ -463,12 +463,11 @@ class Monad(NamedTuple("Monad", [
     @_decoder
     def from_dict(data: dict) -> "Monad":
         e = _keys(data, _MONAD_KEYS)["e"]
-        def sheaf(key):  # A, B and C are required, the tail C1 is not
-            return FormalSheaf.from_dict({"e": e, "terms": data[key]})
-        tail = sheaf("C1") if "C1" in data else None
+        rows = FormalSheaf._from_rows  # A, B and C are required, the tail C1 is not
+        tail = rows(e, data["C1"]) if "C1" in data else None
         extra = tuple(data[k] for k in ("gamma", "delta", "eta")) if "gamma" in data else None
         return Monad(e, data["alpha"], data["beta"], data.get("variant"),
-                     sheaf("A"), sheaf("B"), sheaf("C"), tail, extra)
+                     rows(e, data["A"]), rows(e, data["B"]), rows(e, data["C"]), tail, extra)
 
 
 def _monad_sheaves(e: int, columns, exponents: dict, params: dict) -> list:

@@ -117,8 +117,9 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
     """A finite direct sum on X_e: sorted, distinct (Summand, mult >= 1) terms.
     Every construction, ``of``, ``_replace`` and ``_make`` included, checks
     ``e`` and each term, merges repeats and drops zero multiplicities, once.
-    Builders whose terms are already in that form (``from_dict`` on rows in
-    ``to_dict``'s order, the monad builders) build it unchecked."""
+    Builders whose terms are already in that form (``_from_rows``, which
+    reads exactly the rows ``_rows`` writes, and the monad builders) build
+    it unchecked."""
 
     __slots__ = ()
 
@@ -193,38 +194,39 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         sep = " + " if ascii_only else " ⊕ "
         return sep.join(bits)
 
+    def _rows(self) -> list:
+        """The ``"terms"`` rows of ``to_dict``, one per term, in order."""
+        return [{"kind": s.kind, "a": s.a, "b": s.b, "mult": m} for s, m in self.terms]
+
     def to_dict(self) -> dict:
-        return {
-            "e": self.e,
-            "terms": [
-                {"kind": s.kind, "a": s.a, "b": s.b, "mult": m} for s, m in self.terms
-            ],
-        }
+        return {"e": self.e, "terms": self._rows()}
 
     @staticmethod
     @_decoder
     def from_dict(data: dict) -> "FormalSheaf":
         terms = _keys(data, ("e", "terms"))["terms"]
-        pairs = [(Summand(t["kind"], t["a"], t["b"]), t["mult"])
-                 for t in (_keys(t, ("kind", "a", "b", "mult")) for t in terms)]
-        e = data["e"]
-        if type(e) is int and _in_normal_form(pairs):  # as to_dict writes them
-            return tuple.__new__(FormalSheaf, (e, tuple(pairs)))
-        sheaf = FormalSheaf.of(e, pairs)
-        if len(sheaf.terms) != len(pairs):  # to_dict writes each summand once, mult >= 1
-            raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
-        return sheaf
+        return FormalSheaf._from_rows(data["e"], terms)
 
-
-def _in_normal_form(pairs: list) -> bool:
-    """Whether (Summand, mult) pairs are a ``FormalSheaf``'s terms as they
-    stand: strictly increasing summands, each mult an int >= 1."""
-    last = ()  # a tuple below every summand
-    for s, m in pairs:
-        if type(m) is not int or m < 1 or s <= last:
-            return False
-        last = s
-    return True
+    @staticmethod
+    @_decoder
+    def _from_rows(e, rows) -> "FormalSheaf":
+        """The sheaf on X_e whose ``_rows()`` are ``rows``.  Each row's keys and
+        ``Summand`` are checked; rows are taken only as ``_rows`` writes them,
+        summands strictly increasing and each mult an int >= 1."""
+        pairs = []
+        last = ()  # a tuple below every summand
+        as_written = type(e) is int
+        for t in rows:
+            t = _keys(t, ("kind", "a", "b", "mult"))
+            s, m = Summand(t["kind"], t["a"], t["b"]), t["mult"]
+            as_written = as_written and type(m) is int and m >= 1 and s > last
+            last = s
+            pairs.append((s, m))
+        if not as_written:
+            FormalSheaf(e, pairs)  # raises for a bad e or mult, in its order
+            raise Inadmissible("repeated, out-of-order or zero-mult row",
+                               "summands strictly increasing, mult >= 1")
+        return tuple.__new__(FormalSheaf, (e, tuple(pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,14 @@ class Inadmissible(ScrollcalcError, ValueError):
 
 
 def _decoder(decode):
-    """Guard a ``from_dict``: a payload that does not have the layout of the
-    class's ``to_dict`` raises ``Inadmissible`` instead of a raw error."""
+    """Guard a decoder of any arity (a ``from_dict``, or a reader of part of a
+    payload): input that does not have the layout of the class's ``to_dict``
+    raises ``Inadmissible`` instead of a raw error."""
     kind = decode.__qualname__.split(".")[0]
 
-    def guarded(data):
+    def guarded(*args):
         try:
-            return decode(data)
+            return decode(*args)
         except Inadmissible:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -304,13 +304,8 @@ def min_pullback_beta(e: int) -> int:
     return (e * e + e) // 2 + 1
 
 
-def pullback_moduli_dim(e: int, beta: int) -> int:
-    """Dimension of the (smooth, integral, rational) earnest pullback locus."""
-    return 4 * beta + 2 * e - e * e - 4
-
-
 def plane_moduli_dim(e: int, beta: int) -> int:
-    """The same count run on the plane side of the pullback.
+    """Dimension of the pullback locus, counted on the plane side.
 
     Untwisting by t = floor(e/2) lands in the moduli of plane bundles with
     c1 = 0 (e odd, dimension 4 c2 - 3) or c1 = -1 (e even, 4 c2 - 4).
@@ -374,6 +369,6 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
         ext1 = ext_dimensions(e, alpha, beta).ext1_minus_ext2
         return ExistenceReport(EXISTS, ext1, *_STATUS_SHAPES[EXISTS][1:])
     if alpha == 0 and beta >= min_pullback_beta(e):
-        ext1 = pullback_moduli_dim(e, beta)
+        ext1 = ext_dimensions(e, 0, beta).ext1_minus_ext2
         return ExistenceReport(EXISTS_PULLBACK, ext1, *_STATUS_SHAPES[EXISTS_PULLBACK][1:])
     return ExistenceReport(UNKNOWN)

@@ -354,7 +354,8 @@ def instanton_ext_grr(_seed: int) -> SuiteResult:
                     "GRR at {}", (e, alpha, beta),
                 )
         r.check(
-            instanton.pullback_moduli_dim(e, 12) == instanton.plane_moduli_dim(e, 12),
+            instanton.ext_dimensions(e, 0, 12).ext1_minus_ext2
+            == instanton.plane_moduli_dim(e, 12),
             "moduli dims at e={}", e,
         )
     return r

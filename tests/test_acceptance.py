@@ -149,7 +149,7 @@ def test_criterion_7_ext_and_moduli_formulas():
                     == (6 + 2 * e) * alpha + 4 * beta - (e - 1) ** 2 - 3
                 )
         for beta in range(inst.min_pullback_beta(e), inst.min_pullback_beta(e) + 12):
-            assert inst.pullback_moduli_dim(e, beta) == inst.plane_moduli_dim(e, beta)
+            assert inst.ext_dimensions(e, 0, beta).ext1_minus_ext2 == inst.plane_moduli_dim(e, beta)
     _report(7, "Ext dimensions, GRR cross-check and moduli counts agree")
 
 

@@ -685,12 +685,25 @@ def _checked_sheaf(sheaf):
     return coh.FormalSheaf.of(sheaf.e, sheaf.terms)
 
 
+def _reference_monad_dict(m):
+    """``Monad.to_dict`` with each sheaf's list read off ``FormalSheaf.to_dict()``."""
+    out = {"e": m.e, "alpha": m.alpha, "beta": m.beta, "variant": m.variant,
+           **{key: sheaf.to_dict()["terms"] for key, sheaf in zip("ABC", m[4:7])}}
+    if m.c_tail is not None:
+        out["C1"] = m.c_tail.to_dict()["terms"]
+    if m.extra is not None:
+        out["gamma"], out["delta"], out["eta"] = m.extra
+    return out
+
+
 def test_unchecked_monads_equal_their_checked_rebuilds():
     count = 0
     for m in _grid_monads():
         count += 1
         assert type(m) is Monad and m == Monad(*m), m
-        back = Monad.from_dict(json.loads(json.dumps(m.to_dict())))
+        text = json.dumps(m.to_dict())
+        assert text == json.dumps(_reference_monad_dict(m)), m  # each sheaf's own rows
+        back = Monad.from_dict(json.loads(text))
         assert back == m, m
         for sheaf in (x for x in (*m[4:8], *back[4:8]) if x is not None):  # A, B, C, C1
             assert sheaf == _checked_sheaf(sheaf), m  # sorted, merged, no zero term

@@ -110,6 +110,7 @@ def _raisers(bound: str):
     ("e <= 3", ("instanton.py", "elementary_modification")),
     ("len(entries) == 3", ("cohomology.py", "les_chase")),
     ("target_position in 0..2", ("cohomology.py", "les_chase")),
+    ("summands strictly increasing, mult >= 1", ("cohomology.py", "FormalSheaf._from_rows")),
 ])
 def test_each_field_bound_is_raised_by_one_owner(bound, owner):
     # A summand's kind is checked where the summand is built, a sheaf's terms
@@ -128,15 +129,15 @@ def test_unchecked_chern_data_is_built_only_by_derived_builders():
 
 
 def test_monad_layer_records_are_built_unchecked_only_from_checked_parts():
-    # The monad builders, the table and the sheaf decoder's normal-form rows
-    # build from checked parts; every other record goes through its constructor.
+    # The monad builders, the table and the sheaf row reader build from
+    # checked parts; every other record goes through its constructor.
     def unchecked(record):
         return _scopes(lambda node: isinstance(node, ast.Call) and node.args
                        and ast.unparse(node.func) in ("_new", "tuple.__new__")
                        and ast.unparse(node.args[0]) == record)
 
     assert unchecked("FormalSheaf") == {
-        ("cohomology.py", "FormalSheaf.from_dict"), ("beilinson.py", "_monad_sheaves")}
+        ("cohomology.py", "FormalSheaf._from_rows"), ("beilinson.py", "_monad_sheaves")}
     assert unchecked("Monad") == {
         ("beilinson.py", "monad_shape"), ("beilinson.py", "monad_general")}
     assert unchecked("Cell") == unchecked("BeilinsonTable") == {

@@ -233,7 +233,7 @@ def test_elementary_modification():
 def test_pullback_moduli_dims_agree():
     for e in range(9):
         for beta in range(-3, 25):
-            assert inst.pullback_moduli_dim(e, beta) == inst.plane_moduli_dim(e, beta)
+            assert inst.ext_dimensions(e, 0, beta).ext1_minus_ext2 == inst.plane_moduli_dim(e, beta)
     assert inst.min_pullback_beta(2) == 4
 
 

@@ -274,25 +274,37 @@ def test_decoders_refuse_to_coerce(decode, message, bound):
 
 
 _LINE = {"kind": "line", "a": 0, "b": 0}
+_ROW_MESSAGE = "repeated, out-of-order or zero-mult row"
+_ROW_BOUND = "summands strictly increasing, mult >= 1"
 _DOUBLED_A = bl.monad_shape(1, 1, 2, 1).to_dict()
 _DOUBLED_A["A"] *= 2
+_TAILED = bl.monad_general(0, 0, 3, 1, 1, 1).to_dict()  # A, B, C and the tail C1
+
+
+def _out_of_order(rows):
+    """``rows`` and two more distinct rows, a summand above every other and
+    then one below: sorted, they would be a sheaf's terms."""
+    return [*rows, {"kind": "omega", "a": 99, "b": 0, "mult": 1}, {**_LINE, "a": -99, "mult": 1}]
 
 
 # A payload that to_dict never writes is refused, not merged or dropped.
 @pytest.mark.parametrize("decode, message, bound", [
     pytest.param(lambda: coh.FormalSheaf.from_dict(
                      {"e": 0, "terms": [{**_LINE, "mult": 1}, {**_LINE, "mult": 2}]}),
-                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
-                 id="sheaf-repeated"),
+                 _ROW_MESSAGE, _ROW_BOUND, id="sheaf-repeated"),
     pytest.param(lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": [{**_LINE, "mult": 0}]}),
-                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
-                 id="sheaf-mult-0"),
+                 _ROW_MESSAGE, _ROW_BOUND, id="sheaf-mult-0"),
     pytest.param(lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": [{**_LINE, "mult": -1}]}),
                  "negative multiplicity -1 for Summand(kind='line', a=0, b=0)", "mult >= 0",
                  id="sheaf-mult-negative"),
     pytest.param(lambda: bl.Monad.from_dict(_DOUBLED_A),
-                 "repeated summand or zero multiplicity", "distinct summands, mult >= 1",
-                 id="monad-doubled-A"),
+                 _ROW_MESSAGE, _ROW_BOUND, id="monad-doubled-A"),
+    pytest.param(lambda: coh.FormalSheaf.from_dict({"e": 0, "terms": _out_of_order([])}),
+                 _ROW_MESSAGE, _ROW_BOUND, id="sheaf-out-of-order"),
+    *(pytest.param(lambda key=key: bl.Monad.from_dict(
+          {**_TAILED, key: _out_of_order(_TAILED[key])}),
+          _ROW_MESSAGE, _ROW_BOUND, id=f"monad-out-of-order-{key}")
+      for key in ("A", "B", "C", "C1")),
     pytest.param(lambda: inst.ExistenceReport.from_dict(
                      {"status": "inadmissible", "ext1": 5, "earnest": True, "route": "pullback"}),
                  "inadmissible ext1 5 is not one of (None,)", "inadmissible ext1 in (None,)",
@@ -321,12 +333,13 @@ def test_decoders_refuse_payloads_to_dict_never_writes(decode, message, bound):
 
 
 def _reference_sheaf_decode(data):
-    """``FormalSheaf.from_dict`` without its shortcut for rows in ``to_dict``'s
-    order: every row goes through ``FormalSheaf.of``."""
+    """``FormalSheaf.from_dict`` through the checked route: every row goes
+    through ``FormalSheaf.of``, and rows that are not its terms as they stand
+    are refused."""
     pairs = [(coh.Summand(t["kind"], t["a"], t["b"]), t["mult"]) for t in data["terms"]]
     sheaf = coh.FormalSheaf.of(data["e"], pairs)
-    if len(sheaf.terms) != len(pairs):
-        raise Inadmissible("repeated summand or zero multiplicity", "distinct summands, mult >= 1")
+    if sheaf.terms != tuple(pairs):
+        raise Inadmissible(_ROW_MESSAGE, _ROW_BOUND)
     return sheaf
 
 
