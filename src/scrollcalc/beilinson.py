@@ -18,12 +18,12 @@ needs alpha = 0 and is a pullback from the plane), plus the non-earnest
 monad in which the h^2 groups enter as free parameters.
 
 ``_pair`` gives a variant's geometric and dual collections, and the table
-frame comes from them: the five twists of a variant are E_4..E_0 of its
-geometric collection, their dual sheaves are F_4..F_0 of the partner, and
-the monad positions are the same in every variant.  The frame holds every
-cell but the five h^1 values, and those five columns; it depends on
-(e, variant, gamma_zero) alone and is built once and cached.  The table, the
-h^1 values and both monad builders read their columns from it.
+frame comes from them: twist i = 0..4 of a variant is E_(4-i) of its
+geometric collection, in table column i + 1 under its dual F_(4-i) of the
+partner, and the monad positions are the same in every variant.  The frame
+holds every cell but the five h^1 values; it depends on (e, variant,
+gamma_zero) alone and is built once and cached.  The h^1 candidates, the
+table's value cells and both monad builders read twist i by its index.
 """
 
 from functools import lru_cache
@@ -185,8 +185,7 @@ def _h1_candidate(e: int, alpha: int, beta: int, s: Summand) -> int:
 
 # Twist i of variant v is E_(4-i) of the geometric collection of
 # DUAL_PAIRS[v], with dual F_(4-i) and monad position MONAD_POSITIONS[i];
-# only its label, a key of ``h1_values``, is written out.  ``_table_frame``
-# zips the four into the variant's columns.
+# only its label is written out, a key of ``h1_values`` and a name in refusals.
 VARIANT_LABELS = {
     1: ("-xi", "-xi+f", "-(e+1)f", "-ef", "-(e-1)f"),
     2: ("omega(-xi+f)", "-xi", "-(e+1)f", "omega(-(e-1)f)", "-ef"),
@@ -195,28 +194,23 @@ VARIANT_LABELS = {
 # Beilinson's E_1 page holds the h^1 group against E_j at (p, q) = (-j, 1 + s_j): degree p + q.
 MONAD_POSITIONS = tuple(1 + GEOMETRIC_SHIFTS[4 - i] - (4 - i) for i in range(5))
 
-# The h^2 parameters of the non-earnest first variant, by twist index:
+# The h^2 parameter of the non-earnest first variant at each twist index:
 # gamma at -(e+1)f, eta at -ef, delta at -(e-1)f.
-H2_PARAMS = {2: "gamma", 3: "eta", 4: "delta"}
-
-
-def _columns(e: int, variant: int) -> tuple:
-    """The variant's five (label, twist, dual, position) columns, from the cached frame."""
-    return _table_frame(e, variant, True)[5]
+H2_PARAMS = (None, None, "gamma", "eta", "delta")
 
 
 @lru_cache(maxsize=256, typed=True)
-def _cached_candidates(e: int, alpha: int, beta: int, variant: int) -> dict:
-    """-chi by twist label in column order, keyed by (e, alpha, beta, variant), at
+def _cached_candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
+    """-chi at each twist in column order, keyed by (e, alpha, beta, variant), at
     most 256 entries: shared by a monad and its table, read via ``_candidates``."""
-    columns = _columns(e, variant)
-    return {label: _h1_candidate(e, alpha, beta, twist) for label, twist, _, _ in columns}
+    return tuple(_h1_candidate(e, alpha, beta, s) for s in _table_frame(e, variant, True)[1][1:])
 
 
-def _candidates(e: int, alpha: int, beta: int, variant: int) -> dict:
-    """A fresh copy of ``_cached_candidates``, for a checked e and variant; no gate."""
+def _candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
+    """``_cached_candidates`` for a checked e and variant, once alpha and beta
+    are checked ints; no gate."""
     _int(alpha), _int(beta)
-    return _cached_candidates(e, alpha, beta, variant).copy()
+    return _cached_candidates(e, alpha, beta, variant)
 
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
@@ -235,15 +229,15 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
         )
-    values = _candidates(e, alpha, beta, variant)
-    for label, cand in values.items():
+    labels, values = VARIANT_LABELS[variant], _candidates(e, alpha, beta, variant)
+    for label, cand in zip(labels, values):
         if cand < 0:
             raise Inadmissible(
                 f"h1 at twist {label} is {cand} < 0 for "
                 f"(e, alpha, beta) = ({e}, {alpha}, {beta})",
                 f"h1[{label}] >= 0",
             )
-    return values
+    return dict(zip(labels, values))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +315,12 @@ def _rendered_labels(labels: tuple, ascii_only: bool) -> tuple:
 
 @lru_cache(maxsize=64, typed=True)
 def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
-    """(top, bottom, shifts, cells, slots, columns) of a table, keyed by
-    (e, variant, gamma_zero), at most 64 entries: ``cells`` holds every cell
-    but the five h^1 values, which ``slots`` lists as (row, column, twist
-    label), and ``columns`` those five twists as (label, twist, dual, position)."""
+    """(top, bottom, shifts, cells, slots) of a table, keyed by (e, variant,
+    gamma_zero), at most 64 entries: ``cells`` holds every cell but the five
+    h^1 values, which ``slots`` lists as (row, column); column c holds twist
+    c - 1, so ``bottom[1:]`` are the five twists and ``top[1:]`` their duals."""
     ecoll, fcoll = _pair(e, variant)
     top, bottom, shifts = fcoll[::-1], ecoll[::-1], GEOMETRIC_SHIFTS[::-1]
-    columns = tuple(zip(VARIANT_LABELS[variant], bottom[1:], top[1:], MONAD_POSITIONS))
     cells = [[STAR] * 6 for _ in range(6)]
     slots = []
     for c, s in enumerate(bottom):
@@ -337,7 +330,7 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
             # Column 0 is -H, where every group is tagged minus-h.
             tag = instanton.forced_vanishing(e, s, m)
             if tag is None and m == 1:
-                slots.append((r, c, VARIANT_LABELS[variant][c - 1]))
+                slots.append((r, c))
                 continue
             if tag is None and m == 0:
                 # Lone low-e boundary cells (only e = 0 reaches here, where
@@ -352,7 +345,7 @@ def _table_frame(e: int, variant: int, gamma_zero: bool) -> tuple:
                 else:
                     tag = "gamma-hypothesis" if s.b == -(e + 1) else "gamma-chain"
             cells[r][c] = Cell("zero", tag=tag)
-    return top, bottom, shifts, tuple(map(tuple, cells)), tuple(slots), columns
+    return top, bottom, shifts, tuple(map(tuple, cells)), tuple(slots)
 
 
 def beilinson_table(
@@ -372,17 +365,17 @@ def beilinson_table(
     if not gamma_zero and variant != 1:
         raise Inadmissible("the non-earnest table is only laid out for variant 1", "variant == 1")
     if gamma_zero:
-        values = h1_values(e, alpha, beta, variant)
+        values = tuple(h1_values(e, alpha, beta, variant).values())
     else:
         instanton.require_scroll(e)
         values = _candidates(e, alpha, beta, 1)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
     # The arguments are checked and the rest comes from the frame: build unchecked.
-    top, bottom, shifts, frame, slots, _ = _table_frame(e, variant, gamma_zero)
+    top, bottom, shifts, frame, slots = _table_frame(e, variant, gamma_zero)
     cells = [list(row) for row in frame]
-    for r, c, label in slots:
-        cells[r][c] = _new(Cell, ("value", values[label], None))
+    for r, c in slots:
+        cells[r][c] = _new(Cell, ("value", values[c - 1], None))
     return _new(BeilinsonTable, (
         e, alpha, beta, variant, gamma_zero, top, bottom, shifts, tuple(map(tuple, cells))
     ))
@@ -470,27 +463,27 @@ class Monad(NamedTuple("Monad", [
                      rows(e, data["A"]), rows(e, data["B"]), rows(e, data["C"]), tail, extra)
 
 
-def _monad_sheaves(e: int, columns, exponents: dict, params: dict) -> list:
-    """A, B, C and the tail C1: each twist's dual sheaf enters its own
-    position with the twist's exponent, and a parameter at twist index i
-    reenters one position later (position 2 is the tail).  Every part is
-    checked (the duals are ``Summand``s, distinct within a position, and the
-    exponents and parameters ints >= 0), so each sheaf is built unchecked:
-    its nonzero terms, sorted."""
+def _monad_sheaves(e: int, exponents, params, variant: int) -> list:
+    """A, B, C and the tail C1: the dual of twist i enters its position with
+    ``exponents[i]`` and reenters one position later with ``params[i]``
+    (position 2 is the tail); zero terms are dropped.  Every part is checked (the duals
+    are ``Summand``s, distinct within a position, and the exponents and
+    parameters ints >= 0), so each sheaf is built unchecked: its terms, sorted."""
     buckets = {-1: [], 0: [], 1: [], 2: []}
-    for i, (label, _, dual, position) in enumerate(columns):
-        buckets[position].append((dual, exponents[label]))
-        if i in params:
-            buckets[position + 1].append((dual, params[i]))
-    return [_new(FormalSheaf, (e, tuple(sorted([t for t in buckets[p] if t[1]]))))
-            for p in (-1, 0, 1, 2)]
+    duals = _table_frame(e, variant, True)[0][1:]
+    for dual, position, k, param in zip(duals, MONAD_POSITIONS, exponents, params):
+        if k:
+            buckets[position].append((dual, k))
+        if param:
+            buckets[position + 1].append((dual, param))
+    return [_new(FormalSheaf, (e, tuple(sorted(buckets[p])))) for p in (-1, 0, 1, 2)]
 
 
 def monad_shape(e: int, alpha: int, beta: int, variant: int = 1) -> Monad:
     """The variant's monad, multiplicities taken from ``h1_values`` (the
     Riemann-Roch route), never from display strings."""
-    values = h1_values(e, alpha, beta, variant)
-    A, B, C, _ = _monad_sheaves(e, _columns(e, variant), values, {})
+    values = h1_values(e, alpha, beta, variant).values()
+    A, B, C, _ = _monad_sheaves(e, values, (0,) * 5, variant)
     return _new(Monad, (e, alpha, beta, variant, A, B, C, None, None))
 
 
@@ -510,16 +503,12 @@ def monad_general(
         if _int(val) < 0:
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
     instanton.require_scroll(e)
-    columns = _columns(e, 1)
-    params = {i: given[name] for i, name in H2_PARAMS.items()}
-    exponents = _candidates(e, alpha, beta, 1)
-    for i, label in enumerate(exponents):
-        exponents[label] += params.get(i, 0)
-        if exponents[label] < 0:
-            raise Inadmissible(
-                f"exponent at twist {label} is {exponents[label]} < 0", f"h1[{label}] >= 0"
-            )
-    A, B, C, tail = _monad_sheaves(e, columns, exponents, params)
+    params = tuple(given.get(name, 0) for name in H2_PARAMS)
+    exponents = tuple(k + p for k, p in zip(_candidates(e, alpha, beta, 1), params))
+    for label, k in zip(VARIANT_LABELS[1], exponents):
+        if k < 0:
+            raise Inadmissible(f"exponent at twist {label} is {k} < 0", f"h1[{label}] >= 0")
+    A, B, C, tail = _monad_sheaves(e, exponents, params, 1)
     return _new(Monad, (e, alpha, beta, None, A, B, C, tail, (gamma, delta, eta)))
 
 

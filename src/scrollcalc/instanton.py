@@ -204,12 +204,17 @@ def chi_curve(e: int, curve_class: str) -> int:
 def curve_info(e: int, curve_class: str) -> CurveClassInfo:
     """Numerical record of a curve in the class xi*f (a rational curve of
     H-degree e+1) or f^2 (a line), with its normal bundle and the dimension
-    of the Hilbert-scheme component it moves in."""
+    of the Hilbert-scheme component it moves in.  chi(O) comes from the
+    Koszul resolution and the H-degree from the Chow ring; the normal bundle
+    O(d1) + O(d2) of the rational curve has d1 + d2 = -K.C - 2 and both
+    degrees >= 0, so h^1(N) = 0 and the component is smooth of dimension h^0(N)."""
+    chi_O = chi_curve(e, curve_class)  # refuses an unknown class
     if curve_class == "xif":
-        return CurveClassInfo("xif", e + 1, 1, (1, e), e + 3, 0, e + 3)
-    if curve_class == "ff":
-        return CurveClassInfo("ff", 1, 1, (0, 0), 2, 0, 2)
-    raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
+        curve, normal = ChowClass(e, xif=1), (1, e)
+    else:
+        curve, normal = ChowClass(e, ff=1), (0, 0)
+    h0 = sum(d + 1 for d in normal)
+    return CurveClassInfo(curve_class, curve.pairing(chow.hyperplane(e)), chi_O, normal, h0, 0, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,8 @@ def ext_dimensions(e: int, alpha: int, beta: int) -> ExtDimensions:
     """Ext-algebra dimensions of the bundles from the section construction.
 
     ext0 = 1 (simple), ext3 = 0, ext2 = C(e-2, 2) for e >= 4 and 0 below,
-    and ext1 - ext2 = (6+2e) alpha + 4 beta - (e-1)^2 - 3.
+    and ext1 - ext2 = (6+2e) alpha + 4 beta - (e-1)^2 - 3.  The e >= 4 value
+    of ext2 is unchecked: no suite or caller reads it.
     """
     _int(e), _int(alpha), _int(beta)
     ext2 = comb(e - 2, 2) if e >= 4 else 0
@@ -357,7 +363,9 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
       with ext1 = (2e+6) alpha + 4 beta - (e-1)^2 - 3 and no obstructions.
     * alpha = 0, beta >= (e^2+e)/2 + 1: pullback instantons exist for every
       e; the moduli locus is smooth of dimension 4 beta + 2e - e^2 - 4
-      (reported in ext1) and earnest.
+      (reported in ext1) and earnest.  Smooth, since for E pulled back from
+      a stable plane bundle F, Ext^2(E, E) = H^2(P^2, End F) =
+      H^0(End F(-3))^dual = 0 (Serre duality; stability kills the twist).
     * Everything else (e >= 4 with alpha > e, or 0 < alpha <= e, or small
       beta) is open: status unknown rather than an extrapolated answer.
     """

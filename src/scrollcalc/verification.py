@@ -302,12 +302,14 @@ def beilinson_general_monad(_seed: int) -> SuiteResult:
 def instanton_charge_ulrich(_seed: int) -> SuiteResult:
     r = SuiteResult("instanton-charge-ulrich")
     for e in range(E_MAX + 1):
+        h = chow.hyperplane(e)
         for alpha in range(PARAM_MAX + 1):
             for beta in range(PARAM_MAX + 1):
                 p = instanton.InstantonParams(e, alpha, beta)
+                data = chow.instanton_chern(e, alpha, beta)
                 r.check(
-                    p.charge - instanton.InstantonParams(e, alpha, beta - 1).charge == 1,
-                    "charge/beta at {}", (e, alpha, beta),
+                    p.charge == data.c2.pairing(h),
+                    "charge vs c2.H at {}", (e, alpha, beta),
                 )
                 if alpha >= 1:
                     r.check(
@@ -316,11 +318,8 @@ def instanton_charge_ulrich(_seed: int) -> SuiteResult:
                         == e + 1,
                         "charge/alpha at {}", (e, alpha, beta),
                     )
-                direct = (
-                    e * e + e - 2 * e * alpha - 2 * alpha - 2 * beta + 2
-                ) // 2 == 0
                 r.check(
-                    instanton.is_ulrich_twist(p) == direct
+                    instanton.is_ulrich_twist(p) == (chow.chi_rr(data) == 0)
                     == (chow.chi_instanton(e, alpha, beta, 0, 0) == 0),
                     "ulrich criterion at {}", (e, alpha, beta),
                 )

@@ -280,7 +280,7 @@ def test_h1_values_are_fresh_and_gated_on_a_warm_cache():
     m = monad_shape(1, 2, 3, 2)
     table = beilinson_table(1, 2, 3, 2)
     assert [table.cells[r][c].value for r, c in table.value_positions()] == [
-        want[label] for _, _, label in bl._table_frame(1, 2, True)[4]
+        list(want.values())[c - 1] for _, c in bl._table_frame(1, 2, True)[4]
     ]
     assert m == monad_shape(1, 2, 3, 2) and bl._cached_candidates.cache_info().hits >= 4
     # A negative candidate raises on every call, cold or warm, from each entry.
@@ -567,6 +567,40 @@ def test_monad_general_h2_terms_placement():
     assert dict(m.A.terms)[line(0, -2)] == 4 + 1  # beta + gamma
     with pytest.raises(Inadmissible):
         monad_general(0, 1, 4, -1, 0, 0)
+
+
+def test_each_h2_parameter_enters_at_its_table_column():
+    # The column tagged with a parameter's name in the non-earnest table is the
+    # twist the docstring names; setting only that parameter to 1 adds that
+    # column's dual once at its own monad sheaf and once at the next one.  At
+    # e < 3 some of the three h^2 cells are forced zero and carry no tag.
+    sheaves = ("A", "B", "C", "C1")
+    twist_of = {"gamma": 1, "eta": 0, "delta": -1}  # -(e+1)f, -ef, -(e-1)f
+    checked = 0
+    for e, alpha, beta in itertools.product(range(7), repeat=3):
+        try:
+            base = monad_general(e, alpha, beta, 0, 0, 0)
+        except Inadmissible:
+            continue
+        table = beilinson_table(e, alpha, beta, 1, gamma_zero=False)
+        for name in filter(None, bl.H2_PARAMS):
+            columns = {c for row in table.cells for c, cell in enumerate(row)
+                       if cell == bl.Cell("unknown", tag=name)}
+            if not columns:
+                continue
+            (c,) = columns
+            assert table.bottom_labels[c] == line(0, -e - twist_of[name])
+            bumped = monad_general(e, alpha, beta, **{**dict.fromkeys(twist_of, 0), name: 1})
+            diff = {}
+            for m, sign in ((base, -1), (bumped, 1)):
+                for key, part in zip(sheaves, (m.A, m.B, m.C, m.c_tail)):
+                    for s, k in part.terms:
+                        diff[key, s] = diff.get((key, s), 0) + sign * k
+            at, dual = sheaves.index(MONAD_SHEAF_OF_COLUMN[c]), table.top_labels[c]
+            want = {(sheaves[at], dual): 1, (sheaves[at + 1], dual): 1}
+            assert {k: v for k, v in diff.items() if v} == want, (e, alpha, beta, name)
+            checked += 1
+    assert checked == 236
 
 
 def test_monad_serialization_and_checks():

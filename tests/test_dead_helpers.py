@@ -13,7 +13,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "scrollcalc"
 KEPT = {
     "serre_construction": "the Serre branch of existence_report is to call it",
     "earnest_criterion": "the earnestness decision is to be wired through it",
-    "chi_curve": "the Koszul oracle for curve_info().chi_O",
     "serre_dual_twist": "the Serre-duality involution on instanton twists",
 }
 

@@ -188,6 +188,10 @@ def test_curve_degrees_from_intersection_numbers():
         # det of the normal bundle of the ruling curve restricts with degree e+1
         L = chow.divisor(e, 2, 1 - e)
         assert (L * chow.ChowClass(e, xif=1)).degree() == e + 1
+        # adjunction on each rational ruling curve: deg N = -K.C - 2
+        for cls, curve in (("xif", chow.ChowClass(e, xif=1)), ("ff", chow.ChowClass(e, ff=1))):
+            degree = -chow.canonical_class(e).pairing(curve) - 2
+            assert sum(inst.curve_info(e, cls).normal_bundle) == degree, (e, cls)
 
 
 def test_serre_construction():
