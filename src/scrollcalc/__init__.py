@@ -22,21 +22,6 @@ import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChernData",
-    "ChowClass",
-    "CohVector",
-    "ExistenceReport",
-    "FormalSheaf",
-    "InstantonParams",
-    "Summand",
-    "beilinson",
-    "chow",
-    "cohomology",
-    "instanton",
-    "verification",
-]
-
 _SUBMODULES = frozenset({"beilinson", "chow", "cohomology", "instanton", "verification"})
 _RECORDS = {
     "ChernData": "chow",
@@ -47,6 +32,7 @@ _RECORDS = {
     "ExistenceReport": "instanton",
     "InstantonParams": "instanton",
 }
+__all__ = sorted(_SUBMODULES | _RECORDS.keys())
 
 
 def __getattr__(name):

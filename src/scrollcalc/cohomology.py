@@ -344,15 +344,14 @@ def chi_line(e: int, a: int, b: int) -> int:
     return h_vector(e, line(a, b)).chi
 
 
-def serre_dual_twist(i: int, a: int, b: int) -> tuple:
-    """Serre-dual bookkeeping for instanton twists, in (xi, f) coordinates.
-
-    For a rank-2 bundle E with E^dual = E(-(e-1)f) one gets
-    h^i(E(a xi + b f)) = h^{3-i}(E((-a-2) xi + (-b-2) f)); the scroll
-    parameter cancels, so the map is (i, a, b) -> (3-i, -a-2, -b-2),
-    an involution.  The twist -xi - f (= -H) is the self-dual point.
+def serre_dual_twist(i: int, s: Summand) -> tuple:
+    """``(3 - i, s')`` with h^i(E ⊗ s) = h^{3-i}(E ⊗ s') for a rank-2 E with
+    E^dual = E(-(e-1)f): s' = s^dual ⊗ K ⊗ O(-(e-1)f) = s^dual(-2 xi - 2f), so
+    O(a, b) goes to O(-a-2, -b-2) and Omega(a, b) to Omega(-a-2, 1-b), since
+    (pi^* Omega)^dual = pi^* Omega(3f).  An involution; -H is its fixed summand.
     """
-    return (3 - i, -a - 2, -b - 2)
+    kind, a, b = s
+    return 3 - i, Summand(kind, -a - 2, (1 if kind == OMEGA else -2) - b)
 
 
 # ---------------------------------------------------------------------------

@@ -76,28 +76,27 @@ def forced_vanishing(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
     =============  ========================================================
     ``minus-h``    all cohomology of E(-H) vanishes (self-dual twist)
     ``h0-bundle``  h0 = 0 for a <= -1, b <= e, and for a = 0, b <= 0
-    ``h3-bundle``  h3 = 0 for a >= -1, b >= -(e+2), and for a = -2, b >= -2
     ``h0-omega``   h0 = 0 for a <= -1, b <= e+1, and for a = 0, b <= 1
-    ``h3-omega``   h3 = 0 for a >= -1, b >= -e, and for a = -2, b >= 0
     ``h2-bundle``  h2 = 0 for a, b >= -1
     ``h2-omega``   h2 = 0 for a >= -1, b >= 1
     =============  ========================================================
+
+    h3 is h0 at ``cohomology.serre_dual_twist(3, s)``, tagged ``h3-bundle`` or ``h3-omega``.
     """
     kind, a, b = s
+    if kind == cohomology.LINE and a == -1 and b == -1:
+        return "minus-h"
+    side = "h0"
+    if i == 3:
+        side, (i, (kind, a, b)) = "h3", cohomology.serre_dual_twist(3, s)
     if kind == cohomology.LINE:
-        if a == -1 and b == -1:
-            return "minus-h"
         if i == 0 and ((a <= -1 and b <= e) or (a == 0 and b <= 0)):
-            return "h0-bundle"
-        if i == 3 and ((a >= -1 and b >= -(e + 2)) or (a == -2 and b >= -2)):
-            return "h3-bundle"
+            return side + "-bundle"
         if i == 2 and a >= -1 and b >= -1:
             return "h2-bundle"
     else:
         if i == 0 and ((a <= -1 and b <= e + 1) or (a == 0 and b <= 1)):
-            return "h0-omega"
-        if i == 3 and ((a >= -1 and b >= -e) or (a == -2 and b >= 0)):
-            return "h3-omega"
+            return side + "-omega"
         if i == 2 and a >= -1 and b >= 1:
             return "h2-omega"
     return None
@@ -207,7 +206,9 @@ def curve_info(e: int, curve_class: str) -> CurveClassInfo:
     of the Hilbert-scheme component it moves in.  chi(O) comes from the
     Koszul resolution and the H-degree from the Chow ring; the normal bundle
     O(d1) + O(d2) of the rational curve has d1 + d2 = -K.C - 2 and both
-    degrees >= 0, so h^1(N) = 0 and the component is smooth of dimension h^0(N)."""
+    degrees >= 0, so h^1(N) = 0 and the component is smooth of dimension h^0(N);
+    e < 0 is ``Inadmissible``."""
+    require_scroll(e)
     chi_O = chi_curve(e, curve_class)  # refuses an unknown class
     if curve_class == "xif":
         curve, normal = ChowClass(e, xif=1), (1, e)
@@ -341,17 +342,17 @@ class ExistenceReport(NamedTuple):
             if want is int:
                 _int(value)
             else:
-                _one_of(value, (want,), f"{report.status} {name}")
+                _one_of(value, want, f"{report.status} {name}")
         return report
 
 
-# The fields (ext1, ext2, ext3, earnest, route) of each status, written by
-# ``existence_report`` and required by the decoder; int is a computed dimension.
+# The fields (ext1, ext2, ext3, earnest, route) of each status, as the decoder
+# requires them: int is a computed dimension, a tuple the values allowed.
 _STATUS_SHAPES = {
-    EXISTS: (int, 0, 0, True, ROUTE_SERRE),
-    EXISTS_PULLBACK: (int, None, None, True, ROUTE_PULLBACK),
-    INADMISSIBLE: (None,) * 5,
-    UNKNOWN: (None,) * 5,
+    EXISTS: (int, (0,), (0,), (True, False, None), (ROUTE_SERRE,)),
+    EXISTS_PULLBACK: (int, (None,), (None,), (True,), (ROUTE_PULLBACK,)),
+    INADMISSIBLE: ((None,),) * 5,
+    UNKNOWN: ((None,),) * 5,
 }
 
 
@@ -359,8 +360,9 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     """Decide existence exactly as far as it is proved, nothing further.
 
     * alpha < 0 is never realized: inadmissible.
-    * e <= 3, alpha > e, beta >= 0: an earnest mu-stable instanton exists,
-      with ext1 = (2e+6) alpha + 4 beta - (e-1)^2 - 3 and no obstructions.
+    * e <= 3, alpha > e, beta >= 0: an instanton exists (Hartshorne-Serre),
+      with ext1 = (2e+6) alpha + 4 beta - (e-1)^2 - 3 and no obstructions;
+      the route's proof makes it mu-stable, which no suite checks.
     * alpha = 0, beta >= (e^2+e)/2 + 1: pullback instantons exist for every
       e; the moduli locus is smooth of dimension 4 beta + 2e - e^2 - 4
       (reported in ext1) and earnest.  Smooth, since for E pulled back from
@@ -368,6 +370,11 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
       H^0(End F(-3))^dual = 0 (Serre duality; stability kills the twist).
     * Everything else (e >= 4 with alpha > e, or 0 < alpha <= e, or small
       beta) is open: status unknown rather than an extrapolated answer.
+
+    ``earnest`` is whether h2(E(-(e+1)f)) = 0, None where undecided.  On the
+    Serre route it is False where h0 and h3 vanish there (``forced_vanishing``)
+    and chi = C(e,2) - beta > 0, as then h2 >= chi; else True for e <= 1, by the
+    chase h^*(E(-(e+1)f)) = (0, 0, C(e,2), 0), whose h2 each modification keeps.
     """
     _require_params(p)
     e, alpha, beta = p.e, p.alpha, p.beta
@@ -375,8 +382,11 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
         return ExistenceReport(INADMISSIBLE)
     if e <= 3 and alpha > e and beta >= 0:
         ext1 = ext_dimensions(e, alpha, beta).ext1_minus_ext2
-        return ExistenceReport(EXISTS, ext1, *_STATUS_SHAPES[EXISTS][1:])
+        twist, chi = cohomology.line(0, -(e + 1)), chow.chi_instanton(e, alpha, beta, 0, -(e + 1))
+        forced = chi > 0 and forced_vanishing(e, twist, 0) and forced_vanishing(e, twist, 3)
+        earnest = earnest_criterion(chi) if forced else (True if e <= 1 else None)
+        return ExistenceReport(EXISTS, ext1, 0, 0, earnest, ROUTE_SERRE)
     if alpha == 0 and beta >= min_pullback_beta(e):
         ext1 = ext_dimensions(e, 0, beta).ext1_minus_ext2
-        return ExistenceReport(EXISTS_PULLBACK, ext1, *_STATUS_SHAPES[EXISTS_PULLBACK][1:])
+        return ExistenceReport(EXISTS_PULLBACK, ext1, None, None, True, ROUTE_PULLBACK)
     return ExistenceReport(UNKNOWN)

@@ -386,22 +386,25 @@ def instanton_modification(_seed: int) -> SuiteResult:
 
 
 def instanton_existence_vs_monad(_seed: int) -> SuiteResult:
-    """Existence decisions against the earnest-monad admissibility gate.
+    """Existence decisions against the Serre route and the earnest-monad gate.
 
-    An ``exists`` report promises an earnest bundle, whose first-variant
-    monad multiplicities are its actual h^1 dimensions and hence must be
-    non-negative.  Points where the gate still rejects are recorded as
-    findings (a tension between the two encoded statements, with the
-    negative candidate naming the twist), never silently dropped.
+    At an ``exists`` point (one case per point) the section construction must
+    give the instanton's Chern data in its theorem range.  Unless the report
+    says ``earnest: False`` the bundle may be earnest, so its first-variant
+    monad multiplicities, its h^1 dimensions, must be non-negative; where the
+    gate rejects, a finding records the tension and the negative candidate.
     """
     r = SuiteResult("instanton-existence-vs-monad")
     for e in range(4):
         for alpha in range(PARAM_MAX + 1):
             for beta in range(PARAM_MAX + 1):
-                p = instanton.InstantonParams(e, alpha, beta)
-                rep = instanton.existence_report(p)
-                r.cases += 1
-                if rep.status != instanton.EXISTS:
+                rep = instanton.existence_report(instanton.InstantonParams(e, alpha, beta))
+                serre = rep.status == instanton.EXISTS and instanton.serre_construction(e, alpha)
+                r.check(
+                    not serre or serre == (chow.instanton_chern(e, alpha, 0), True),
+                    "Serre route at {}", (e, alpha, beta),
+                )
+                if not serre or rep.earnest is False:
                     continue
                 try:
                     beilinson.h1_values(e, alpha, beta, 1)

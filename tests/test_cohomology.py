@@ -242,12 +242,30 @@ def test_closed_forms_at_large_twists_against_riemann_roch(size, rr_chi):
 
 
 def test_serre_dual_twist_involution():
-    assert coh.serre_dual_twist(1, -1, -1) == (2, -1, -1)
-    assert coh.serre_dual_twist(0, 0, 0) == (3, -2, -2)
+    assert coh.serre_dual_twist(1, line(-1, -1)) == (2, line(-1, -1))
+    assert coh.serre_dual_twist(0, line(0, 0)) == (3, line(-2, -2))
+    assert coh.serre_dual_twist(0, omega(0, 0)) == (3, omega(-2, 1))
     for i in range(4):
         for a in range(-5, 6):
             for b in range(-5, 6):
-                assert coh.serre_dual_twist(*coh.serre_dual_twist(i, a, b)) == (i, a, b)
+                for s in (line(a, b), omega(a, b)):
+                    dual = coh.serre_dual_twist(i, s)
+                    assert coh.serre_dual_twist(*dual) == (i, s)
+                    # -H is the one fixed summand
+                    assert (dual[1] == s) == (s == line(-1, -1))
+
+
+def test_serre_dual_twist_negates_the_instanton_chi():
+    # h^i(E(D)) = h^{3-i}(E(D')), so chi(E(D)) = -chi(E(D')) for every (alpha, beta).
+    for e in range(8):
+        for a in range(-8, 9):
+            for b in range(-10, 11):
+                _, dual = coh.serre_dual_twist(0, line(a, b))
+                for alpha in range(6):
+                    for beta in range(6):
+                        assert chow.chi_instanton(e, alpha, beta, a, b) == -chow.chi_instanton(
+                            e, alpha, beta, dual.a, dual.b
+                        ), (e, alpha, beta, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,13 @@
 
 A name counts as used when some other top-level statement of some module
 refers to it, by name, attribute or import; its own definition does not
-count.  Only the names below are kept without a caller, each on purpose.
+count.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "scrollcalc"
-
-KEPT = {
-    "serre_construction": "the Serre branch of existence_report is to call it",
-    "earnest_criterion": "the earnestness decision is to be wired through it",
-    "serre_dual_twist": "the Serre-duality involution on instanton twists",
-}
 
 
 def _defined(stmt):
@@ -54,4 +48,4 @@ def unused_public_names():
 
 
 def test_no_dead_public_helpers():
-    assert unused_public_names() == set(KEPT)
+    assert unused_public_names() == set()

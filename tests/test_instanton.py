@@ -1,6 +1,7 @@
 """Instanton predicates, stability, curves, Ext formulas, existence."""
 
 import time
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,23 @@ def test_forced_vanishing_regions():
     assert inst.forced_vanishing(2, omega(0, 0), 2) is None
     with pytest.raises(ValueError):  # an unknown kind never reaches it
         inst.forced_vanishing(2, Summand("nope", 0, 0), 0)
+
+
+def _old_h3_region(e, s):
+    """The h3 regions as they were written out by hand, kept as the reference."""
+    kind, a, b = s
+    if kind == "line":
+        return "h3-bundle" if (a >= -1 and b >= -(e + 2)) or (a == -2 and b >= -2) else None
+    return "h3-omega" if (a >= -1 and b >= -e) or (a == -2 and b >= 0) else None
+
+
+def test_forced_h3_is_h0_at_the_serre_dual_twist():
+    for e in range(13):
+        for a in range(-30, 31):
+            for b in range(-40, 41):
+                for s in (line(a, b), omega(a, b)):
+                    want = "minus-h" if s == line(-1, -1) else _old_h3_region(e, s)
+                    assert inst.forced_vanishing(e, s, 3) == want, (e, s)
 
 
 def test_earnest_criterion():
@@ -180,6 +198,12 @@ def test_curve_info():
             assert inst.chi_curve(e, cls) == 1 == inst.curve_info(e, cls).chi_O
 
 
+def test_curve_info_refuses_a_negative_e():
+    with pytest.raises(Inadmissible) as info:
+        inst.curve_info(-1, "xif")
+    assert info.value.bound == "e >= 0"
+
+
 def test_curve_degrees_from_intersection_numbers():
     for e in range(7):
         h = chow.hyperplane(e)
@@ -272,6 +296,17 @@ def test_existence_report_branches():
     r = inst.existence_report(InstantonParams(6, 0, 25))
     assert r.status == inst.EXISTS_PULLBACK
     assert r.ext1 == 4 * 25 + 12 - 36 - 4
+
+
+def test_earnest_is_false_exactly_below_c_e_2():
+    # On the Serre route: False iff chi(E(-(e+1)f)) = C(e,2) - beta > 0, True for e <= 1.
+    for e in range(4):
+        for alpha in range(e + 1, 12):
+            for beta in range(12):
+                r = inst.existence_report(InstantonParams(e, alpha, beta))
+                assert r.status == inst.EXISTS
+                want = False if beta < comb(e, 2) else (True if e <= 1 else None)
+                assert r.earnest is want, (e, alpha, beta)
 
 
 def test_existence_report_serialization():

@@ -321,6 +321,11 @@ def _out_of_order(rows):
                       "route": "hartshorne-serre"}),
                  "exists ext2 1 is not one of (0,)", "exists ext2 in (0,)", id="existence-ext2"),
     pytest.param(lambda: inst.ExistenceReport.from_dict(
+                     {"status": "exists", "ext1": 3, "ext2": 0, "ext3": 0, "earnest": 0,
+                      "route": "hartshorne-serre"}),
+                 "exists earnest 0 is not one of (True, False, None)",
+                 "exists earnest in (True, False, None)", id="existence-earnest-0"),
+    pytest.param(lambda: inst.ExistenceReport.from_dict(
                      {"status": "exists_pullback", "ext1": 3, "earnest": True,
                       "route": "hartshorne-serre"}),
                  "exists_pullback route 'hartshorne-serre' is not one of ('pullback',)",
@@ -376,12 +381,15 @@ def test_sheaf_decoder_answers_as_the_checked_route(data):
 
 
 def test_every_existence_report_decodes_to_itself():
-    statuses = set()
+    statuses, earnest = set(), set()
     for e, alpha, beta in itertools.product(range(5), range(-1, 7), range(-1, 9)):
         rep = inst.existence_report(inst.InstantonParams(e, alpha, beta))
         assert inst.ExistenceReport.from_dict(json.loads(json.dumps(rep.to_dict()))) == rep
         statuses.add(rep.status)
+        if rep.status == "exists":
+            earnest.add(rep.earnest)
     assert statuses == {"exists", "exists_pullback", "inadmissible", "unknown"}
+    assert earnest == {True, False, None}
 
 
 def test_cli_import_skips_dataclasses_inspect_and_fractions():
