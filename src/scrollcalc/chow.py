@@ -61,7 +61,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
         if self.e != other.e:
             raise Inadmissible(f"cannot combine classes on X_{self.e} and X_{other.e}", "same e")
 
-    # Hot, so written out on the fields: about 41,500 calls per ``scrollcalc verify``.
+    # Hot, so written out on the fields: about 23,000 calls per ``scrollcalc verify``.
     def __add__(self, other):
         if type(other) is not ChowClass:
             self._check(other)
@@ -108,7 +108,7 @@ class ChowClass(NamedTuple("ChowClass", [(k, int) for k in "e one xi f xif ff pt
             + a1 * b4 + a4 * b1 + a2 * b3 + a3 * b2,
         ))
 
-    # Hot, so written out: about 23,400 calls per ``scrollcalc verify``.
+    # Hot, so written out: about 10,900 calls per ``scrollcalc verify``.
     def pairing(self, other: "ChowClass") -> int:
         """deg(self * other), from the complementary coefficients alone."""
         if type(other) is not ChowClass:
@@ -317,9 +317,11 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     """Chern data of the rank-2 bundle E tensored with the line bundle O(div).
 
     The rank-2 case of c_k(E ⊗ L) = sum_i C(r-i, k-i) c_i(E) D^(k-i), with
-    D = c1(L): c1 + 2D, c2 + D (c1 + D), and c3 unchanged.  The terms
-    c1 + 2D and D (c1 + D) depend on (c1, D) alone and come from a small
-    per-twist cache (``_twist_terms``), which also checks the divisor.
+    D = c1(L): c1 + 2D, c2 + D (c1 + D), and c3 unchanged.  The class
+    c1 + 2D and the xi*f and f^2 coefficients of D (c1 + D) depend on
+    (c1, D) alone and come from a small per-twist cache (``_twist_terms``),
+    which also checks the divisor.  c2 and D (c1 + D) are both of
+    codimension 2, so the new c2 is those two coefficients added to c2's.
 
     ``data`` must be a ``ChernData`` of rank 2 and ``div`` a ``ChowClass``.
     The result is built unchecked, like a ring operator's: ``data`` was
@@ -334,34 +336,44 @@ def twist_chern(data: ChernData, div: ChowClass) -> ChernData:
     rank, c1, c2, c3 = data
     if rank != 2:
         raise Inadmissible("twist_chern is the rank-2 specialization", "rank == 2")
-    c1, dc2 = _twist_terms(c1, div)
-    return _new(ChernData, (2, c1, c2 + dc2, c3))
+    c1, dxif, dff = _twist_terms(c1, div)
+    c2 = _new(ChowClass, (c2.e, 0, 0, 0, c2.xif + dxif, c2.ff + dff, 0))
+    return _new(ChernData, (2, c1, c2, c3))
 
 
 @lru_cache(maxsize=256)
 def _twist_terms(c1: ChowClass, div: ChowClass) -> tuple:
-    """(c1 + 2D, D (c1 + D)) for D = div, keyed by (c1, div), at most 256
-    entries.  A rejected divisor raises, so it is never cached."""
+    """(c1 + 2D, and the xi*f and f^2 coefficients of D (c1 + D)) for D = div,
+    keyed by (c1, div), at most 256 entries.  A rejected divisor raises, so
+    it is never cached."""
     if not div.is_homogeneous(1):
         raise Inadmissible("twisting divisor must be a codimension-1 class", "codim(div) == 1")
     if div.e != c1.e:
         raise Inadmissible("twisting divisor lives on a different scroll", "same e")
-    return c1 + div + div, div * (c1 + div)
+    dc2 = div * (c1 + div)
+    return c1 + div + div, dc2.xif, dc2.ff
 
 
 @lru_cache(maxsize=16)
 def _rr_constants(e: int) -> tuple:
-    """(K, 3K, K^2 + c2(Omega^1)) on X_e, the e-only inputs of ``chi_rr``."""
+    """(-K, -3K, K^2 + c2(Omega^1), xi f, f^2) on X_e, the e-only inputs of
+    ``chi_rr``."""
     k = canonical_class(e)
-    return k, 3 * k, k * k + c2_cotangent(e)
+    return -k, k.scale(-3), k * k + c2_cotangent(e), ChowClass(e, xif=1), ChowClass(e, ff=1)
 
 
 @lru_cache(maxsize=256)
 def _rr_c1_terms(c1: ChowClass) -> tuple:
-    """(deg c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1)), c1 - K), the c1-only
-    inputs of ``chi_rr``, keyed by c1, at most 256 entries."""
-    k, k3, k2_c2omega = _rr_constants(c1.e)
-    return c1.pairing(c1 * (c1 + c1 - k3) + k2_c2omega), c1 - k
+    """(deg c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1)), w1, w2) with
+    w1 = deg (c1 - K) xi f and w2 = deg (c1 - K) f^2, the c1-only inputs of
+    ``chi_rr``, keyed by c1, at most 256 entries."""
+    minus_k, minus_3k, k2_c2omega, xif, ff = _rr_constants(c1.e)
+    c1_minus_k = c1 + minus_k
+    return (
+        c1.pairing(c1 * (c1 + c1 + minus_3k) + k2_c2omega),
+        c1_minus_k.pairing(xif),
+        c1_minus_k.pairing(ff),
+    )
 
 
 def chi_rr(data: ChernData) -> int:
@@ -373,30 +385,35 @@ def chi_rr(data: ChernData) -> int:
                 - (K c1^2 - 2 K c2)/4
                 + (K^2 c1 + c2(Omega^1) c1)/12
 
-    It is evaluated regrouped, with one ring product and two pairings
-    (``ChowClass.pairing``, the degree of a product):
+    It is evaluated regrouped, with one ring product and three pairings
+    (``ChowClass.pairing``, the degree of a product) per c1:
 
         12 chi = 24 + c1 (c1 (2 c1 - 3K) + K^2 + c2(Omega^1))
                     - 6 c2 (c1 - K) + 6 c3
 
-    The cubic term and c1 - K depend only on c1 and come from a small
-    per-c1 cache (``_rr_c1_terms``), which takes K, 3K and K^2 + c2(Omega^1)
-    from a per-e cache (``_rr_constants``); c2 and c3 enter through one
-    pairing and one coefficient per call.  The result must be an integer
-    for integral Chern data; a fractional value raises ``NonIntegralValue``.
+    The cubic term depends only on c1, and so does c2 (c1 - K): c2 is
+    homogeneous of codimension 2 (a ``ChernData`` invariant), so its degree
+    is c2.xif w1 + c2.ff w2 with w1 = deg (c1 - K) xi f and
+    w2 = deg (c1 - K) f^2.  The cubic, w1 and w2 come from a small per-c1
+    cache (``_rr_c1_terms``), which takes -K, -3K, K^2 + c2(Omega^1) and the
+    classes xi f and f^2 from a per-e cache (``_rr_constants``); a call adds
+    two products and the point coefficient of c3.  The result must be an
+    integer for integral Chern data; a fractional value raises
+    ``NonIntegralValue``.
 
     ``data`` must be a ``ChernData`` of rank 2.
     """
     if type(data) is not ChernData:
         _require_chern("chi_rr", data)
-    if data.rank != 2:
+    rank, c1, c2, c3 = data
+    if rank != 2:
         raise Inadmissible("chi_rr is the rank-2 specialization", "rank == 2")
-    cubic, c1_minus_k = _rr_c1_terms(data.c1)
-    num = 24 + cubic - 6 * data.c2.pairing(c1_minus_k) + 6 * data.c3.pt
+    cubic, w1, w2 = _rr_c1_terms(c1)
+    num = 24 + cubic - 6 * (c2.xif * w1 + c2.ff * w2) + 6 * c3.pt
     if num % 12 != 0:
         from fractions import Fraction
         raise NonIntegralValue(
-            f"chi came out {Fraction(num, 12)} on X_{data.e}; Chern data is not integral"
+            f"chi came out {Fraction(num, 12)} on X_{c1.e}; Chern data is not integral"
         )
     return num // 12
 
@@ -416,18 +433,22 @@ def instanton_chern(e: int, alpha: int, beta: int) -> ChernData:
 def chi_instanton(e: int, alpha: int, beta: int, a: int, b: int) -> int:
     """chi(E(a*xi + b*f)) for a bundle with the instanton Chern data.
 
-    Closed cubic polynomial; always an integer for integer inputs.  Its
-    (alpha, beta)-free part depends on the twist (e, a, b) alone and comes
-    from a small per-twist cache (``_chi_free``); alpha and beta enter
-    linearly.
+    Closed cubic polynomial; always an integer for integer inputs.  It is
+    affine in (alpha, beta): free - alpha (e a + b + e + 1) - beta (a + 1),
+    where the free part and both coefficients depend on the twist (e, a, b)
+    alone and come from a small per-twist cache (``_chi_terms``).  A call is
+    one cache hit, two products and two subtractions.
     """
-    return _chi_free(e, a, b) - alpha * (e * a + b + e + 1) - beta * (a + 1)
+    free, per_alpha, per_beta = _chi_terms(e, a, b)
+    return free - alpha * per_alpha - beta * per_beta
 
 
 @lru_cache(maxsize=256)
-def _chi_free(e: int, a: int, b: int) -> int:
-    """The (alpha, beta)-free part of ``chi_instanton``, a cubic in a
-    evaluated by Horner's rule, keyed by (e, a, b), at most 256 entries."""
+def _chi_terms(e: int, a: int, b: int) -> tuple:
+    """(free, e a + b + e + 1, a + 1): the (alpha, beta)-free part of
+    ``chi_instanton``, a cubic in a evaluated by Horner's rule, and its alpha
+    and beta coefficients, keyed by (e, a, b), at most 256 entries.  A twist
+    whose free part is not integral raises, so it is never cached."""
     six = (
         (2 * e * e * a + 6 * e * (b + e + 1)) * a
         + 6 * b * b + 12 * (e + 1) * b + 7 * e * e + 9 * e + 6
@@ -435,7 +456,7 @@ def _chi_free(e: int, a: int, b: int) -> int:
     if six % 6 != 0:
         from fractions import Fraction
         raise NonIntegralValue(f"chi came out {Fraction(six, 6)} on X_{e}; twist is not integral")
-    return six // 6
+    return six // 6, e * a + b + e + 1, a + 1
 
 
 def slope_mu_H(e: int) -> "Fraction":

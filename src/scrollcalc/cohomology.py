@@ -180,7 +180,10 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         return CohVector(*h)
 
     def chi(self) -> int:
-        return sum(m * _summand_chi(self.e, s) for s, m in self.terms)
+        e, total = self.e, 0
+        for s, m in self.terms:
+            total += m * _summand_chi(e, s)
+        return total
 
     def render(self, ascii_only: bool = False) -> str:
         if not self.terms:
@@ -344,12 +347,23 @@ def chi_line(e: int, a: int, b: int) -> int:
     return h_vector(e, line(a, b)).chi
 
 
+def _require_twist(i, s) -> None:
+    """Raise unless ``s`` is a ``Summand`` and ``i`` a cohomology index of
+    the threefold, an int in 0..3 (a bool refused)."""
+    if type(s) is not Summand:
+        raise Inadmissible(f"twist summand {s!r} is not a Summand", "s is a Summand")
+    if type(i) is not int or not 0 <= i <= 3:
+        raise Inadmissible(f"cohomology index {i!r} is not in 0..3", "i in 0..3")
+
+
 def serre_dual_twist(i: int, s: Summand) -> tuple:
     """``(3 - i, s')`` with h^i(E ⊗ s) = h^{3-i}(E ⊗ s') for a rank-2 E with
     E^dual = E(-(e-1)f): s' = s^dual ⊗ K ⊗ O(-(e-1)f) = s^dual(-2 xi - 2f), so
     O(a, b) goes to O(-a-2, -b-2) and Omega(a, b) to Omega(-a-2, 1-b), since
     (pi^* Omega)^dual = pi^* Omega(3f).  An involution; -H is its fixed summand.
+    ``s`` must be a ``Summand`` and ``i`` an int in 0..3.
     """
+    _require_twist(i, s)
     kind, a, b = s
     return 3 - i, Summand(kind, -a - 2, (1 if kind == OMEGA else -2) - b)
 
@@ -407,7 +421,11 @@ NAMED_SEQUENCES = {
 
 def chi_alternating(entries: Sequence[FormalSheaf]) -> int:
     """Alternating Euler-characteristic sum; zero on every exact sequence."""
-    return sum((-1) ** i * s.chi() for i, s in enumerate(entries))
+    total, sign = 0, 1
+    for s in entries:
+        total += sign * s.chi()
+        sign = -sign
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,10 @@ def forced_vanishing(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
     =============  ========================================================
 
     h3 is h0 at ``cohomology.serre_dual_twist(3, s)``, tagged ``h3-bundle`` or ``h3-omega``.
+    ``e`` must be an int >= 0, ``s`` a ``Summand`` and ``i`` an int in 0..3.
     """
+    require_scroll(e)
+    cohomology._require_twist(i, s)
     kind, a, b = s
     if kind == cohomology.LINE and a == -1 and b == -1:
         return "minus-h"

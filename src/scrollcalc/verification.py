@@ -127,7 +127,7 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     # Bound per call, not per module: a patched or traced chow function is
     # the one called.
     chi_instanton, chi_rr, twist_chern = chow.chi_instanton, chow.chi_rr, chow.twist_chern
-    box = [(al, be) for al in range(PARAM_MAX + 1) for be in range(PARAM_MAX + 1)]
+    params = range(PARAM_MAX + 1)
     far_al, far_be = RR_PROBES[-1]
     for e in range(E_MAX + 1):
         probe_data = [chow.instanton_chern(e, *p) for p in RR_PROBES]
@@ -147,11 +147,13 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
                     and vfar == c0 + far_al * da + far_be * db
                 )
                 r.check(affine, "chi_rr not affine in (alpha,beta) at {}", (e, a, b))
-                good = all(
-                    chi_instanton(e, al, be, a, b) == c0 + al * da + be * db
-                    for al, be in box
-                )
-                r.check(good, "chi mismatch somewhere at (e,a,b)={}", (e, a, b))
+                # the closed form over the (alpha, beta) box, alpha outer,
+                # against c0 + alpha da + beta db
+                bases = [c0 + al * da for al in params]
+                steps = [be * db for be in params]
+                closed = [chi_instanton(e, al, be, a, b) for al in params for be in params]
+                ring = [base + step for base in bases for step in steps]
+                r.check(closed == ring, "chi mismatch somewhere at (e,a,b)={}", (e, a, b))
     # integrality and correctness of chi_rr on random rank-2 sheaf data:
     # split sums of two line bundles and twisted Omega pullbacks cover all
     # the rank-2 Chern data this artifact ever feeds it.

@@ -775,7 +775,7 @@ CACHES = (
     chow._rr_constants,
     chow._rr_c1_terms,
     chow._twist_terms,
-    chow._chi_free,
+    chow._chi_terms,
 )
 
 

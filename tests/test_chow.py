@@ -423,7 +423,46 @@ def test_chi_rr_matches_closed_cubic():
         assert chow.chi_rr(data) == chow.chi_instanton(e, alpha, beta, a, b)
 
 
-CHOW_CACHES = (chow._rr_constants, chow._rr_c1_terms, chow._twist_terms, chow._chi_free)
+def _chi_rr_textbook_numerator(data: ChernData) -> int:
+    """12 chi by the unregrouped formula of ``chi_rr``'s docstring, every
+    degree taken through ``oracle_mul``:
+    2 + (c1^3 - 3 c1 c2 + 3 c3)/6 - (K c1^2 - 2 K c2)/4 + (K^2 c1 + c2(Omega^1) c1)/12."""
+    _, c1, c2, c3 = data
+    k, c2_omega = chow.canonical_class(c1.e), chow.c2_cotangent(c1.e)
+
+    def deg(*factors):  # the point coefficient of the oracle product
+        out = factors[0]
+        for x in factors[1:]:
+            out = oracle_mul(out, x)
+        return out.pt
+
+    return (24 + 2 * (deg(c1, c1, c1) - 3 * deg(c1, c2) + 3 * deg(c3))
+            - 3 * (deg(k, c1, c1) - 2 * deg(k, c2))
+            + deg(k, k, c1) + deg(c2_omega, c1))
+
+
+rank2_chern_data = st.integers(min_value=0, max_value=8).flatmap(
+    lambda e: st.builds(
+        ChernData, st.just(2),
+        st.builds(lambda x, y: ChowClass(e, xi=x, f=y), coeffs, coeffs),
+        st.builds(lambda x, y: ChowClass(e, xif=x, ff=y), coeffs, coeffs),
+        st.builds(lambda x: ChowClass(e, pt=x), coeffs),
+    )
+)
+
+
+@given(rank2_chern_data)
+@settings(max_examples=200)
+def test_chi_rr_matches_the_textbook_formula(data):
+    num = _chi_rr_textbook_numerator(data)
+    if num % 12:
+        with pytest.raises(NonIntegralValue):
+            chow.chi_rr(data)
+    else:
+        assert chow.chi_rr(data) == num // 12
+
+
+CHOW_CACHES = (chow._rr_constants, chow._rr_c1_terms, chow._twist_terms, chow._chi_terms)
 
 
 def test_chi_rr_per_scroll_cache_does_not_leak():

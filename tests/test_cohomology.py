@@ -255,6 +255,18 @@ def test_serre_dual_twist_involution():
                     assert (dual[1] == s) == (s == line(-1, -1))
 
 
+@pytest.mark.parametrize("i, s, message, bound", [
+    (7, line(0, 0), "cohomology index 7 is not in 0..3", "i in 0..3"),
+    (-1, omega(0, 0), "cohomology index -1 is not in 0..3", "i in 0..3"),
+    (False, line(0, 0), "cohomology index False is not in 0..3", "i in 0..3"),
+    (0, ("line", 0, 0), "twist summand ('line', 0, 0) is not a Summand", "s is a Summand"),
+], ids=["i-7", "i-minus-1", "i-bool", "s-tuple"])
+def test_serre_dual_twist_refuses_out_of_domain_args(i, s, message, bound):
+    with pytest.raises(Inadmissible) as info:
+        coh.serre_dual_twist(i, s)
+    assert (str(info.value), info.value.bound) == (message, bound)
+
+
 def test_serre_dual_twist_negates_the_instanton_chi():
     # h^i(E(D)) = h^{3-i}(E(D')), so chi(E(D)) = -chi(E(D')) for every (alpha, beta).
     for e in range(8):

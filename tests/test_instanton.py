@@ -75,6 +75,22 @@ def test_forced_h3_is_h0_at_the_serre_dual_twist():
                     assert inst.forced_vanishing(e, s, 3) == want, (e, s)
 
 
+@pytest.mark.parametrize("args, message, bound", [
+    (("x", line(-1, 0), 0), "expected an int, got 'x'", "type(value) is int"),
+    ((1.5, line(-1, 0), 0), "expected an int, got 1.5", "type(value) is int"),
+    ((-1, line(-1, 0), 0), "the scroll parameter e must be non-negative", "e >= 0"),
+    ((1, (0, 0), 0), "twist summand (0, 0) is not a Summand", "s is a Summand"),
+    ((1, line(0, 0), 7), "cohomology index 7 is not in 0..3", "i in 0..3"),
+    ((1, line(0, 0), "x"), "cohomology index 'x' is not in 0..3", "i in 0..3"),
+    ((1, line(0, 0), True), "cohomology index True is not in 0..3", "i in 0..3"),
+    ((1, line(-1, -1), -1), "cohomology index -1 is not in 0..3", "i in 0..3"),
+], ids=["e-str", "e-float", "e-negative", "s-tuple", "i-7", "i-str", "i-bool", "i-minus-h"])
+def test_forced_vanishing_refuses_out_of_domain_args(args, message, bound):
+    with pytest.raises(Inadmissible) as info:
+        inst.forced_vanishing(*args)
+    assert (str(info.value), info.value.bound) == (message, bound)
+
+
 def test_earnest_criterion():
     assert inst.earnest_criterion(0)
     assert not inst.earnest_criterion(1)

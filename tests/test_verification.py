@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scrollcalc import verification
+from scrollcalc import chow, cohomology, verification
 from scrollcalc.cohomology import FormalSheaf, line
 
 SOURCE = Path(verification.__file__).read_text(encoding="utf-8")
@@ -72,3 +72,30 @@ def test_every_check_passes_a_template_and_its_values():
         fields = [f for _, f, _, _ in string.Formatter().parse(message.value) if f is not None]
         assert all(f == "" for f in fields), where  # automatic numbering only
         assert len(fields) == len(call.args) - 2, where
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_the_two_heaviest_suites_keep_their_grids(monkeypatch):
+    # A speed-up must not come from a smaller grid: every closed-form value
+    # of the (alpha, beta) box, every probe, every sequence is still made.
+    counts = {}
+    for name in ("chi_instanton", "twist_chern", "chi_rr"):
+        _count_calls(monkeypatch, chow, name, counts)
+    _count_calls(monkeypatch, cohomology, "chi_alternating", counts)
+    verification.chow_riemann_roch_cross(verification.DEFAULT_SEED)
+    verification.coh_chi_additivity(verification.DEFAULT_SEED)
+    assert counts == {
+        "chi_instanton": 214_326,  # 6 scrolls x 21 x 21 twists x 81 (alpha, beta)
+        "twist_chern": 18_522,  # the same 2,646 twists x 7 probes
+        "chi_rr": 18_822,  # those, and 300 random sheaves
+        "chi_alternating": 4_056,  # 6 x 13 x 13 twists x 4 sequences
+    }
