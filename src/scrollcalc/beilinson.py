@@ -168,19 +168,6 @@ def strongness_check(e: int) -> StrongnessReport:
 
 # ---------------------------------------------------------------------------
 # h^1 values of the twisted instanton
-#
-# At every table twist the defining vanishing (plus the earnestness chain)
-# kills h^0, h^2, h^3, so h^1 = -chi there; chi comes from the twisted
-# Riemann-Roch closed form, and Omega-twisted values follow by Euler-sequence
-# additivity:  chi(Omega ⊗ E(a, b)) = 3 chi(E(a, b-1)) - chi(E(a, b)).
-
-
-def _h1_candidate(e: int, alpha: int, beta: int, s: Summand) -> int:
-    """-chi of E twisted by the summand s (E(D) or Omega ⊗ E(D))."""
-    chi = chow.chi_instanton(e, alpha, beta, s.a, s.b)
-    if s.kind == cohomology.LINE:
-        return -chi
-    return chi - 3 * chow.chi_instanton(e, alpha, beta, s.a, s.b - 1)
 
 
 # Twist i of variant v is E_(4-i) of the geometric collection of
@@ -203,7 +190,8 @@ H2_PARAMS = (None, None, "gamma", "eta", "delta")
 def _cached_candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
     """-chi at each twist in column order, keyed by (e, alpha, beta, variant), at
     most 256 entries: shared by a monad and its table, read via ``_candidates``."""
-    return tuple(_h1_candidate(e, alpha, beta, s) for s in _table_frame(e, variant, True)[1][1:])
+    twists = _table_frame(e, variant, True)[1][1:]
+    return tuple(-instanton.twisted_chi(e, alpha, beta, s) for s in twists)
 
 
 def _candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
@@ -215,12 +203,14 @@ def _candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     """The five h^1 dimensions populating the table of the given variant,
-    keyed by twist label (in column order).
+    keyed by twist label (in column order): -chi(E ⊗ s) at each twist s.
 
-    These are exactly the multiplicities of the variant's monad. A negative
-    candidate means no earnest instanton with these parameters exists, and
-    is reported as ``Inadmissible`` carrying the violated bound, on every
-    call; the arguments are checked before ``_cached_candidates`` is read.
+    These are exactly the multiplicities of the variant's monad.  h^1 = -chi
+    assumes that h^0, h^2 and h^3 vanish at the twist; ``instanton.twisted_bounds``
+    names which of them no axiom forces.  A negative candidate, which no
+    instanton meeting that premise has, is reported as ``Inadmissible``
+    carrying the violated bound, on every call; the arguments are checked
+    before ``_cached_candidates`` is read.
     """
     if type(variant) is not int or variant not in DUAL_PAIRS:
         _pair(e, variant)  # raises
@@ -496,7 +486,8 @@ def monad_general(
     Each h^2 group bumps the h^1 exponent in its own column by the same
     amount and reappears as a summand one position later, so every
     correction cancels out of the rank, Chern and chi defects.  At
-    gamma = delta = eta = 0 this degenerates to the first variant.
+    gamma = delta = eta = 0 this degenerates to the first variant.  A parameter
+    other than 0 where h^2 is forced is refused, its ``forced_vanishing`` tag the bound.
     """
     given = {"gamma": gamma, "delta": delta, "eta": eta}
     for name, val in (*given.items(), ("alpha", alpha)):
@@ -504,6 +495,10 @@ def monad_general(
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
     instanton.require_scroll(e)
     params = tuple(given.get(name, 0) for name in H2_PARAMS)
+    for name, label, s in zip(H2_PARAMS, VARIANT_LABELS[1], _table_frame(e, 1, True)[1][1:]):
+        tag = name and given[name] and instanton.forced_vanishing(e, s, 2)
+        if tag:
+            raise Inadmissible(f"{name} = {given[name]}, but h2 at {label} is forced to 0", tag)
     exponents = tuple(k + p for k, p in zip(_candidates(e, alpha, beta, 1), params))
     for label, k in zip(VARIANT_LABELS[1], exponents):
         if k < 0:

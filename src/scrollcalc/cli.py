@@ -282,8 +282,8 @@ def _cmd_existence(args) -> int:
         bits.append(f"ext1 (moduli dimension): {rep.ext1}")
     if rep.ext2 is not None:
         bits.append(f"ext2: {rep.ext2}, ext3: {rep.ext3}")
-    if rep.earnest is not None:
-        bits.append(f"earnest: {rep.earnest}")
+    if rep.status == instanton.EXISTS or rep.earnest is not None:
+        bits.append(f"earnest: {'undecided' if rep.earnest is None else rep.earnest}")
     if rep.route is not None:
         bits.append(f"route: {rep.route}")
     _emit(args, rep.to_dict(), "\n".join(bits))

@@ -105,11 +105,39 @@ def forced_vanishing(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
     return None
 
 
-def earnest_criterion(h2_at_minus_e1f: int) -> bool:
-    """Earnestness of an instanton is equivalent to h2(E(-(e+1)f)) = 0."""
-    if h2_at_minus_e1f < 0:
-        raise Inadmissible("a cohomology dimension cannot be negative", "h2 >= 0")
-    return h2_at_minus_e1f == 0
+def twisted_chi(e: int, alpha: int, beta: int, s: cohomology.Summand) -> int:
+    """chi(E ⊗ s): ``chow.chi_instanton`` for a line bundle s, and additivity on
+    the Euler sequence for Omega, chi(Omega ⊗ E(a, b)) = 3 chi(E(a, b-1)) -
+    chi(E(a, b)).  The arguments are trusted."""
+    chi = chow.chi_instanton(e, alpha, beta, s.a, s.b)
+    if s.kind == cohomology.LINE:
+        return chi
+    return 3 * chow.chi_instanton(e, alpha, beta, s.a, s.b - 1) - chi
+
+
+def twisted_bounds(p: InstantonParams, s: cohomology.Summand) -> tuple:
+    """What the instanton axioms and chi prove about h^i(E ⊗ s), i = 0..3: one
+    ``(lo, hi, source)`` each, ``hi`` None when unbounded.
+
+    A group that ``forced_vanishing`` tags is (0, 0), its tag the source.  Of
+    the rest, chi(E ⊗ s) (``twisted_chi``) gives a lone group exactly, and of
+    one even and one odd group bounds the one of chi's sign below by |chi|,
+    both with the source "chi"; any other group is (0, None, None).  A lone
+    group that comes out negative is ``Inadmissible``.  The rule reads
+    ``chi_instanton`` and the tags, never ``chi_rr`` or a chase.
+    """
+    _require_params(p)
+    tags = [forced_vanishing(p.e, s, i) for i in range(4)]
+    bounds = [(0, 0, tag) if tag else (0, None, None) for tag in tags]
+    free = [i for i, tag in enumerate(tags) if tag is None]
+    chi, exact = twisted_chi(*p, s), len(free) == 1
+    if exact or (len(free) == 2 and sum(free) % 2 and chi):
+        lo, i = max(((-1) ** i * chi, i) for i in free)
+        if lo < 0:
+            group = f"h{i}(E ⊗ {s.render(True)})"
+            raise Inadmissible(f"{group} = {lo} < 0 at {p}", f"{group} >= 0")
+        bounds[i] = (lo, lo if exact else None, "chi")
+    return tuple(bounds)
 
 
 def stability_test_region(e, window, strict: bool = False):
@@ -375,9 +403,10 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
       beta) is open: status unknown rather than an extrapolated answer.
 
     ``earnest`` is whether h2(E(-(e+1)f)) = 0, None where undecided.  On the
-    Serre route it is False where h0 and h3 vanish there (``forced_vanishing``)
-    and chi = C(e,2) - beta > 0, as then h2 >= chi; else True for e <= 1, by the
-    chase h^*(E(-(e+1)f)) = (0, 0, C(e,2), 0), whose h2 each modification keeps.
+    Serre route it is False where ``twisted_bounds`` puts that h2 above 0 (for
+    e >= 1 it is at least chi = C(e,2) - beta, as h0 and h3 are forced there);
+    else True for e <= 1, by the chase h^*(E(-(e+1)f)) = (0, 0, C(e,2), 0),
+    whose h2 each modification keeps, and None above.
     """
     _require_params(p)
     e, alpha, beta = p.e, p.alpha, p.beta
@@ -385,9 +414,8 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
         return ExistenceReport(INADMISSIBLE)
     if e <= 3 and alpha > e and beta >= 0:
         ext1 = ext_dimensions(e, alpha, beta).ext1_minus_ext2
-        twist, chi = cohomology.line(0, -(e + 1)), chow.chi_instanton(e, alpha, beta, 0, -(e + 1))
-        forced = chi > 0 and forced_vanishing(e, twist, 0) and forced_vanishing(e, twist, 3)
-        earnest = earnest_criterion(chi) if forced else (True if e <= 1 else None)
+        h2_lo = twisted_bounds(p, cohomology.line(0, -(e + 1)))[2][0]
+        earnest = False if h2_lo > 0 else (True if e <= 1 else None)
         return ExistenceReport(EXISTS, ext1, 0, 0, earnest, ROUTE_SERRE)
     if alpha == 0 and beta >= min_pullback_beta(e):
         ext1 = ext_dimensions(e, 0, beta).ext1_minus_ext2

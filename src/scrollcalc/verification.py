@@ -4,10 +4,11 @@ Each suite sweeps one family of cross-checked identities over a default
 grid (e <= 5, |a|, |b| <= 10, alpha, beta <= 8 unless a formula's own range
 says otherwise) and reports the number of cases, any failures, and any
 findings.  A *failure* means the artifact is wrong.  A *finding* is a
-recorded tension between two encoded sources of truth (currently: points
-where the existence decision and a monad admissibility gate disagree);
-findings are printed but do not fail the run.  A suite reads its grid from
-``E_MAX``, ``AB_MAX``, ``PARAM_MAX`` and ``RR_PROBES`` when it is called.
+recorded tension between two encoded sources of truth (none at present: the
+existence decision and the first-variant monad gate agree through
+``instanton.twisted_bounds``); findings are printed but do not fail the run.
+A suite reads its grid from ``E_MAX``, ``AB_MAX``, ``PARAM_MAX`` and
+``RR_PROBES`` when it is called.
 
 A suite counts each case through ``SuiteResult.check(condition, message,
 *args)``.  The message is a ``str.format`` template and ``args`` its values;
@@ -290,14 +291,13 @@ def beilinson_general_monad(_seed: int) -> SuiteResult:
             for g in range(3):
                 for d in range(3):
                     for t in range(3):
+                        # A parameter where h^2 is forced is refused by its tag.
                         try:
                             m = beilinson.monad_general(e, alpha, beta, g, d, t)
-                        except Inadmissible:
-                            continue
-                        r.check(
-                            beilinson.monad_consistency(m).ok,
-                            "general monad at {}", (e, alpha, beta, g, d, t),
-                        )
+                            ok = beilinson.monad_consistency(m).ok
+                        except Inadmissible as exc:
+                            ok = exc.bound == "h2-bundle"
+                        r.check(ok, "general monad at {}", (e, alpha, beta, g, d, t))
     return r
 
 
@@ -388,33 +388,35 @@ def instanton_modification(_seed: int) -> SuiteResult:
 
 
 def instanton_existence_vs_monad(_seed: int) -> SuiteResult:
-    """Existence decisions against the Serre route and the earnest-monad gate.
+    """Existence decisions against the Serre route and the first-variant monad gate.
 
     At an ``exists`` point (one case per point) the section construction must
-    give the instanton's Chern data in its theorem range.  Unless the report
-    says ``earnest: False`` the bundle may be earnest, so its first-variant
-    monad multiplicities, its h^1 dimensions, must be non-negative; where the
-    gate rejects, a finding records the tension and the negative candidate.
+    give the instanton's Chern data in its theorem range.  Where the gate
+    refuses, each negative multiplicity -chi(E ⊗ s) is one more case: the
+    bounds rule (``instanton.twisted_bounds``) must put h^0 or h^2 of E ⊗ s at
+    chi or above, so that no instanton there has that monad and the point
+    still exists.  A raise of the rule fails the case.
     """
     r = SuiteResult("instanton-existence-vs-monad")
     for e in range(4):
+        twists = beilinson.collection(e, 1)[:5]
         for alpha in range(PARAM_MAX + 1):
             for beta in range(PARAM_MAX + 1):
-                rep = instanton.existence_report(instanton.InstantonParams(e, alpha, beta))
+                p = instanton.InstantonParams(e, alpha, beta)
+                rep = instanton.existence_report(p)
                 serre = rep.status == instanton.EXISTS and instanton.serre_construction(e, alpha)
                 r.check(
                     not serre or serre == (chow.instanton_chern(e, alpha, 0), True),
                     "Serre route at {}", (e, alpha, beta),
                 )
-                if not serre or rep.earnest is False:
-                    continue
-                try:
-                    beilinson.h1_values(e, alpha, beta, 1)
-                except Inadmissible as exc:
-                    r.findings.append(
-                        f"exists-report vs monad gate at (e,alpha,beta)="
-                        f"({e},{alpha},{beta}): {exc}"
-                    )
+                for s in twists if serre else ():
+                    chi = instanton.twisted_chi(*p, s)  # the gate's candidate is -chi
+                    if chi > 0:
+                        try:
+                            lo = max(instanton.twisted_bounds(p, s)[i][0] for i in (0, 2))
+                        except Inadmissible:
+                            lo = 0
+                        r.check(lo >= chi, "h1 = {} < 0 unexplained at {}", -chi, (p, s))
     return r
 
 

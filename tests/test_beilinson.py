@@ -558,15 +558,35 @@ def test_monad_general_corrections_cancel():
 
 
 def test_monad_general_h2_terms_placement():
-    m = monad_general(0, 1, 4, 1, 2, 3)
+    m = monad_general(3, 4, 5, 1, 2, 3)
     # gamma lands in B on O((e-2)f), eta in C on Omega(ef), delta in the tail
-    assert dict(m.B.terms)[line(0, -2)] == 1
-    assert dict(m.C.terms)[omega(0, 0)] == 3
-    assert dict(m.c_tail.terms)[line(0, -1)] == 2
+    # on O((e-1)f)
+    assert dict(m.B.terms)[line(0, 1)] == 1
+    assert dict(m.C.terms)[omega(0, 3)] == 3
+    assert dict(m.c_tail.terms)[line(0, 2)] == 2
     # and each bumps its own column's exponent
-    assert dict(m.A.terms)[line(0, -2)] == 4 + 1  # beta + gamma
+    assert dict(m.A.terms)[line(0, 1)] == 5 - 3 + 1  # beta - C(e, 2) + gamma
     with pytest.raises(Inadmissible):
-        monad_general(0, 1, 4, -1, 0, 0)
+        monad_general(3, 4, 5, -1, 0, 0)
+
+
+def test_monad_general_refuses_a_parameter_where_h2_is_forced():
+    # A parameter other than 0 is taken exactly where the non-earnest table
+    # leaves its h^2 cell open; elsewhere the forced_vanishing tag refuses it.
+    names = ("gamma", "delta", "eta")
+    refused, left_open = [], []
+    for e, name in itertools.product(range(5), names):
+        table = beilinson_table(e, 4, 8, 1, gamma_zero=False)
+        if bl.Cell("unknown", tag=name) in itertools.chain(*table.cells):
+            left_open.append((e, name))
+        try:
+            monad_general(e, 4, 8, **{**dict.fromkeys(names, 0), name: 1})
+        except Inadmissible as exc:
+            assert exc.bound == "h2-bundle" and str(exc).startswith(f"{name} = 1, but h2 at ")
+            refused.append((e, name))
+    assert refused == [(0, "gamma"), (0, "delta"), (0, "eta"), (1, "delta"), (1, "eta"),
+                       (2, "delta")]
+    assert sorted(refused + left_open) == sorted(itertools.product(range(5), names))
 
 
 def test_each_h2_parameter_enters_at_its_table_column():
@@ -610,7 +630,7 @@ def test_monad_serialization_and_checks():
     data = m.to_dict()
     assert "checks" not in data
     assert Monad.from_dict(data) == m
-    g = monad_general(1, 1, 2, 1, 1, 1)
+    g = monad_general(3, 4, 5, 1, 1, 1)
     assert Monad.from_dict(g.to_dict()) == g
 
 
@@ -741,7 +761,7 @@ def test_unchecked_monads_equal_their_checked_rebuilds():
         assert back == m, m
         for sheaf in (x for x in (*m[4:8], *back[4:8]) if x is not None):  # A, B, C, C1
             assert sheaf == _checked_sheaf(sheaf), m  # sorted, merged, no zero term
-    assert count == 9736
+    assert count == 4405  # general monads with a forced h^2 parameter are refused
 
 
 def test_unchecked_tables_equal_their_checked_rebuilds():

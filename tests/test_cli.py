@@ -189,8 +189,8 @@ JSON_GOLDENS = {
     "chow_e2_a1_b-2": ["chow", "--e", "2", "--a", "1", "--b", "-2"],
     "coh_e2_a-4_b2_omega": ["coh", "--e", "2", "--a", "-4", "--b", "2", "--omega"],
     "monad_e1_v1": ["monad", "--e", "1", "--alpha", "1", "--beta", "2"],
-    "monad_e1_general": [
-        "monad", "--e", "1", "--alpha", "2", "--beta", "5",
+    "monad_e3_general": [
+        "monad", "--e", "3", "--alpha", "4", "--beta", "5",
         "--gamma", "1", "--delta", "2", "--eta", "1",
     ],
     "table_e3_gamma_nonzero": [

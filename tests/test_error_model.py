@@ -291,8 +291,14 @@ def _rejected_inputs():
          "expected an int, got 1.5", "type(value) is int"),
         (lambda: bl.monad_general(1, True, 5, 0, 0, 0),
          "expected an int, got True", "type(value) is int"),
-        (lambda: inst.earnest_criterion(-1),
-         "a cohomology dimension cannot be negative", "h2 >= 0"),
+        (lambda: inst.twisted_bounds((1, 2, 3), coh.line(0, 0)),
+         "expected an InstantonParams, got (1, 2, 3)", "p is an InstantonParams"),
+        (lambda: inst.twisted_bounds(inst.InstantonParams(1, 2, 0), (0, 0)),
+         "twist summand (0, 0) is not a Summand", "s is a Summand"),
+        (lambda: inst.twisted_bounds(inst.InstantonParams(0, 0, 0), coh.line(0, 0)),
+         "h1(E ⊗ O) = -1 < 0 at InstantonParams(e=0, alpha=0, beta=0)", "h1(E ⊗ O) >= 0"),
+        (lambda: bl.monad_general(0, 1, 4, 1, 2, 3),
+         "gamma = 1, but h2 at -(e+1)f is forced to 0", "h2-bundle"),
         (lambda: inst.curve_resolution(0, "zz"),
          "unknown curve class 'zz'", "curve_class in (xif, ff)"),
         (lambda: inst.curve_info(0, "zz"),
@@ -377,7 +383,7 @@ _FIELD_VALUES = st.one_of(
 )
 
 # Each entry point with valid arguments; every argument is a fuzzed field.
-_GENERAL = bl.monad_general(1, 2, 5, 1, 2, 1)
+_GENERAL = bl.monad_general(3, 4, 5, 1, 2, 1)
 _LINE_SHEAF = coh.FormalSheaf.of(1, [(coh.line(0, 0), 1)])
 _ENTRY_POINTS = {
     "ChowClass": (ChowClass, (1, 1, 2, -3, 0, 4, 5)),
@@ -390,8 +396,9 @@ _ENTRY_POINTS = {
     "monad_shape": (bl.monad_shape, (1, 1, 2, 1)),
     "monad_consistency": (bl.monad_consistency, (_GENERAL,)),
     "existence_report": (inst.existence_report, (inst.InstantonParams(1, 2, 0),)),
-    "monad_general": (bl.monad_general, (1, 2, 5, 1, 2, 1)),
-    "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (1, 2, 5)),
+    "twisted_bounds": (inst.twisted_bounds, (inst.InstantonParams(1, 2, 0), coh.line(0, -2))),
+    "monad_general": (bl.monad_general, (3, 4, 5, 1, 2, 1)),
+    "Monad": (lambda e, alpha, beta: bl.Monad(e, alpha, beta, *_GENERAL[3:]), (3, 4, 5)),
     "ChernData": (ChernData, tuple(chow.instanton_chern(1, 2, 3))),
     "twist_chern": (chow.twist_chern, (chow.instanton_chern(1, 2, 3), chow.divisor(1, 1, -2))),
     "chi_rr": (chow.chi_rr, (chow.instanton_chern(1, 2, 3),)),
@@ -439,7 +446,7 @@ _PAYLOADS = {
     "ChowClass": (ChowClass.from_dict, ChowClass(1, one=1, xi=2, ff=-3).to_dict()),
     "FormalSheaf": (coh.FormalSheaf.from_dict, coh.FormalSheaf.of(
         1, [(coh.line(1, 0), 2), (coh.omega(0, 1), 1)]).to_dict()),
-    "Monad": (bl.Monad.from_dict, bl.monad_general(1, 2, 5, 1, 2, 1).to_dict()),
+    "Monad": (bl.Monad.from_dict, bl.monad_general(3, 4, 5, 1, 2, 1).to_dict()),
     "ExistenceReport": (inst.ExistenceReport.from_dict,
                         inst.existence_report(inst.InstantonParams(1, 2, 0)).to_dict()),
 }

@@ -1,5 +1,6 @@
 """Instanton predicates, stability, curves, Ext formulas, existence."""
 
+import itertools
 import time
 from math import comb
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from scrollcalc import beilinson, chow
 from scrollcalc import instanton as inst
-from scrollcalc.cohomology import Summand, line, omega
+from scrollcalc.cohomology import Summand, line, omega, serre_dual_twist
 from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams
 
@@ -91,11 +92,63 @@ def test_forced_vanishing_refuses_out_of_domain_args(args, message, bound):
     assert (str(info.value), info.value.bound) == (message, bound)
 
 
-def test_earnest_criterion():
-    assert inst.earnest_criterion(0)
-    assert not inst.earnest_criterion(1)
-    with pytest.raises(ValueError):
-        inst.earnest_criterion(-1)
+def test_twisted_bounds_read_earnestness():
+    # At -(e+1)f, h0 and h3 are forced; chi = C(e,2) - beta then bounds h2
+    # below for e >= 1 and gives h1 = beta exactly at e = 0, where h2 is forced.
+    for e, beta in itertools.product(range(4), range(9)):
+        s = line(0, -(e + 1))
+        h0, h1, h2, h3 = inst.twisted_bounds(InstantonParams(e, e + 1, beta), s)
+        assert (h0, h3) == ((0, 0, "h0-bundle"), (0, 0, "h3-bundle"))
+        chi = comb(e, 2) - beta
+        if e == 0:
+            assert (h1, h2) == ((beta, beta, "chi"), (0, 0, "h2-bundle"))
+        elif chi > 0:
+            assert (h1, h2) == ((0, None, None), (chi, None, "chi"))
+        else:
+            assert (h1[:2], h2) == ((-chi, None), (0, None, None))
+            assert h1[2] == ("chi" if chi else None)
+
+
+def _meet(x, y):
+    """Whether the intervals ``(lo, hi, _)`` (hi None: unbounded) are both
+    non-empty and intersect."""
+    lo = max(x[0], y[0])
+    return all(hi is None or lo <= hi for hi in (x[1], y[1]))
+
+
+_BOUNDS_TWISTS = [kind(a, b) for kind in (line, omega)
+                  for a in range(-2, 3) for b in range(-4, 5)]
+
+
+def test_twisted_bounds_hold_together_on_the_grid():
+    # e <= 3, alpha, beta <= 8 and 90 twists: each interval is non-empty, the
+    # tags are forced_vanishing's, and an interval meets the one of its Serre
+    # dual group.  The rule refuses exactly the 18 points where it forces
+    # h1(E) = -chi(E) < 0, all of them unknown.
+    refused, pairs = set(), 0
+    for e in range(4):
+        tags = {s: [inst.forced_vanishing(e, s, i) for i in range(4)] for s in _BOUNDS_TWISTS}
+        for alpha, beta in itertools.product(range(9), repeat=2):
+            p = InstantonParams(e, alpha, beta)
+            try:
+                bounds = {s: inst.twisted_bounds(p, s) for s in _BOUNDS_TWISTS}
+            except Inadmissible:
+                refused.add((e, alpha, beta))
+                continue
+            for s, four in bounds.items():
+                dual = inst.twisted_bounds(p, serre_dual_twist(0, s)[1])  # h^i is dual h^(3-i)
+                for i, (bound, tag) in enumerate(zip(four, tags[s])):
+                    assert bound == (0, 0, tag) if tag else bound[2] in ("chi", None), (p, s, i)
+                    assert _meet(bound, dual[3 - i]), (p, s, i)
+                    pairs += 1
+    want = {(0, 0, 0), (2, 1, 0), *((1, 0, b) for b in range(2)), *((2, 0, b) for b in range(4)),
+            *((3, 0, b) for b in range(7)), *((3, 1, b) for b in range(3))}
+    assert refused == want
+    assert all(chow.chi_instanton(*q, 0, 0) > 0 for q in want)
+    assert {inst.existence_report(InstantonParams(*q)).status for q in want} == {inst.UNKNOWN}
+    assert {(e, b) for e, a, b in want if a == 0} == {
+        (e, b) for e in range(4) for b in range(inst.min_pullback_beta(e))}
+    assert pairs == 4 * (4 * 81 - 18) * len(_BOUNDS_TWISTS)
 
 
 def test_stability_region_boundary_cases():

@@ -113,7 +113,7 @@ def test_replace_and_make_run_the_checks():
         with pytest.raises(Inadmissible) as info:
             build()
         assert info.value.bound == bound
-    m, g = bl.monad_shape(1, 1, 2, 1), bl.monad_general(1, 2, 5, 1, 2, 1)
+    m, g = bl.monad_shape(1, 1, 2, 1), bl.monad_general(3, 4, 5, 1, 2, 1)
     assert m._replace(alpha=5) == bl.Monad._make([*m[:1], 5, *m[2:]])
     assert bl.Monad._make(g) == g and type(m._replace(beta=0)) is bl.Monad
     on_x2 = coh.FormalSheaf.of(2, [(s, 1)])
@@ -122,7 +122,7 @@ def test_replace_and_make_run_the_checks():
          "sheaves are FormalSheafs on X_e"),
         (lambda: m._replace(B=on_x2), f"B is not a FormalSheaf on X_1: {on_x2!r}",
          "sheaves are FormalSheafs on X_e"),
-        (lambda: g._replace(c_tail=()), "c_tail is not a FormalSheaf on X_1: ()",
+        (lambda: g._replace(c_tail=()), "c_tail is not a FormalSheaf on X_3: ()",
          "sheaves are FormalSheafs on X_e"),
         (lambda: m._replace(e=2), f"A is not a FormalSheaf on X_2: {m.A!r}",
          "sheaves are FormalSheafs on X_e"),
@@ -180,7 +180,7 @@ def test_existence_report_dict_order_and_roundtrip():
 
 def test_monad_json_roundtrip():
     monads = [bl.monad_shape(1, 1, 2, v) for v in (1, 2)]
-    monads += [bl.monad_shape(2, 0, 5, 3), bl.monad_general(1, 2, 5, 1, 2, 1)]
+    monads += [bl.monad_shape(2, 0, 5, 3), bl.monad_general(3, 4, 5, 1, 2, 1)]
     for m in monads:
         back = bl.Monad.from_dict(json.loads(json.dumps(m.to_dict())))
         assert back == m
@@ -278,7 +278,7 @@ _ROW_MESSAGE = "repeated, out-of-order or zero-mult row"
 _ROW_BOUND = "summands strictly increasing, mult >= 1"
 _DOUBLED_A = bl.monad_shape(1, 1, 2, 1).to_dict()
 _DOUBLED_A["A"] *= 2
-_TAILED = bl.monad_general(0, 0, 3, 1, 1, 1).to_dict()  # A, B, C and the tail C1
+_TAILED = bl.monad_general(3, 4, 5, 1, 2, 1).to_dict()  # A, B, C and the tail C1
 
 
 def _out_of_order(rows):

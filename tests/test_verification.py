@@ -99,3 +99,35 @@ def test_the_two_heaviest_suites_keep_their_grids(monkeypatch):
         "chi_rr": 18_822,  # those, and 300 random sheaves
         "chi_alternating": 4_056,  # 6 x 13 x 13 twists x 4 sequences
     }
+
+
+# Each suite's case count, which may only grow: a speed-up must not come from
+# a smaller grid, and the benchmark counts a ``verify`` run of fewer than
+# 31,670 cases as incorrect.
+CASES_AT_LEAST = {
+    "chow-ring-axioms": 1080,
+    "chow-degree-identities": 63,
+    "chow-slope-oracle": 3094,
+    "chow-riemann-roch-cross": 5592,
+    "coh-serre-duality": 3087,
+    "coh-chi-additivity": 4056,
+    "coh-omega-consistency": 1759,
+    "coh-nonnegativity": 4032,
+    "beilinson-orthogonality": 18,
+    "beilinson-strongness": 90,
+    "beilinson-monads": 1308,
+    "beilinson-general-monad": 432,
+    "instanton-charge-ulrich": 1404,
+    "instanton-stability-region": 3087,
+    "instanton-ext-grr": 854,
+    "instanton-modification": 390,
+    "instanton-existence-vs-monad": 347,
+    "serialization-roundtrip": 1000,
+}
+
+
+def test_no_suite_loses_cases(verify_results):
+    cases = {r.name: r.cases for r in verify_results}
+    assert cases.keys() == CASES_AT_LEAST.keys()
+    assert {n: c for n, c in cases.items() if c < CASES_AT_LEAST[n]} == {}
+    assert sum(cases.values()) >= 31_670
