@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional
 from . import chow, cohomology, instanton
 from .chow import ChowClass, _new
 from .cohomology import FormalSheaf, Summand, _summand_record, les_chase, line, omega
-from .errors import Inadmissible, _decoder, _int, _keys, _one_of, _rebuild
+from .errors import Inadmissible, _decoder, _int, _keys, _one_of, _rebuild, require_scroll
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
 
@@ -49,7 +49,7 @@ def collection(e: int, index: int) -> tuple:
     is one row (shape, c, t): E_0..E_2 are the plane shape twisted by O(c f),
     and E_3..E_5, shifted by ``GEOMETRIC_SHIFTS``, are those twisted by
     O(-xi + t f) (Orlov's projective-bundle decomposition)."""
-    instanton.require_scroll(e)
+    require_scroll(e)
     if type(index) is not int or not 1 <= index <= 6:
         raise Inadmissible(f"collection index must be 1..6, got {index}", "index in 1..6")
     shape, c, t = (
@@ -68,6 +68,8 @@ def _pair(e: int, variant: int) -> tuple:
 
 
 def tensor_summands(x: Summand, y: Summand) -> Summand:
+    if type(x) is not Summand or type(y) is not Summand:
+        raise Inadmissible(f"cannot tensor {x!r} and {y!r}", "x and y are Summands")
     if x.kind == cohomology.OMEGA and y.kind == cohomology.OMEGA:
         raise Inadmissible("Omega ⊗ Omega products have no closed form here", "at most one omega")
     kind = cohomology.OMEGA if cohomology.OMEGA in (x.kind, y.kind) else cohomology.LINE
@@ -214,7 +216,7 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     """
     if type(variant) is not int or variant not in DUAL_PAIRS:
         _pair(e, variant)  # raises
-    instanton.require_scroll(e)
+    require_scroll(e)
     if variant == 3 and alpha != 0:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
@@ -357,7 +359,7 @@ def beilinson_table(
     if gamma_zero:
         values = tuple(h1_values(e, alpha, beta, variant).values())
     else:
-        instanton.require_scroll(e)
+        require_scroll(e)
         values = _candidates(e, alpha, beta, 1)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
@@ -397,7 +399,7 @@ class Monad(NamedTuple("Monad", [
     __slots__ = ()
 
     def __new__(cls, e, alpha, beta, variant, A, B, C, c_tail=None, extra=None):
-        instanton.require_scroll(e)
+        require_scroll(e)
         _int(alpha), _int(beta)
         _one_of(variant, (1, 2, 3, None), "variant")
         tail = () if c_tail is None else (("c_tail", c_tail),)
@@ -493,7 +495,7 @@ def monad_general(
     for name, val in (*given.items(), ("alpha", alpha)):
         if _int(val) < 0:
             raise Inadmissible(f"{name} = {val} < 0", f"{name} >= 0")
-    instanton.require_scroll(e)
+    require_scroll(e)
     params = tuple(given.get(name, 0) for name in H2_PARAMS)
     for name, label, s in zip(H2_PARAMS, VARIANT_LABELS[1], _table_frame(e, 1, True)[1][1:]):
         tag = name and given[name] and instanton.forced_vanishing(e, s, 2)

@@ -27,7 +27,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import Inadmissible, ScrollcalcError
+from .errors import Inadmissible, ScrollcalcError, require_scroll
 
 
 def build_parser() -> "argparse.ArgumentParser":
@@ -417,9 +417,7 @@ def main(argv=None) -> int:
     try:
         args = _read_flags(argv) or build_parser().parse_args(argv)
         if hasattr(args, "e"):
-            from . import instanton
-
-            instanton.require_scroll(args.e)
+            require_scroll(args.e)
         return _COMMANDS[args.command][2](args)
     except ScrollcalcError as exc:
         bound = getattr(exc, "bound", "")

@@ -2,11 +2,11 @@
 
 Two families of sheaves are covered exactly:
 
-* line bundles O(a*xi + b*f), via pushforward to P² and the splitting of
-  Sym^a(O + O(e)) into line bundles, plus Serre duality for a <= -2;
+* line bundles O(a*xi + b*f), via their direct images pi_* (a >= 0) and
+  R^1 pi_* (a <= -2), both sums of line bundles on P²;
 * twists of the pulled-back cotangent bundle of P², written
-  OmegaTwist(a, b) for pi^* Omega^1_{P²} ⊗ O(a*xi + b*f), via the Bott
-  numbers on P² and the identification (pi^* Omega^1)^dual = pi^* Omega^1 (3f).
+  OmegaTwist(a, b) for pi^* Omega^1_{P²} ⊗ O(a*xi + b*f), via the same
+  direct images (projection formula) and the Bott numbers on P².
 
 On top of the closed forms sit formal direct sums with multiplicities
 (``FormalSheaf``), Euler-characteristic identities for the four structural
@@ -20,7 +20,7 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from . import chow
-from .chow import ChernData, ChowClass
+from .chow import ChernData, ChowClass, _new
 from .errors import Inadmissible, _decoder, _int, _keys, _rebuild
 
 LINE = "line"
@@ -317,30 +317,29 @@ def h_vector(e: int, s: Summand) -> CohVector:
              nothing when e = 0), and the quadratic is summed there in
              closed form, so the vector costs the same whatever |a|.
     a = -1:  all direct images vanish, so every group is zero.
-    a <= -2: Serre duality back into the first branch, read in reverse, at
-             the twist (-2-a, e-3-b) for a line and (-2-a, e-b) for Omega,
-             since (pi^* Omega^1)^dual = pi^* Omega^1 (3f).
+    a <= -2: pi_* vanishes, and R^1 pi_* F(a*xi + b*f), F = O or pi^* Omega^1,
+             is the sum of F(b - (j+1)e) over j = 0..-2-a (relative duality,
+             omega_pi = O(-2xi + ef); Hartshorne, III Ex. 8.4): the first
+             branch at step -e from b - e, read one degree up.
     """
     kind, a, b = s
     if a == -1:
         return _ZERO
-    dual = a <= -2
+    up = a <= -2
+    if up:
+        e, a, b = -e, -2 - a, b - e
     if kind == LINE:
-        if dual:
-            a, b = -2 - a, e - 3 - b
         h0 = _plane_sum(h_line_p2, 0, e, b, _j_range(e, b, a, 0))
         h1 = 0
         h2 = _plane_sum(h_line_p2, 2, e, b, _j_range(-e, -b, a, 3))
     else:
-        if dual:
-            a, b = -2 - a, e - b
         h0 = _plane_sum(h_omega_p2, 0, e, b, _j_range(e, b, a, 2))
         if e == 0:
             h1 = a + 1 if b == 0 else 0
         else:
             h1 = 1 if b % e == 0 and 0 <= -b // e <= a else 0
         h2 = _plane_sum(h_omega_p2, 2, e, b, _j_range(-e, -b, a, 2))
-    return CohVector(0, h2, h1, h0) if dual else CohVector(h0, h1, h2, 0)
+    return _new(CohVector, (0, h0, h1, h2) if up else (h0, h1, h2, 0))  # no fields to check
 
 
 def chi_line(e: int, a: int, b: int) -> int:

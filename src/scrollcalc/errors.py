@@ -83,3 +83,10 @@ def _int(value):
     if type(value) is not int:
         raise Inadmissible(f"expected an int, got {value!r}", "type(value) is int")
     return value
+
+
+def require_scroll(e) -> None:
+    """The package's domain: e an int with e >= 0, checked by
+    ``InstantonParams``, every Beilinson collection and the CLI."""
+    if _int(e) < 0:
+        raise Inadmissible("the scroll parameter e must be non-negative", "e >= 0")

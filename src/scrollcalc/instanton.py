@@ -15,7 +15,9 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology
 from .chow import ChernData, ChowClass
-from .errors import Inadmissible, NonIntegralValue, _decoder, _int, _one_of, _rebuild
+from .cohomology import line
+from .errors import (Inadmissible, NonIntegralValue, _decoder, _int, _one_of, _rebuild,
+                     require_scroll)
 
 EXISTS = "exists"
 EXISTS_PULLBACK = "exists_pullback"
@@ -26,13 +28,6 @@ ROUTE_SERRE = "hartshorne-serre"
 ROUTE_PULLBACK = "pullback"
 
 REGION_CELLS_MAX = 1_000_000  # twists in one stability_test_region answer
-
-
-def require_scroll(e: int) -> None:
-    """The package's domain: e an int with e >= 0, checked by
-    ``InstantonParams``, every Beilinson collection and the CLI."""
-    if _int(e) < 0:
-        raise Inadmissible("the scroll parameter e must be non-negative", "e >= 0")
 
 
 class InstantonParams(
@@ -71,37 +66,42 @@ def forced_vanishing(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
     (E(D)) or Omega(a xi + b f) (Omega ⊗ E(D)).
 
     Returns the tag of the region that forces the zero, or None when no
-    region applies.  Tags:
+    region applies.  The axioms force three regions of line twists:
 
     =============  ========================================================
     ``minus-h``    all cohomology of E(-H) vanishes (self-dual twist)
     ``h0-bundle``  h0 = 0 for a <= -1, b <= e, and for a = 0, b <= 0
-    ``h0-omega``   h0 = 0 for a <= -1, b <= e+1, and for a = 0, b <= 1
     ``h2-bundle``  h2 = 0 for a, b >= -1
-    ``h2-omega``   h2 = 0 for a >= -1, b >= 1
     =============  ========================================================
 
-    h3 is h0 at ``cohomology.serre_dual_twist(3, s)``, tagged ``h3-bundle`` or ``h3-omega``.
+    The Omega tags follow by the Euler sequences 0 -> Omega(D) -> O(D-f)^3 -> O(D) -> 0
+    and 0 -> O(D-3f) -> O(D-2f)^3 -> Omega(D) -> 0: ``h0-omega`` where h0(E(D-f)) is
+    forced (H^0 injects), ``h2-omega`` where h2(E(D-2f)) and h3(E(D-3f)) both are.
+    h3 is h0 at ``cohomology.serre_dual_twist(3, s)``: ``h3-bundle``, ``h3-omega``.
     ``e`` must be an int >= 0, ``s`` a ``Summand`` and ``i`` an int in 0..3.
     """
     require_scroll(e)
     cohomology._require_twist(i, s)
+    return _forced(e, s, i)
+
+
+def _forced(e: int, s: cohomology.Summand, i: int) -> Optional[str]:
+    """``forced_vanishing`` of checked arguments."""
     kind, a, b = s
     if kind == cohomology.LINE and a == -1 and b == -1:
         return "minus-h"
-    side = "h0"
     if i == 3:
-        side, (i, (kind, a, b)) = "h3", cohomology.serre_dual_twist(3, s)
+        tag = _forced(e, cohomology.serre_dual_twist(3, s)[1], 0)
+        return tag and "h3" + tag[2:]
     if kind == cohomology.LINE:
         if i == 0 and ((a <= -1 and b <= e) or (a == 0 and b <= 0)):
-            return side + "-bundle"
+            return "h0-bundle"
         if i == 2 and a >= -1 and b >= -1:
             return "h2-bundle"
-    else:
-        if i == 0 and ((a <= -1 and b <= e + 1) or (a == 0 and b <= 1)):
-            return side + "-omega"
-        if i == 2 and a >= -1 and b >= 1:
-            return "h2-omega"
+    elif i == 0 and _forced(e, line(a, b - 1), 0):
+        return "h0-omega"
+    elif i == 2 and _forced(e, line(a, b - 2), 2) and _forced(e, line(a, b - 3), 3):
+        return "h2-omega"
     return None
 
 
@@ -127,7 +127,8 @@ def twisted_bounds(p: InstantonParams, s: cohomology.Summand) -> tuple:
     ``chi_instanton`` and the tags, never ``chi_rr`` or a chase.
     """
     _require_params(p)
-    tags = [forced_vanishing(p.e, s, i) for i in range(4)]
+    cohomology._require_twist(0, s)
+    tags = [_forced(p.e, s, i) for i in range(4)]
     bounds = [(0, 0, tag) if tag else (0, None, None) for tag in tags]
     free = [i for i, tag in enumerate(tags) if tag is None]
     chi, exact = twisted_chi(*p, s), len(free) == 1
@@ -210,19 +211,18 @@ def curve_resolution(e: int, curve_class: str):
     (list [R2, R1, R0] of formal sheaves); chi(O_curve) is its alternating
     chi sum.
     """
-    ln = cohomology.line
     F = cohomology.FormalSheaf.of
     if curve_class == "xif":
         return [
-            F(e, [(ln(-1, -1), 1)]),
-            F(e, [(ln(-1, 0), 1), (ln(0, -1), 1)]),
-            F(e, [(ln(0, 0), 1)]),
+            F(e, [(line(-1, -1), 1)]),
+            F(e, [(line(-1, 0), 1), (line(0, -1), 1)]),
+            F(e, [(line(0, 0), 1)]),
         ]
     if curve_class == "ff":
         return [
-            F(e, [(ln(0, -2), 1)]),
-            F(e, [(ln(0, -1), 2)]),
-            F(e, [(ln(0, 0), 1)]),
+            F(e, [(line(0, -2), 1)]),
+            F(e, [(line(0, -1), 2)]),
+            F(e, [(line(0, 0), 1)]),
         ]
     raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
 
@@ -267,6 +267,7 @@ def serre_construction(e: int, alpha: int) -> SerreBundle:
     proof needs alpha > e; outside that range the data is still returned,
     flagged.
     """
+    require_scroll(e), _int(alpha)
     raw = ChernData(
         2,
         chow.divisor(e, 2, 1 - e),
@@ -414,7 +415,7 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
         return ExistenceReport(INADMISSIBLE)
     if e <= 3 and alpha > e and beta >= 0:
         ext1 = ext_dimensions(e, alpha, beta).ext1_minus_ext2
-        h2_lo = twisted_bounds(p, cohomology.line(0, -(e + 1)))[2][0]
+        h2_lo = twisted_bounds(p, line(0, -(e + 1)))[2][0]
         earnest = False if h2_lo > 0 else (True if e <= 1 else None)
         return ExistenceReport(EXISTS, ext1, 0, 0, earnest, ROUTE_SERRE)
     if alpha == 0 and beta >= min_pullback_beta(e):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import comb
 
 from . import beilinson, chow, cohomology, instanton
 from .chow import ChowClass
@@ -286,8 +287,9 @@ def beilinson_monads(_seed: int) -> SuiteResult:
 
 def beilinson_general_monad(_seed: int) -> SuiteResult:
     r = SuiteResult("beilinson-general-monad")
-    for e in range(4):
+    for e in range(7):
         for alpha, beta in ((0, 8), (1, 4), (2, 5), (3, 3)):
+            beta += comb(e, 2) if e > 3 else 0  # past the variant-1 gate, beta >= C(e, 2)
             for g in range(3):
                 for d in range(3):
                     for t in range(3):

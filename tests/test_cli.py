@@ -449,10 +449,20 @@ PROBE = (
     "atexit.register(lambda: print(*sorted(set(sys.modules) - before), file=sys.stderr)); "
     "runpy.run_module('scrollcalc', run_name='__main__', alter_sys=True)"
 )
-# The e >= 0 check of every subcommand with --e loads instanton, and with it
-# chow and cohomology.
-E_CHECK = {"scrollcalc", "scrollcalc.cli", "scrollcalc.errors",
-           "scrollcalc.instanton", "scrollcalc.chow", "scrollcalc.cohomology"}
+# The package modules each subcommand's process loads: the e >= 0 check lives
+# in errors, so each loads only what its handler runs.
+_BASE = ("scrollcalc", "scrollcalc.cli", "scrollcalc.errors", "scrollcalc.chow")
+_INSTANTON = {*_BASE, "scrollcalc.cohomology", "scrollcalc.instanton"}
+E_CHECK = {
+    "chow": set(_BASE),
+    "coh": {*_BASE, "scrollcalc.cohomology"},
+    "chi": {*_BASE, "scrollcalc.cohomology"},
+    "monad": {*_INSTANTON, "scrollcalc.beilinson"},
+    "table": {*_INSTANTON, "scrollcalc.beilinson"},
+    "stability": _INSTANTON,
+    "existence": _INSTANTON,
+    "curves": _INSTANTON,
+}
 
 
 def _fresh_argv(name, fmt):
@@ -486,8 +496,7 @@ def test_fresh_process_loads_only_its_subcommand(name, fmt, fresh_runs, capsys):
     assert (code, errors) == (0, [])
     assert cli.main(list(argv)) == 0
     assert out == capsys.readouterr().out
-    beilinson = {"scrollcalc.beilinson"} if name in ("monad", "table") else set()
-    assert {m for m in loaded if m.startswith("scrollcalc")} == E_CHECK | beilinson
+    assert {m for m in loaded if m.startswith("scrollcalc")} == E_CHECK[name]
     assert ("json" in loaded) == (fmt == "json")
     assert "argparse" not in loaded
 

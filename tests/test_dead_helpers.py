@@ -1,8 +1,10 @@
-"""Every public top-level name in ``src/scrollcalc`` is used by the package.
+"""Every top-level name in ``src/scrollcalc``, public or private, is used by
+the package.
 
 A name counts as used when some other top-level statement of some module
 refers to it, by name, attribute or import; its own definition does not
-count.
+count.  Dunder names (``__all__``, ``__getattr__``, ``__version__``) are
+read by Python itself and are not counted.
 """
 
 import ast
@@ -31,7 +33,7 @@ def _referenced(stmt):
             yield node.name
 
 
-def unused_public_names():
+def unused_names():
     stmts = [
         stmt
         for path in sorted(SRC.glob("*.py"))
@@ -42,10 +44,14 @@ def unused_public_names():
         name
         for i, stmt in enumerate(stmts)
         for name in _defined(stmt)
-        if not name.startswith("_")
+        if not (name.startswith("__") and name.endswith("__"))
         and not any(name in used for j, used in enumerate(refs) if j != i)
     }
 
 
 def test_no_dead_public_helpers():
-    assert unused_public_names() == set()
+    assert {name for name in unused_names() if not name.startswith("_")} == set()
+
+
+def test_no_dead_private_helpers():
+    assert {name for name in unused_names() if name.startswith("_")} == set()

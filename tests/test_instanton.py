@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scrollcalc import beilinson, chow
+from scrollcalc import cohomology as coh
 from scrollcalc import instanton as inst
 from scrollcalc.cohomology import Summand, line, omega, serre_dual_twist
 from scrollcalc.errors import Inadmissible
@@ -107,6 +108,23 @@ def test_twisted_bounds_read_earnestness():
         else:
             assert (h1[:2], h2) == ((-chi, None), (0, None, None))
             assert h1[2] == ("chi" if chi else None)
+
+
+def test_twisted_bounds_checks_its_arguments_once(monkeypatch):
+    # p and s are checked on entry and the four tags read unchecked; the one
+    # other check is serre_dual_twist's own, on the h3 route.
+    p, s, seen = InstantonParams(1, 2, 0), line(0, -2), []
+
+    def spy(module, name):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: (seen.append((name, args)), check(*args)))
+
+    for module, name in ((inst, "_require_params"), (inst, "require_scroll"),
+                         (coh, "_require_twist")):
+        spy(module, name)
+    assert inst.twisted_bounds(p, s)[3] == (0, 0, "h3-bundle")
+    assert seen == [("_require_params", (p,)), ("_require_twist", (0, s)),
+                    ("_require_twist", (3, s))]
 
 
 def _meet(x, y):

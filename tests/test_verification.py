@@ -116,7 +116,7 @@ CASES_AT_LEAST = {
     "beilinson-orthogonality": 18,
     "beilinson-strongness": 90,
     "beilinson-monads": 1308,
-    "beilinson-general-monad": 432,
+    "beilinson-general-monad": 756,
     "instanton-charge-ulrich": 1404,
     "instanton-stability-region": 3087,
     "instanton-ext-grr": 854,
