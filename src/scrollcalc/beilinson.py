@@ -498,7 +498,7 @@ def monad_general(
     require_scroll(e)
     params = tuple(given.get(name, 0) for name in H2_PARAMS)
     for name, label, s in zip(H2_PARAMS, VARIANT_LABELS[1], _table_frame(e, 1, True)[1][1:]):
-        tag = name and given[name] and instanton.forced_vanishing(e, s, 2)
+        tag = name and given[name] and instanton._forced(e, s, 2)  # e checked, s from the frame
         if tag:
             raise Inadmissible(f"{name} = {given[name]}, but h2 at {label} is forced to 0", tag)
     exponents = tuple(k + p for k, p in zip(_candidates(e, alpha, beta, 1), params))

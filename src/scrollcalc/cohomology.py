@@ -142,7 +142,8 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         except (TypeError, ValueError) as exc:  # terms, or a term, is not a pair
             raise Inadmissible(f"terms {terms!r} are not (Summand, mult) pairs",
                                "terms are (Summand, mult) pairs") from exc
-        return tuple.__new__(cls, (e, tuple(sorted(merged.items()))))
+        items = merged.items()
+        return tuple.__new__(cls, (e, tuple(sorted(items) if len(merged) > 1 else items)))
 
     _make = classmethod(_rebuild)
 
@@ -173,11 +174,11 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         )
 
     def coh_vector(self) -> CohVector:
-        h = [0, 0, 0, 0]
+        e, h0, h1, h2, h3 = self.e, 0, 0, 0, 0
         for s, m in self.terms:
-            for i, v in enumerate(h_vector(self.e, s)):
-                h[i] += m * v
-        return CohVector(*h)
+            v0, v1, v2, v3 = h_vector(e, s)
+            h0, h1, h2, h3 = h0 + m * v0, h1 + m * v1, h2 + m * v2, h3 + m * v3
+        return _new(CohVector, (h0, h1, h2, h3))
 
     def chi(self) -> int:
         e, total = self.e, 0
@@ -264,35 +265,38 @@ def h_omega_p2(i: int, k: int) -> int:
 # Closed forms on X_e
 
 
-def _j_range(e: int, b: int, a: int, c: int) -> tuple:
-    """The j in 0..a with d_j = j*e + b >= c, as (first, last).
+def _plane_sum(h_p2, i: int, e: int, b: int, a: int, c: int, sign: int) -> int:
+    """Sum of h_p2(i, d_j), d_j = j*e + b, over the j in 0..a with
+    sign*d_j >= c (sign = 1 for d_j >= c, -1 for d_j <= -c).
 
-    The set is an interval because d_j is monotone in j; it is empty when
-    first > last.  For d_j <= c, call with (-e, -b, a, -c).
+    That set is an interval, since d_j is monotone in j: its free end is one
+    floor or ceiling division, and it is all or nothing when e = 0.  On it
+    h_p2(i, d_j) must be a quadratic p(j), whose sum over n consecutive j is
+    n*p0 + C(n,2)*(p1 - p0) + C(n,3)*(p2 - 2*p1 + p0), from its first three
+    values (Newton's forward differences).  Past the interval a value has
+    coefficient 0, so any n >= 1 is exact; an empty one sums to 0 without
+    evaluating h_p2.  The three values come from ``h_p2`` itself, the
+    module-level ``h_line_p2`` or ``h_omega_p2``, never an inlined copy.
     """
-    if e > 0:
-        return max(0, -((b - c) // e)), a  # ceil((c - b) / e)
-    if e < 0:
-        return 0, min(a, (b - c) // -e)
-    return (0, a) if b >= c else (0, -1)
-
-
-def _plane_sum(h_p2, i: int, e: int, b: int, span: tuple) -> int:
-    """Sum of h_p2(i, d_j), d_j = j*e + b, over j = first..last.
-
-    On the span h_p2(i, d_j) must be a quadratic p(j).  The sum of a
-    quadratic over n consecutive j is n*p0 + C(n,2)*(p1 - p0) +
-    C(n,3)*(p2 - 2*p1 + p0), from its first three values (Newton's forward
-    differences).  An empty span sums to 0 without evaluating h_p2; past
-    the span a value has coefficient 0, so any n >= 1 is exact.
-    """
-    first, last = span
+    se, sb = sign * e, sign * b
+    first, last = 0, a
+    if se > 0:
+        first = -((sb - c) // se)  # ceil((c - sb) / se)
+        if first < 0:
+            first = 0
+    elif se < 0:
+        last = (sb - c) // -se
+        if last > a:
+            last = a
+    elif sb < c:
+        return 0
     n = last - first + 1
     if n <= 0:
         return 0
     d = first * e + b
-    p0, p1, p2 = h_p2(i, d), h_p2(i, d + e), h_p2(i, d + 2 * e)
-    return n * p0 + comb(n, 2) * (p1 - p0) + comb(n, 3) * (p2 - 2 * p1 + p0)
+    p0, p1 = h_p2(i, d), h_p2(i, d + e)
+    n2 = n * (n - 1) // 2
+    return n * p0 + n2 * (p1 - p0) + n2 * (n - 2) // 3 * (h_p2(i, d + 2 * e) - 2 * p1 + p0)
 
 
 _ZERO = CohVector(0, 0, 0, 0)
@@ -313,9 +317,10 @@ def h_vector(e: int, s: Summand) -> CohVector:
              of d²-1 over the j-interval with d_j >= 2, h2 = the same where
              d_j <= -2, and h1 = the number of j with d_j = 0: one
              divisibility test, or a+1 when e = b = 0.
-             Each interval's ends are one floor or ceiling division (all or
-             nothing when e = 0), and the quadratic is summed there in
-             closed form, so the vector costs the same whatever |a|.
+             ``_plane_sum`` finds each interval by one floor or ceiling
+             division (all or nothing when e = 0) and sums the quadratic
+             there from three values of ``h_line_p2`` or ``h_omega_p2``, so
+             the vector costs the same whatever |a|.
     a = -1:  all direct images vanish, so every group is zero.
     a <= -2: pi_* vanishes, and R^1 pi_* F(a*xi + b*f), F = O or pi^* Omega^1,
              is the sum of F(b - (j+1)e) over j = 0..-2-a (relative duality,
@@ -329,16 +334,16 @@ def h_vector(e: int, s: Summand) -> CohVector:
     if up:
         e, a, b = -e, -2 - a, b - e
     if kind == LINE:
-        h0 = _plane_sum(h_line_p2, 0, e, b, _j_range(e, b, a, 0))
+        h0 = _plane_sum(h_line_p2, 0, e, b, a, 0, 1)
         h1 = 0
-        h2 = _plane_sum(h_line_p2, 2, e, b, _j_range(-e, -b, a, 3))
+        h2 = _plane_sum(h_line_p2, 2, e, b, a, 3, -1)
     else:
-        h0 = _plane_sum(h_omega_p2, 0, e, b, _j_range(e, b, a, 2))
+        h0 = _plane_sum(h_omega_p2, 0, e, b, a, 2, 1)
         if e == 0:
             h1 = a + 1 if b == 0 else 0
         else:
             h1 = 1 if b % e == 0 and 0 <= -b // e <= a else 0
-        h2 = _plane_sum(h_omega_p2, 2, e, b, _j_range(-e, -b, a, 2))
+        h2 = _plane_sum(h_omega_p2, 2, e, b, a, 2, -1)
     return _new(CohVector, (0, h0, h1, h2) if up else (h0, h1, h2, 0))  # no fields to check
 
 
@@ -373,41 +378,43 @@ def serre_dual_twist(i: int, s: Summand) -> tuple:
 # Twisting by O(a*xi + b*f) throughout; each list is exact in the given order.
 
 
+def _one_term(e: int, s: Summand, m: int = 1) -> FormalSheaf:
+    """The sheaf s^m on X_e, built unchecked from a checked summand, a constant
+    mult >= 1 and a checked e.  Each ``seq_*`` builder checks e right after
+    its first summand, so a bad e, a or b is refused as ``FormalSheaf.of``
+    would refuse it, in the same order."""
+    return _new(FormalSheaf, (e, ((s, m),)))
+
+
 def seq_euler(e: int, a: int = 0, b: int = 0):
     """0 -> Omega -> O(-f)^3 -> O -> 0 (pullback of the Euler sequence)."""
-    return [
-        FormalSheaf.of(e, [(omega(a, b), 1)]),
-        FormalSheaf.of(e, [(line(a, b - 1), 3)]),
-        FormalSheaf.of(e, [(line(a, b), 1)]),
-    ]
+    first = omega(a, b)
+    _int(e)
+    return [_one_term(e, first), _one_term(e, line(a, b - 1), 3), _one_term(e, line(a, b))]
 
 
 def seq_euler_dual(e: int, a: int = 0, b: int = 0):
     """0 -> O(-3f) -> O(-2f)^3 -> Omega -> 0 (pullback of the dualized Euler sequence)."""
-    return [
-        FormalSheaf.of(e, [(line(a, b - 3), 1)]),
-        FormalSheaf.of(e, [(line(a, b - 2), 3)]),
-        FormalSheaf.of(e, [(omega(a, b), 1)]),
-    ]
+    first = line(a, b - 3)
+    _int(e)
+    return [_one_term(e, first), _one_term(e, line(a, b - 2), 3), _one_term(e, omega(a, b))]
 
 
 def seq_koszul(e: int, a: int = 0, b: int = 0):
     """0 -> O(-3f) -> O(-2f)^3 -> O(-f)^3 -> O -> 0 (spliced Euler Koszul complex)."""
-    return [
-        FormalSheaf.of(e, [(line(a, b - 3), 1)]),
-        FormalSheaf.of(e, [(line(a, b - 2), 3)]),
-        FormalSheaf.of(e, [(line(a, b - 1), 3)]),
-        FormalSheaf.of(e, [(line(a, b), 1)]),
-    ]
+    first = line(a, b - 3)
+    _int(e)
+    return [_one_term(e, first), _one_term(e, line(a, b - 2), 3),
+            _one_term(e, line(a, b - 1), 3), _one_term(e, line(a, b))]
 
 
 def seq_relative_euler(e: int, a: int = 0, b: int = 0):
-    """0 -> O(-2xi+ef) -> O(-xi) + O(-xi+ef) -> O -> 0 (relative Euler sequence)."""
-    return [
-        FormalSheaf.of(e, [(line(a - 2, b + e), 1)]),
-        FormalSheaf.of(e, [(line(a - 1, b), 1), (line(a - 1, b + e), 1)]),
-        FormalSheaf.of(e, [(line(a, b), 1)]),
-    ]
+    """0 -> O(-2xi+ef) -> O(-xi) + O(-xi+ef) -> O -> 0 (relative Euler sequence).
+    The middle is built checked: its two terms merge at e = 0 and swap at e < 0."""
+    first = line(a - 2, b + e)
+    _int(e)
+    return [_one_term(e, first), FormalSheaf.of(e, [(line(a - 1, b), 1), (line(a - 1, b + e), 1)]),
+            _one_term(e, line(a, b))]
 
 
 NAMED_SEQUENCES = {

@@ -589,6 +589,26 @@ def test_monad_general_refuses_a_parameter_where_h2_is_forced():
     assert sorted(refused + left_open) == sorted(itertools.product(range(5), names))
 
 
+def test_monad_general_checks_e_once(monkeypatch):
+    # e is checked on entry and the forced-h2 tags are read unchecked, each
+    # twist taken from the cached table frame; at e = 0 the first tag refuses.
+    seen = []
+
+    def spy(module, name):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: (seen.append((name, args)), check(*args)))
+
+    for module, name in ((bl, "require_scroll"), (bl.instanton, "require_scroll"),
+                         (coh, "_require_twist")):
+        spy(module, name)
+    for e, refused in ((3, False), (0, True)):
+        bl._table_frame(e, 1, True)  # the frame's own tags, cached once
+        seen.clear()
+        with pytest.raises(Inadmissible) if refused else contextlib.nullcontext():
+            monad_general(e, 4, 8, 1, 1, 1)
+        assert seen == [("require_scroll", (e,))], e
+
+
 def test_each_h2_parameter_enters_at_its_table_column():
     # The column tagged with a parameter's name in the non-earnest table is the
     # twist the docstring names; setting only that parameter to 1 adds that

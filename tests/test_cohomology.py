@@ -228,6 +228,22 @@ def test_closed_forms_match_loops_at_branch_edges():
     assert coh.h_vector(-2, omega(5, 6)).h1 == 1
 
 
+@pytest.mark.parametrize("size", [10**3, 5 * 10**3])
+def test_closed_forms_match_loops_per_degree_at_large_twists(size):
+    # b puts a cut point (-3 and 0 for lines, -2, 0 and 2 for Omega) at step
+    # j of the pushforward sum, d_j = j*e + b for a = size and b - (j+1)*e on
+    # the R^1 side, a = -size: halfway along the span, where a closed-form
+    # interval ends inside it, and one step before and after it, where an
+    # interval is clamped to the whole span or is empty.
+    for e in range(-3, 7):
+        for kind, loop, cuts in ((line, _h_line_loop, (-3, 0)), (omega, _h_omega_loop, (-2, 0, 2))):
+            for cut, j in itertools.product(cuts, (-1, size // 2, size + 1)):
+                for a, b in ((size, cut - j * e), (-size, cut + (j + 1) * e)):
+                    vec = coh.h_vector(e, kind(a, b))
+                    for i in range(4):
+                        assert vec[i] == loop(e, i, a, b), (kind, e, a, b, i)
+
+
 @pytest.mark.parametrize("size", [10**6, 10**9, 10**12, 10**18])
 def test_closed_forms_at_large_twists_against_riemann_roch(size, rr_chi):
     for e in range(6):
@@ -323,6 +339,47 @@ def test_omega_chi_from_euler_sequence(verify_results):
     # e <= 5, a, b in -8..8, plus the plane Omega at k in -12..12
     (suite,) = [r for r in verify_results if r.name == "coh-omega-consistency"]
     assert suite.ok and suite.cases == 1759
+
+
+def _checked_form(name, e, a, b):
+    """The sequence ``name`` with every entry built by ``FormalSheaf.of``,
+    each entry's summands right before it, as the builders once did."""
+    rows = {
+        "euler": (lambda: [(omega(a, b), 1)], lambda: [(line(a, b - 1), 3)],
+                  lambda: [(line(a, b), 1)]),
+        "euler-dual": (lambda: [(line(a, b - 3), 1)], lambda: [(line(a, b - 2), 3)],
+                       lambda: [(omega(a, b), 1)]),
+        "koszul": (lambda: [(line(a, b - 3), 1)], lambda: [(line(a, b - 2), 3)],
+                   lambda: [(line(a, b - 1), 3)], lambda: [(line(a, b), 1)]),
+        "relative-euler": (lambda: [(line(a - 2, b + e), 1)],
+                           lambda: [(line(a - 1, b), 1), (line(a - 1, b + e), 1)],
+                           lambda: [(line(a, b), 1)]),
+    }[name]
+    return [FormalSheaf.of(e, row()) for row in rows]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+        return type(exc), str(exc), getattr(exc, "bound", None)
+
+
+def test_sequence_builders_equal_their_checked_forms():
+    # The one-term entries are built unchecked; each list equals the one built
+    # through FormalSheaf.of, and a bad e, a or b is refused with the same
+    # error, message and bound, the first bad value first.
+    good = list(itertools.product(range(-3, 7), range(-3, 4), range(-3, 4)))
+    odd = (1.5, True, "x", None)
+    bad = [(x, 1, 2) for x in odd] + [(1, x, 2) for x in odd] + [(1, 2, x) for x in odd]
+    bad += [(x, y, 0) for x in odd for y in odd] + [(0, x, y) for x in odd for y in odd]
+    for name, fn in coh.NAMED_SEQUENCES.items():
+        for args in good:
+            assert fn(*args) == _checked_form(name, *args), (name, args)
+        for args in bad:
+            got = _outcome(fn, *args)
+            assert isinstance(got, tuple), (name, args, got)
+            assert got == _outcome(_checked_form, name, *args), (name, args)
 
 
 def test_coh_vector_chi():

@@ -129,15 +129,17 @@ def test_unchecked_chern_data_is_built_only_by_derived_builders():
 
 
 def test_monad_layer_records_are_built_unchecked_only_from_checked_parts():
-    # The monad builders, the table and the sheaf row reader build from
-    # checked parts; every other record goes through its constructor.
+    # The monad builders, the table, the sheaf row reader and the one-term
+    # sheaves of the exact sequences build from checked parts; every other
+    # record goes through its constructor.
     def unchecked(record):
         return _scopes(lambda node: isinstance(node, ast.Call) and node.args
                        and ast.unparse(node.func) in ("_new", "tuple.__new__")
                        and ast.unparse(node.args[0]) == record)
 
     assert unchecked("FormalSheaf") == {
-        ("cohomology.py", "FormalSheaf._from_rows"), ("beilinson.py", "_monad_sheaves")}
+        ("cohomology.py", "FormalSheaf._from_rows"), ("cohomology.py", "_one_term"),
+        ("beilinson.py", "_monad_sheaves")}
     assert unchecked("Monad") == {
         ("beilinson.py", "monad_shape"), ("beilinson.py", "monad_general")}
     assert unchecked("Cell") == unchecked("BeilinsonTable") == {
