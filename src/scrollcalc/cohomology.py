@@ -275,8 +275,8 @@ def _plane_sum(h_p2, i: int, e: int, b: int, a: int, c: int, sign: int) -> int:
     n*p0 + C(n,2)*(p1 - p0) + C(n,3)*(p2 - 2*p1 + p0), from its first three
     values (Newton's forward differences).  Past the interval a value has
     coefficient 0, so any n >= 1 is exact; an empty one sums to 0 without
-    evaluating h_p2.  The three values come from ``h_p2`` itself, the
-    module-level ``h_line_p2`` or ``h_omega_p2``, never an inlined copy.
+    evaluating h_p2.  The values come from ``h_p2`` itself, never an inlined
+    copy: perfbench counts the calls to ``h_line_p2`` and ``h_omega_p2``.
     """
     se, sb = sign * e, sign * b
     first, last = 0, a

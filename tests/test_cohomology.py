@@ -361,7 +361,7 @@ def _checked_form(name, e, a, b):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the refusal itself is compared
+    except (Inadmissible, TypeError) as exc:  # raw TypeErrors are compared too
         return type(exc), str(exc), getattr(exc, "bound", None)
 
 
