@@ -191,16 +191,11 @@ H2_PARAMS = (None, None, "gamma", "eta", "delta")
 @lru_cache(maxsize=256, typed=True)
 def _cached_candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
     """-chi at each twist in column order, keyed by (e, alpha, beta, variant), at
-    most 256 entries: shared by a monad and its table, read via ``_candidates``."""
+    most 256 entries: shared by a monad and its table.  Each caller checks its
+    arguments in the call (``_int(alpha)``), since the cache hashes them before
+    a check inside it could run: a list would escape as ``unhashable type``."""
     twists = _table_frame(e, variant, True)[1][1:]
     return tuple(-instanton.twisted_chi(e, alpha, beta, s) for s in twists)
-
-
-def _candidates(e: int, alpha: int, beta: int, variant: int) -> tuple:
-    """``_cached_candidates`` for a checked e and variant, once alpha and beta
-    are checked ints; no gate."""
-    _int(alpha), _int(beta)
-    return _cached_candidates(e, alpha, beta, variant)
 
 
 def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
@@ -211,8 +206,8 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     assumes that h^0, h^2 and h^3 vanish at the twist; ``instanton.twisted_bounds``
     names which of them no axiom forces.  A negative candidate, which no
     instanton meeting that premise has, is reported as ``Inadmissible``
-    carrying the violated bound, on every call; the arguments are checked
-    before ``_cached_candidates`` is read.
+    carrying the violated bound, on every call.  The variant, e, alpha and
+    beta are checked in that order, before ``_cached_candidates`` is read.
     """
     if type(variant) is not int or variant not in DUAL_PAIRS:
         _pair(e, variant)  # raises
@@ -221,7 +216,8 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
         raise Inadmissible(
             f"the pullback variant requires alpha = 0, got alpha = {alpha}", "alpha == 0"
         )
-    labels, values = VARIANT_LABELS[variant], _candidates(e, alpha, beta, variant)
+    labels = VARIANT_LABELS[variant]
+    values = _cached_candidates(e, _int(alpha), _int(beta), variant)
     for label, cand in zip(labels, values):
         if cand < 0:
             raise Inadmissible(
@@ -360,7 +356,7 @@ def beilinson_table(
         values = tuple(h1_values(e, alpha, beta, variant).values())
     else:
         require_scroll(e)
-        values = _candidates(e, alpha, beta, 1)
+        values = _cached_candidates(e, _int(alpha), _int(beta), 1)
         if alpha < 0:
             raise Inadmissible("alpha must be non-negative", "alpha >= 0")
     # The arguments are checked and the rest comes from the frame: build unchecked.
@@ -501,7 +497,7 @@ def monad_general(
         tag = name and given[name] and instanton._forced(e, s, 2)  # e checked, s from the frame
         if tag:
             raise Inadmissible(f"{name} = {given[name]}, but h2 at {label} is forced to 0", tag)
-    exponents = tuple(k + p for k, p in zip(_candidates(e, alpha, beta, 1), params))
+    exponents = tuple(k + p for k, p in zip(_cached_candidates(e, alpha, _int(beta), 1), params))
     for label, k in zip(VARIANT_LABELS[1], exponents):
         if k < 0:
             raise Inadmissible(f"exponent at twist {label} is {k} < 0", f"h1[{label}] >= 0")

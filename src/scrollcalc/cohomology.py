@@ -380,9 +380,9 @@ def serre_dual_twist(i: int, s: Summand) -> tuple:
 
 def _one_term(e: int, s: Summand, m: int = 1) -> FormalSheaf:
     """The sheaf s^m on X_e, built unchecked from a checked summand, a constant
-    mult >= 1 and a checked e.  Each ``seq_*`` builder checks e right after
-    its first summand, so a bad e, a or b is refused as ``FormalSheaf.of``
-    would refuse it, in the same order."""
+    mult >= 1 and a checked e.  Each ``seq_*`` builder builds its summand at
+    (a, b) as given, then checks e, then shifts: a bad a, b or e is refused
+    by name, in that order, before any arithmetic."""
     return _new(FormalSheaf, (e, ((s, m),)))
 
 
@@ -395,26 +395,26 @@ def seq_euler(e: int, a: int = 0, b: int = 0):
 
 def seq_euler_dual(e: int, a: int = 0, b: int = 0):
     """0 -> O(-3f) -> O(-2f)^3 -> Omega -> 0 (pullback of the dualized Euler sequence)."""
-    first = line(a, b - 3)
+    last = omega(a, b)
     _int(e)
-    return [_one_term(e, first), _one_term(e, line(a, b - 2), 3), _one_term(e, omega(a, b))]
+    return [_one_term(e, line(a, b - 3)), _one_term(e, line(a, b - 2), 3), _one_term(e, last)]
 
 
 def seq_koszul(e: int, a: int = 0, b: int = 0):
     """0 -> O(-3f) -> O(-2f)^3 -> O(-f)^3 -> O -> 0 (spliced Euler Koszul complex)."""
-    first = line(a, b - 3)
+    last = line(a, b)
     _int(e)
-    return [_one_term(e, first), _one_term(e, line(a, b - 2), 3),
-            _one_term(e, line(a, b - 1), 3), _one_term(e, line(a, b))]
+    return [_one_term(e, line(a, b - 3)), _one_term(e, line(a, b - 2), 3),
+            _one_term(e, line(a, b - 1), 3), _one_term(e, last)]
 
 
 def seq_relative_euler(e: int, a: int = 0, b: int = 0):
     """0 -> O(-2xi+ef) -> O(-xi) + O(-xi+ef) -> O -> 0 (relative Euler sequence).
     The middle is built checked: its two terms merge at e = 0 and swap at e < 0."""
-    first = line(a - 2, b + e)
+    last = line(a, b)
     _int(e)
-    return [_one_term(e, first), FormalSheaf.of(e, [(line(a - 1, b), 1), (line(a - 1, b + e), 1)]),
-            _one_term(e, line(a, b))]
+    return [_one_term(e, line(a - 2, b + e)),
+            FormalSheaf.of(e, [(line(a - 1, b), 1), (line(a - 1, b + e), 1)]), _one_term(e, last)]
 
 
 NAMED_SEQUENCES = {

@@ -6,8 +6,8 @@ charge is (e+1)*alpha + beta.  This module records the closed-form facts
 about such bundles: vanishing regions for their cohomology, the slope
 test region, curve bookkeeping for the two ruling classes, Ext and moduli
 dimension formulas, the kernel-sheaf modification, and the existence
-decision procedure.  Everything is arithmetic on the parameters; no sheaf
-is ever constructed.
+decision procedure.  Everything is arithmetic on the parameters; the only
+sheaves built are the formal sums of a ruling curve's Koszul resolution.
 """
 
 from math import comb
@@ -204,27 +204,29 @@ class CurveClassInfo(NamedTuple):
     hilbert_dim: int
 
 
-def curve_resolution(e: int, curve_class: str):
-    """Koszul resolution of the structure sheaf of a curve in the class.
+# Each ruling curve is the complete intersection of two divisors, as (xi, f)
+# coefficients, f first: a xi*f-curve is cut by f and xi, a line f^2 by f twice.
+_CURVE_DIVISORS = (("xif", (0, 1), (1, 0)), ("ff", (0, 1), (0, 1)))
 
-    Returned as the exact sequence 0 -> R2 -> R1 -> R0 -> O_curve -> 0
-    (list [R2, R1, R0] of formal sheaves); chi(O_curve) is its alternating
-    chi sum.
-    """
-    F = cohomology.FormalSheaf.of
-    if curve_class == "xif":
-        return [
-            F(e, [(line(-1, -1), 1)]),
-            F(e, [(line(-1, 0), 1), (line(0, -1), 1)]),
-            F(e, [(line(0, 0), 1)]),
-        ]
-    if curve_class == "ff":
-        return [
-            F(e, [(line(0, -2), 1)]),
-            F(e, [(line(0, -1), 2)]),
-            F(e, [(line(0, 0), 1)]),
-        ]
+
+def _curve_divisors(e: int, curve_class: str) -> tuple:
+    """(D1, D2) of the class, which is compared, never hashed; e < 0 or an
+    unknown class is ``Inadmissible``."""
+    require_scroll(e)
+    for name, d1, d2 in _CURVE_DIVISORS:
+        if curve_class == name:
+            return d1, d2
     raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
+
+
+def curve_resolution(e: int, curve_class: str):
+    """Koszul resolution 0 -> O(-D1-D2) -> O(-D1) + O(-D2) -> O -> O_curve -> 0
+    of a curve of the class, cut out by D1 and D2, as the list [R2, R1, R0] of
+    formal sheaves; chi(O_curve) is its alternating chi sum."""
+    (a1, b1), (a2, b2) = _curve_divisors(e, curve_class)
+    F = cohomology.FormalSheaf.of
+    return [F(e, [(line(-a1 - a2, -b1 - b2), 1)]),
+            F(e, [(line(-a1, -b1), 1), (line(-a2, -b2), 1)]), F(e, [(line(0, 0), 1)])]
 
 
 def chi_curve(e: int, curve_class: str) -> int:
@@ -232,21 +234,18 @@ def chi_curve(e: int, curve_class: str) -> int:
 
 
 def curve_info(e: int, curve_class: str) -> CurveClassInfo:
-    """Numerical record of a curve in the class xi*f (a rational curve of
-    H-degree e+1) or f^2 (a line), with its normal bundle and the dimension
-    of the Hilbert-scheme component it moves in.  chi(O) comes from the
-    Koszul resolution and the H-degree from the Chow ring; the normal bundle
-    O(d1) + O(d2) of the rational curve has d1 + d2 = -K.C - 2 and both
-    degrees >= 0, so h^1(N) = 0 and the component is smooth of dimension h^0(N);
-    e < 0 is ``Inadmissible``."""
-    require_scroll(e)
-    chi_O = chi_curve(e, curve_class)  # refuses an unknown class
-    if curve_class == "xif":
-        curve, normal = ChowClass(e, xif=1), (1, e)
-    else:
-        curve, normal = ChowClass(e, ff=1), (0, 0)
-    h0 = sum(d + 1 for d in normal)
-    return CurveClassInfo(curve_class, curve.pairing(chow.hyperplane(e)), chi_O, normal, h0, 0, h0)
+    """Numerical record of a curve C in the class xi*f (a rational curve of
+    H-degree e+1) or f^2 (a line), the complete intersection of D1 and D2: its
+    class is D1 D2, chi(O_C) comes from the Koszul resolution and the normal
+    bundle is O(D1) + O(D2) restricted to C, of degrees (D1.C, D2.C).  D1 and
+    D2 are f or xi, nef for e >= 0, so both degrees are >= 0, h^1(N) = 0 and the
+    Hilbert-scheme component is smooth of dimension h^0(N); e < 0 is
+    ``Inadmissible``."""
+    d1, d2 = (chow.divisor(e, a, b) for a, b in _curve_divisors(e, curve_class))
+    curve = d1 * d2
+    normal = (d1.pairing(curve), d2.pairing(curve))
+    h0, degree = sum(normal) + 2, curve.pairing(chow.hyperplane(e))
+    return CurveClassInfo(curve_class, degree, chi_curve(e, curve_class), normal, h0, 0, h0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,9 @@ def serre_construction(e: int, alpha: int) -> SerreBundle:
 
     The section construction produces c1 = 2 xi + (1-e) f and
     c2 = (alpha+1) xi f; normalizing by the twist -xi + (e-1) f lands on
-    instanton data (c1 = (e-1) f, c2 = alpha xi f, c3 = 0).  The stability
-    proof needs alpha > e; outside that range the data is still returned,
-    flagged.
+    instanton data (c1 = (e-1) f, c2 = alpha xi f, c3 = 0).  Stability is
+    stated for alpha > e, unchecked: no suite or test proves or cites it.  The
+    data is returned for every alpha, flagged by ``in_theorem_range``.
     """
     require_scroll(e), _int(alpha)
     raw = ChernData(
@@ -292,7 +291,7 @@ def ext_dimensions(e: int, alpha: int, beta: int) -> ExtDimensions:
     and ext1 - ext2 = (6+2e) alpha + 4 beta - (e-1)^2 - 3.  The e >= 4 value
     of ext2 is unchecked: no suite or caller reads it.
     """
-    _int(e), _int(alpha), _int(beta)
+    require_scroll(e), _int(alpha), _int(beta)
     ext2 = comb(e - 2, 2) if e >= 4 else 0
     defect = (6 + 2 * e) * alpha + 4 * beta - (e - 1) ** 2 - 3
     return ExtDimensions(1, defect, ext2, 0)
@@ -304,7 +303,7 @@ def chi_end_grr(e: int, alpha: int, beta: int) -> int:
     With c1(End) = c3(End) = 0 and c2(End) = 4 c2 - c1^2 the theorem reads
     chi = c1(T) c2(T) / 6 - c1(T) (4 c2 - c1^2) / 2.
     """
-    _int(e), _int(alpha), _int(beta)
+    require_scroll(e), _int(alpha), _int(beta)
     c1t = chow.divisor(e, 2, 3 - e)
     c2t = chow.c2_cotangent(e)
     c1 = chow.divisor(e, 0, e - 1)
@@ -340,6 +339,7 @@ def min_pullback_beta(e: int) -> int:
     This is the bound forced by the pullback monad's first exponent and
     matched by the plane moduli count.
     """
+    require_scroll(e)
     return (e * e + e) // 2 + 1
 
 
@@ -349,6 +349,7 @@ def plane_moduli_dim(e: int, beta: int) -> int:
     Untwisting by t = floor(e/2) lands in the moduli of plane bundles with
     c1 = 0 (e odd, dimension 4 c2 - 3) or c1 = -1 (e even, 4 c2 - 4).
     """
+    require_scroll(e), _int(beta)
     t = e // 2
     c2 = beta - t * (e - 1) + t * t
     return 4 * c2 - 3 if e % 2 == 1 else 4 * c2 - 4

@@ -358,28 +358,23 @@ def _checked_form(name, e, a, b):
     return [FormalSheaf.of(e, row()) for row in rows]
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except (Inadmissible, TypeError) as exc:  # raw TypeErrors are compared too
-        return type(exc), str(exc), getattr(exc, "bound", None)
-
-
 def test_sequence_builders_equal_their_checked_forms():
     # The one-term entries are built unchecked; each list equals the one built
-    # through FormalSheaf.of, and a bad e, a or b is refused with the same
-    # error, message and bound, the first bad value first.
+    # through FormalSheaf.of.  A bad a, b or e is refused before any arithmetic,
+    # by name, as given: the first bad one of a, then b, then e.
     good = list(itertools.product(range(-3, 7), range(-3, 4), range(-3, 4)))
-    odd = (1.5, True, "x", None)
+    odd = (1.5, True, "x", None, [1])
     bad = [(x, 1, 2) for x in odd] + [(1, x, 2) for x in odd] + [(1, 2, x) for x in odd]
     bad += [(x, y, 0) for x in odd for y in odd] + [(0, x, y) for x in odd for y in odd]
     for name, fn in coh.NAMED_SEQUENCES.items():
         for args in good:
             assert fn(*args) == _checked_form(name, *args), (name, args)
-        for args in bad:
-            got = _outcome(fn, *args)
-            assert isinstance(got, tuple), (name, args, got)
-            assert got == _outcome(_checked_form, name, *args), (name, args)
+        for e, a, b in bad:
+            first = next(v for v in (a, b, e) if type(v) is not int)
+            with pytest.raises(Inadmissible) as info:
+                fn(e, a, b)
+            got = (str(info.value), info.value.bound)
+            assert got == (f"expected an int, got {first!r}", "type(value) is int"), (name, e, a, b)
 
 
 def test_coh_vector_chi():

@@ -314,6 +314,11 @@ def _rejected_inputs():
          "unknown curve class 'zz'", "curve_class in (xif, ff)"),
         (lambda: inst.curve_info(0, "zz"),
          "unknown curve class 'zz'", "curve_class in (xif, ff)"),
+        (lambda: inst.curve_info(0, ["xif"]),
+         "unknown curve class ['xif']", "curve_class in (xif, ff)"),
+        (lambda: inst.curve_resolution(-1, "xif"),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: inst.chi_curve(-1, "ff"), "the scroll parameter e must be non-negative", "e >= 0"),
         # Foreign inputs of the monad layer are refused before any cache.
         (lambda: bl.h1_values([1], 0, 0, 1), "expected an int, got [1]", "type(value) is int"),
         (lambda: bl.h1_values(1, 0, 0, [1]),
@@ -354,6 +359,27 @@ def _rejected_inputs():
          "the modification is stated for e <= 3, got e = 6", "e <= 3"),
         (lambda: inst.ext_dimensions([1], 0, 0), "expected an int, got [1]", "type(value) is int"),
         (lambda: inst.chi_end_grr(1, 0, True), "expected an int, got True", "type(value) is int"),
+        (lambda: inst.ext_dimensions(-1, 0, 0),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: inst.chi_end_grr(-1, 0, 0),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: inst.min_pullback_beta(-3),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: inst.min_pullback_beta("x"), "expected an int, got 'x'", "type(value) is int"),
+        (lambda: inst.plane_moduli_dim("x", 0), "expected an int, got 'x'", "type(value) is int"),
+        (lambda: inst.plane_moduli_dim(2, 1.5), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: inst.plane_moduli_dim(-1, 4),
+         "the scroll parameter e must be non-negative", "e >= 0"),
+        (lambda: coh.seq_euler_dual(0, 0, "x"), "expected an int, got 'x'", "type(value) is int"),
+        (lambda: coh.seq_koszul(0, 0, "x"), "expected an int, got 'x'", "type(value) is int"),
+        (lambda: coh.seq_relative_euler("x", 0, 0),
+         "expected an int, got 'x'", "type(value) is int"),
+        (lambda: coh.seq_euler_dual(1, 2, 1.5), "expected an int, got 1.5", "type(value) is int"),
+        (lambda: bl.h1_values(1, [1], 0), "expected an int, got [1]", "type(value) is int"),
+        (lambda: bl.beilinson_table(1, 1, {}, 1, False),
+         "expected an int, got {}", "type(value) is int"),
+        (lambda: bl.monad_general(1, 2, [5], 0, 0, 0),
+         "expected an int, got [5]", "type(value) is int"),
         (lambda: chow.instanton_chern([1], 0, 0),
          "expected an int, got [1]", "type(value) is int"),
         (lambda: inst.stability_test_region(1, (0, 1, 0, 1), [1]),
@@ -426,6 +452,14 @@ _ENTRY_POINTS = {
     "stability_test_region": (inst.stability_test_region, (1, (-2, 2, -2, 2), False)),
     "serre_construction": (inst.serre_construction, (2, 3)),
     "tensor_summands": (bl.tensor_summands, (coh.omega(1, -2), coh.line(0, 3))),
+    "seq_euler": (coh.seq_euler, (1, 2, -1)),
+    "seq_euler_dual": (coh.seq_euler_dual, (1, 2, -1)),
+    "seq_koszul": (coh.seq_koszul, (1, 2, -1)),
+    "seq_relative_euler": (coh.seq_relative_euler, (1, 2, -1)),
+    "curve_resolution": (inst.curve_resolution, (1, "xif")),
+    "curve_info": (inst.curve_info, (2, "ff")),
+    "min_pullback_beta": (inst.min_pullback_beta, (2,)),
+    "plane_moduli_dim": (inst.plane_moduli_dim, (2, 5)),
 }
 
 

@@ -285,6 +285,22 @@ def test_curve_info():
             assert inst.chi_curve(e, cls) == 1 == inst.curve_info(e, cls).chi_O
 
 
+def test_curves_match_their_written_out_data():
+    # The classes, normal bundles and Koszul terms once written out by hand.
+    F = coh.FormalSheaf.of
+    for e in range(13):
+        classes = [chow.divisor(e, *d1) * chow.divisor(e, *d2)
+                   for _, d1, d2 in inst._CURVE_DIVISORS]
+        assert classes == [chow.ChowClass(e, xif=1), chow.ChowClass(e, ff=1)]
+        assert inst.curve_info(e, "xif") == ("xif", e + 1, 1, (1, e), e + 3, 0, e + 3)
+        assert inst.curve_info(e, "ff") == ("ff", 1, 1, (0, 0), 2, 0, 2)
+        assert inst.curve_resolution(e, "xif") == [F(e, [(line(-1, -1), 1)]),
+                                                   F(e, [(line(-1, 0), 1), (line(0, -1), 1)]),
+                                                   F(e, [(line(0, 0), 1)])]
+        assert inst.curve_resolution(e, "ff") == [
+            F(e, [(line(0, -2), 1)]), F(e, [(line(0, -1), 2)]), F(e, [(line(0, 0), 1)])]
+
+
 def test_curve_info_refuses_a_negative_e():
     with pytest.raises(Inadmissible) as info:
         inst.curve_info(-1, "xif")
