@@ -63,7 +63,8 @@ def collection(e: int, index: int) -> tuple:
 def _pair(e: int, variant: int) -> tuple:
     """The geometric and dual collections of the variant's dual pair."""
     if type(variant) is not int or variant not in DUAL_PAIRS:
-        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}", "variant in (1, 2, 3)")
+        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}",
+                           f"variant in {tuple(DUAL_PAIRS)}")
     return tuple(collection(e, k) for k in DUAL_PAIRS[variant])
 
 
@@ -397,7 +398,7 @@ class Monad(NamedTuple("Monad", [
     def __new__(cls, e, alpha, beta, variant, A, B, C, c_tail=None, extra=None):
         require_scroll(e)
         _int(alpha), _int(beta)
-        _one_of(variant, (1, 2, 3, None), "variant")
+        _one_of(variant, (*DUAL_PAIRS, None), "variant")
         tail = () if c_tail is None else (("c_tail", c_tail),)
         for name, sheaf in (("A", A), ("B", B), ("C", C), *tail):
             if type(sheaf) is not FormalSheaf or sheaf.e != e:

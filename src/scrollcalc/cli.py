@@ -11,10 +11,12 @@ on the basis xi*f, f^2, i.e. c2 = alpha*xi*f + beta*f^2 (an equivalent
 convention with alpha attached to xi^2 differs by a factor of e in the
 first coordinate and is *not* used here).
 
-Exit codes: 0 success, 1 verification failure, 2 bad flags or inadmissible
-parameter combinations, reported as one ``error: … [violated bound: …]``
-line; the ``scrollcalc`` script and ``python -m scrollcalc`` (``console_main``)
-exit 141 (128 + SIGPIPE), silently, when their reader closes stdout early.
+Exit codes: 0 success, 1 verification failure, 2 bad flags, inadmissible
+parameter combinations or an answer with an integer of more than
+``sys.get_int_max_str_digits()`` digits, reported as one ``error: …
+[violated bound: …]`` line; the ``scrollcalc`` script and ``python -m
+scrollcalc`` (``console_main``) exit 141 (128 + SIGPIPE), silently, when
+their reader closes stdout early.
 
 A process loads only what its subcommand runs: a well-formed argv is read
 straight from the command table, argparse is built only for ``--help`` and
@@ -293,8 +295,8 @@ def _cmd_existence(args) -> int:
 def _cmd_curves(args) -> int:
     from . import instanton
 
-    classes = (args.curve_class,) if args.curve_class else ("xif", "ff")
-    infos = [instanton.curve_info(args.e, c) for c in classes]
+    rows = instanton._CURVE_DIVISORS  # --curve-class picks one row, else every row
+    infos = [instanton.curve_info(args.e, c) for c, _, _ in rows if args.curve_class in (None, c)]
     payload = {
         "e": args.e,
         "curves": [
@@ -423,6 +425,14 @@ def main(argv=None) -> int:
         bound = getattr(exc, "bound", "")
         suffix = f" [violated bound: {bound}]" if bound else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # an answer too long for str(int); nothing is printed yet
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the answer has an integer of more than {limit} digits "
+              f"[violated bound: digits <= sys.get_int_max_str_digits() = {limit}]",
+              file=sys.stderr)
         return 2
 
 

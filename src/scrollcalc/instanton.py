@@ -195,7 +195,7 @@ def stability_test_region(e, window, strict: bool = False):
 
 
 class CurveClassInfo(NamedTuple):
-    curve_class: str  # "xif" | "ff"
+    curve_class: str  # a name in _CURVE_DIVISORS
     degree_H: int
     chi_O: int
     normal_bundle: tuple  # f-degrees of the two summands of the normal bundle
@@ -216,7 +216,8 @@ def _curve_divisors(e: int, curve_class: str) -> tuple:
     for name, d1, d2 in _CURVE_DIVISORS:
         if curve_class == name:
             return d1, d2
-    raise Inadmissible(f"unknown curve class {curve_class!r}", "curve_class in (xif, ff)")
+    names = ", ".join(name for name, _, _ in _CURVE_DIVISORS)
+    raise Inadmissible(f"unknown curve class {curve_class!r}", f"curve_class in ({names})")
 
 
 def curve_resolution(e: int, curve_class: str):
@@ -336,11 +337,11 @@ def elementary_modification(p: InstantonParams, ext1: int):
 def min_pullback_beta(e: int) -> int:
     """Least beta with a pullback instanton of c2 = beta f^2: (e^2+e)/2 + 1.
 
-    This is the bound forced by the pullback monad's first exponent and
-    matched by the plane moduli count.
+    The O facet at alpha = 0 (below it ``twisted_bounds`` refuses h^1(E)):
+    chi(E) = ``min_pullback_beta(e)`` - charge, so it is chi(E) at alpha = beta = 0.
     """
     require_scroll(e)
-    return (e * e + e) // 2 + 1
+    return chow.chi_instanton(e, 0, 0, 0, 0)
 
 
 def plane_moduli_dim(e: int, beta: int) -> int:
@@ -370,7 +371,7 @@ class ExistenceReport(NamedTuple):
     @_decoder
     def from_dict(data: dict) -> "ExistenceReport":
         report = ExistenceReport(**data)
-        _one_of(report.status, (EXISTS, EXISTS_PULLBACK, INADMISSIBLE, UNKNOWN), "status")
+        _one_of(report.status, tuple(_STATUS_SHAPES), "status")
         for name, value, want in zip(report._fields[1:], report[1:], _STATUS_SHAPES[report.status]):
             if want is int:
                 _int(value)
@@ -396,11 +397,11 @@ def existence_report(p: InstantonParams) -> ExistenceReport:
     * e <= 3, alpha > e, beta >= 0: an instanton exists (Hartshorne-Serre),
       with ext1 = (2e+6) alpha + 4 beta - (e-1)^2 - 3 and no obstructions;
       the route's proof makes it mu-stable, which no suite checks.
-    * alpha = 0, beta >= (e^2+e)/2 + 1: pullback instantons exist for every
-      e; the moduli locus is smooth of dimension 4 beta + 2e - e^2 - 4
-      (reported in ext1) and earnest.  Smooth, since for E pulled back from
-      a stable plane bundle F, Ext^2(E, E) = H^2(P^2, End F) =
-      H^0(End F(-3))^dual = 0 (Serre duality; stability kills the twist).
+    * alpha = 0, beta >= (e^2+e)/2 + 1 (the O facet, ``min_pullback_beta``):
+      pullback instantons exist for every e, earnest, and their moduli locus
+      is smooth of dimension 4 beta + 2e - e^2 - 4 (reported in ext1): for E
+      pulled back from a stable plane bundle F, Ext^2(E, E) = H^2(P^2, End F)
+      = H^0(End F(-3))^dual = 0 (Serre duality; stability kills the twist).
     * Everything else (e >= 4 with alpha > e, or 0 < alpha <= e, or small
       beta) is open: status unknown rather than an extrapolated answer.
 

@@ -7,13 +7,16 @@ findings.  A *failure* means the artifact is wrong.  A *finding* is a
 recorded tension between two encoded sources of truth (none at present: the
 existence decision and the first-variant monad gate agree through
 ``instanton.twisted_bounds``); findings are printed but do not fail the run.
-A suite reads its grid from ``E_MAX``, ``AB_MAX``, ``PARAM_MAX`` and
-``RR_PROBES`` when it is called.
+Eleven suites read part of their grid from ``E_MAX``, ``AB_MAX``,
+``PARAM_MAX`` and ``RR_PROBES`` when called, so that acceptance criterion 2
+can widen ``chow-riemann-roch-cross``.  The other seven sweep fixed grids:
+``chow-ring-axioms``, ``chow-degree-identities``, ``beilinson-orthogonality``,
+``beilinson-strongness``, ``beilinson-general-monad``, ``instanton-ext-grr``
+and ``serialization-roundtrip``.
 
-A suite counts each case through ``SuiteResult.check(condition, message,
-*args)``.  The message is a ``str.format`` template and ``args`` its values;
-the text ``message.format(*args)`` is built only when the case fails, so a
-passing case formats nothing.
+``@_suite`` makes a sweep ``f(r, seed)`` the suite ``f(seed) -> SuiteResult``,
+``r`` named after it (``chow_ring_axioms`` reports ``chow-ring-axioms``), and
+the sweep counts each case through ``r.check(condition, message, *args)``.
 
 Everything is deterministic: randomized sweeps draw from ``random.Random``
 with an explicit seed that is echoed in the report.
@@ -21,6 +24,7 @@ with an explicit seed that is echoed in the report.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from math import comb
@@ -61,12 +65,24 @@ class SuiteResult:
             self.failures.append(message.format(*args))
 
 
+def _suite(sweep):
+    """``sweep(r, seed)`` as a suite: it returns ``r``, named after the sweep."""
+
+    @functools.wraps(sweep)
+    def suite(seed: int) -> SuiteResult:
+        r = SuiteResult(sweep.__name__.replace("_", "-"))
+        sweep(r, seed)
+        return r
+
+    return suite
+
+
 def _random_class(rng: random.Random, e: int) -> ChowClass:
     return ChowClass(e, *(rng.randint(-50, 50) for _ in range(6)))
 
 
-def chow_ring_axioms(seed: int) -> SuiteResult:
-    r = SuiteResult("chow-ring-axioms")
+@_suite
+def chow_ring_axioms(r: SuiteResult, seed: int) -> None:
     rng = random.Random(seed)
     for e in range(9):
         for _ in range(40):
@@ -74,11 +90,10 @@ def chow_ring_axioms(seed: int) -> SuiteResult:
             r.check(x * y == y * x, "commutativity at e={}", e)
             r.check((x * y) * z == x * (y * z), "associativity at e={}", e)
             r.check(x * (y + z) == x * y + x * z, "distributivity at e={}", e)
-    return r
 
 
-def chow_degree_identities(_seed: int) -> SuiteResult:
-    r = SuiteResult("chow-degree-identities")
+@_suite
+def chow_degree_identities(r: SuiteResult, _seed: int) -> None:
     for e in range(9):
         h = chow.hyperplane(e)
         xi, f = chow.xi_class(e), chow.f_class(e)
@@ -97,11 +112,10 @@ def chow_degree_identities(_seed: int) -> SuiteResult:
         r.check(
             chow.exceptional_divisor(e) == xi - e * f, "contracted divisor at e={}", e
         )
-    return r
 
 
-def chow_slope_oracle(_seed: int) -> SuiteResult:
-    r = SuiteResult("chow-slope-oracle")
+@_suite
+def chow_slope_oracle(r: SuiteResult, _seed: int) -> None:
     for e in range(7):
         h2 = chow.hyperplane(e) ** 2
         r.check(
@@ -114,10 +128,10 @@ def chow_slope_oracle(_seed: int) -> SuiteResult:
                     chow.delta_H(e, a, b) == (chow.divisor(e, a, b) * h2).degree(),
                     "delta_H({},{},{})", e, a, b,
                 )
-    return r
 
 
-def chow_riemann_roch_cross(seed: int) -> SuiteResult:
+@_suite
+def chow_riemann_roch_cross(r: SuiteResult, seed: int) -> None:
     """Twisted Riemann-Roch (Chow route) against the closed cubic.
 
     The Chow route is affine in (alpha, beta) — c2 enters the twist and the
@@ -125,7 +139,6 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
     points that also certify the affineness (second differences and a far
     corner), then sweep the closed form over the whole parameter box.
     """
-    r = SuiteResult("chow-riemann-roch-cross")
     # Bound per call, not per module: a patched or traced chow function is
     # the one called.
     chi_instanton, chi_rr, twist_chern = chow.chi_instanton, chow.chi_rr, chow.twist_chern
@@ -181,22 +194,20 @@ def chow_riemann_roch_cross(seed: int) -> SuiteResult:
             )
         except ScrollcalcError as exc:
             r.check(False, "chi_rr failed on {}: {}", sheaf, exc)
-    return r
 
 
-def coh_serre_duality(_seed: int) -> SuiteResult:
-    r = SuiteResult("coh-serre-duality")
+@_suite
+def coh_serre_duality(r: SuiteResult, _seed: int) -> None:
     for e in range(7):
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
                 dual = cohomology.h_vector(e, line(-a - 2, e - 3 - b))
                 ok = cohomology.h_vector(e, line(a, b)) == dual[::-1]
                 r.check(ok, "line duality at {}", (e, a, b))
-    return r
 
 
-def coh_chi_additivity(_seed: int) -> SuiteResult:
-    r = SuiteResult("coh-chi-additivity")
+@_suite
+def coh_chi_additivity(r: SuiteResult, _seed: int) -> None:
     for e in range(E_MAX + 1):
         for a in range(-6, 7):
             for b in range(-6, 7):
@@ -205,11 +216,10 @@ def coh_chi_additivity(_seed: int) -> SuiteResult:
                         cohomology.chi_alternating(fn(e, a, b)) == 0,
                         "chi additivity of {} at {}", name, (e, a, b),
                     )
-    return r
 
 
-def coh_omega_consistency(_seed: int) -> SuiteResult:
-    r = SuiteResult("coh-omega-consistency")
+@_suite
+def coh_omega_consistency(r: SuiteResult, _seed: int) -> None:
     for e in range(E_MAX + 1):
         for a in range(-8, 9):
             for b in range(-8, 9):
@@ -222,11 +232,10 @@ def coh_omega_consistency(_seed: int) -> SuiteResult:
         euler_chi = 3 * (k * (k + 1) // 2) - (k + 1) * (k + 2) // 2
         got = sum((-1) ** i * cohomology.h_omega_p2(i, k) for i in range(3))
         r.check(got == euler_chi, "plane Omega chi at k={}", k)
-    return r
 
 
-def coh_nonnegativity(_seed: int) -> SuiteResult:
-    r = SuiteResult("coh-nonnegativity")
+@_suite
+def coh_nonnegativity(r: SuiteResult, _seed: int) -> None:
     for e in range(E_MAX + 1):
         for a in range(-AB_MAX, AB_MAX + 1):
             for b in range(-AB_MAX, AB_MAX + 1):
@@ -235,28 +244,25 @@ def coh_nonnegativity(_seed: int) -> SuiteResult:
                 r.check(min(hs + ho) >= 0, "negative h at {}", (e, a, b))
                 if a >= 0:
                     r.check(hs[3] == 0 and ho[3] == 0, "h3 nonzero at {}", (e, a, b))
-    return r
 
 
-def beilinson_orthogonality(_seed: int) -> SuiteResult:
-    r = SuiteResult("beilinson-orthogonality")
+@_suite
+def beilinson_orthogonality(r: SuiteResult, _seed: int) -> None:
     for e in range(6):
         for pair in (1, 2, 3):
             report = beilinson.orthogonality_check(e, pair)
             r.check(report.ok, "pair {} at e={}: {}", pair, e, report.violations[:4])
-    return r
 
 
-def beilinson_strongness(_seed: int) -> SuiteResult:
-    r = SuiteResult("beilinson-strongness")
+@_suite
+def beilinson_strongness(r: SuiteResult, _seed: int) -> None:
     for e in range(6):
         for item in beilinson.strongness_check(e).items:
             r.check(item.ok, "{} -> {} at e={}", item.source, item.target, e)
-    return r
 
 
-def beilinson_monads(_seed: int) -> SuiteResult:
-    r = SuiteResult("beilinson-monads")
+@_suite
+def beilinson_monads(r: SuiteResult, _seed: int) -> None:
     expected_positions = ((2, 1), (2, 2), (4, 3), (4, 4), (4, 5))
     for e in range(5):
         for alpha in range(PARAM_MAX + 1):
@@ -282,11 +288,10 @@ def beilinson_monads(_seed: int) -> SuiteResult:
                             for s, _ in sheaf.terms
                         )
                         r.check(pullback, "variant 3 not a pullback at {}", (e, beta))
-    return r
 
 
-def beilinson_general_monad(_seed: int) -> SuiteResult:
-    r = SuiteResult("beilinson-general-monad")
+@_suite
+def beilinson_general_monad(r: SuiteResult, _seed: int) -> None:
     for e in range(7):
         for alpha, beta in ((0, 8), (1, 4), (2, 5), (3, 3)):
             beta += comb(e, 2) if e > 3 else 0  # past the variant-1 gate, beta >= C(e, 2)
@@ -300,11 +305,10 @@ def beilinson_general_monad(_seed: int) -> SuiteResult:
                         except Inadmissible as exc:
                             ok = exc.bound == "h2-bundle"
                         r.check(ok, "general monad at {}", (e, alpha, beta, g, d, t))
-    return r
 
 
-def instanton_charge_ulrich(_seed: int) -> SuiteResult:
-    r = SuiteResult("instanton-charge-ulrich")
+@_suite
+def instanton_charge_ulrich(r: SuiteResult, _seed: int) -> None:
     for e in range(E_MAX + 1):
         h = chow.hyperplane(e)
         for alpha in range(PARAM_MAX + 1):
@@ -327,11 +331,10 @@ def instanton_charge_ulrich(_seed: int) -> SuiteResult:
                     == (chow.chi_instanton(e, alpha, beta, 0, 0) == 0),
                     "ulrich criterion at {}", (e, alpha, beta),
                 )
-    return r
 
 
-def instanton_stability_region(_seed: int) -> SuiteResult:
-    r = SuiteResult("instanton-stability-region")
+@_suite
+def instanton_stability_region(r: SuiteResult, _seed: int) -> None:
     window = (-AB_MAX, AB_MAX, -AB_MAX, AB_MAX)
     for e in range(7):
         region = set(instanton.stability_test_region(e, window))
@@ -343,11 +346,10 @@ def instanton_stability_region(_seed: int) -> SuiteResult:
                 r.check(
                     ((a, b) in region) == oracle, "region membership at {}", (e, a, b)
                 )
-    return r
 
 
-def instanton_ext_grr(_seed: int) -> SuiteResult:
-    r = SuiteResult("instanton-ext-grr")
+@_suite
+def instanton_ext_grr(r: SuiteResult, _seed: int) -> None:
     for e in range(7):
         for alpha in range(11):
             for beta in range(11):
@@ -361,11 +363,10 @@ def instanton_ext_grr(_seed: int) -> SuiteResult:
             == instanton.plane_moduli_dim(e, 12),
             "moduli dims at e={}", e,
         )
-    return r
 
 
-def instanton_modification(_seed: int) -> SuiteResult:
-    r = SuiteResult("instanton-modification")
+@_suite
+def instanton_modification(r: SuiteResult, _seed: int) -> None:
     for e in range(4):
         for alpha in range(e + 1, PARAM_MAX + 1):
             p = instanton.InstantonParams(e, alpha, 0)
@@ -386,10 +387,10 @@ def instanton_modification(_seed: int) -> SuiteResult:
                     follow.status == instanton.EXISTS and follow.ext1 == ext1,
                     "modification tracks the existence formula at {}", (e, alpha, n),
                 )
-    return r
 
 
-def instanton_existence_vs_monad(_seed: int) -> SuiteResult:
+@_suite
+def instanton_existence_vs_monad(r: SuiteResult, _seed: int) -> None:
     """Existence decisions against the Serre route and the first-variant monad gate.
 
     At an ``exists`` point (one case per point) the section construction must
@@ -399,7 +400,6 @@ def instanton_existence_vs_monad(_seed: int) -> SuiteResult:
     chi or above, so that no instanton there has that monad and the point
     still exists.  A raise of the rule fails the case.
     """
-    r = SuiteResult("instanton-existence-vs-monad")
     for e in range(4):
         twists = beilinson.collection(e, 1)[:5]
         for alpha in range(PARAM_MAX + 1):
@@ -419,11 +419,10 @@ def instanton_existence_vs_monad(_seed: int) -> SuiteResult:
                         except Inadmissible:
                             lo = 0
                         r.check(lo >= chi, "h1 = {} < 0 unexplained at {}", -chi, (p, s))
-    return r
 
 
-def serialization_roundtrip(seed: int) -> SuiteResult:
-    r = SuiteResult("serialization-roundtrip")
+@_suite
+def serialization_roundtrip(r: SuiteResult, seed: int) -> None:
     rng = random.Random(seed + 2)
     kinds = ["chow", "sheaf", "monad", "existence"]
 
@@ -472,7 +471,6 @@ def serialization_roundtrip(seed: int) -> SuiteResult:
                 "report roundtrip {}", rep,
             )
         produced += 1
-    return r
 
 
 ALL_SUITES = (

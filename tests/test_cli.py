@@ -15,10 +15,11 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from scrollcalc import cli, verification
+from scrollcalc import beilinson, cli, instanton, verification
 from scrollcalc.beilinson import Monad, monad_shape
 from scrollcalc.chow import ChowClass
 from scrollcalc.cohomology import FormalSheaf, line, omega
+from scrollcalc.errors import Inadmissible
 from scrollcalc.instanton import ExistenceReport, InstantonParams, existence_report
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,6 +278,71 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
     e, a, b = (int(args[args.index(flag) + 1]) for flag in ("--e", "--a", "--b"))
     summand = (omega if "--omega" in args else line)(a, b)
     assert data["chi"] == rr_chi(e, summand)
+
+
+# One argv per subcommand whose flags are at the digit limit and whose
+# answer is past it: ext1 = 6 alpha - 4, the cubic chi and D^3 in a, the
+# twists' delta_H and the xi f-curve's H-degree e + 1.
+DIGITS = sys.get_int_max_str_digits()
+NINES = "9" * DIGITS
+OVERSIZED = {
+    "existence": ["--e", "0", "--alpha", NINES, "--beta", "0"],
+    "monad": ["--e", "0", "--alpha", NINES, "--beta", "0"],
+    "table": ["--e", "0", "--alpha", NINES, "--beta", "0"],
+    "coh": ["--e", "1", "--a", NINES, "--b", "0"],
+    "chi": ["--e", "1", "--a", NINES, "--b", "0"],
+    "chow": ["--e", "1", "--a", NINES, "--b", "0"],
+    "stability": ["--e", "0", "--window", "0", "0", "-" + NINES, "-" + NINES],
+    "curves": ["--e", NINES],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_an_answer_past_the_digit_limit_is_refused(name, fmt, capsys):
+    assert sorted(OVERSIZED) == sorted(set(cli._COMMANDS) - {"verify"})
+    argv = [name, *OVERSIZED[name], "--format", fmt]
+    assert cli._read_flags(argv) is not None  # the flags are read; the answer is refused
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: the answer has an integer of more than {DIGITS} digits "
+        f"[violated bound: digits <= sys.get_int_max_str_digits() = {DIGITS}]\n"
+    ))
+
+
+def test_only_the_digit_limit_error_is_refused(monkeypatch):
+    def handler(args):
+        raise ValueError("not a conversion limit")
+
+    monkeypatch.setitem(cli._COMMANDS, "chow", (*cli._COMMANDS["chow"][:2], handler))
+    with pytest.raises(ValueError, match="not a conversion limit"):
+        cli.main(["chow", "--e", "1"])
+
+
+def test_the_literal_choices_are_the_tables():
+    # Reading flags imports neither instanton nor beilinson, so the choices
+    # are spelled in cli; they must be the curve table's rows and the variants.
+    flags = {name: spec[1] for name, spec in cli._COMMANDS.items()}
+    assert flags["curves"]["--curve-class"]["choices"] == tuple(
+        name for name, _, _ in instanton._CURVE_DIVISORS)
+    assert flags["monad"]["--variant"]["choices"] == tuple(beilinson.DUAL_PAIRS)
+    assert flags["table"]["--variant"]["choices"] == tuple(beilinson.DUAL_PAIRS)
+
+
+def test_curves_lists_every_row_of_the_curve_table(monkeypatch, capsys):
+    # A xi^2-curve, cut by xi twice, stands for a class a later row adds.
+    rows = (*instanton._CURVE_DIVISORS, ("xixi", (1, 0), (1, 0)))
+    monkeypatch.setattr(instanton, "_CURVE_DIVISORS", rows)
+    code, data = run_json(["curves", "--e", "2"], capsys)
+    assert code == 0
+    assert [c["class"] for c in data["curves"]] == ["xif", "ff", "xixi"]
+    code, data = run_json(["curves", "--e", "2", "--curve-class", "ff"], capsys)
+    assert [c["class"] for c in data["curves"]] == ["ff"]
+    assert cli.main(["curves", "--e", "-1"]) == 2
+    assert capsys.readouterr().err.endswith("[violated bound: e >= 0]\n")
+    with pytest.raises(Inadmissible) as exc:
+        instanton.curve_info(2, "zz")
+    assert exc.value.bound == "curve_class in (xif, ff, xixi)"
 
 
 PARSER = cli.build_parser()

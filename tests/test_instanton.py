@@ -381,6 +381,23 @@ def test_min_pullback_beta_is_the_variant3_gate():
     assert firsts == [inst.min_pullback_beta(e) for e in range(6)] == [1, 2, 4, 7, 11, 16]
 
 
+def test_min_pullback_beta_is_the_O_facet():
+    # chi(E) = min_pullback_beta(e) - charge, and twisted_bounds refuses
+    # h^1(E) exactly below it at alpha = 0.
+    assert [inst.min_pullback_beta(e) for e in range(200)] == [
+        (e * e + e) // 2 + 1 for e in range(200)]
+    for e in range(6):
+        for beta in range(-3, 25):
+            p = InstantonParams(e, 0, beta)
+            assert chow.chi_instanton(e, 0, beta, 0, 0) == inst.min_pullback_beta(e) - p.charge
+            if beta < inst.min_pullback_beta(e):
+                with pytest.raises(Inadmissible) as exc:
+                    inst.twisted_bounds(p, line(0, 0))
+                assert exc.value.bound == "h1(E ⊗ O) >= 0"
+            else:
+                inst.twisted_bounds(p, line(0, 0))
+
+
 def test_existence_report_branches():
     r = inst.existence_report(InstantonParams(1, 2, 0))
     assert r.status == inst.EXISTS and r.ext1 == 13

@@ -74,6 +74,15 @@ def test_every_check_passes_a_template_and_its_values():
         assert len(fields) == len(call.args) - 2, where
 
 
+def test_no_suite_spells_its_own_name():
+    # ``_suite`` names each result after its function (the CLI, the golden
+    # report and the benchmark read that name), so no literal spells one.
+    literals = {n.value for n in ast.walk(ast.parse(SOURCE)) if isinstance(n, ast.Constant)}
+    names = [f.__name__.replace("_", "-") for f in verification.ALL_SUITES]
+    assert len(names) == 18 and literals.isdisjoint(names)
+    assert verification.chow_degree_identities(0).name == "chow-degree-identities"
+
+
 def _count_calls(monkeypatch, module, name, counts):
     fn = getattr(module, name)
 
