@@ -24,7 +24,6 @@ with an explicit seed that is echoed in the report.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from math import comb
@@ -68,12 +67,13 @@ class SuiteResult:
 def _suite(sweep):
     """``sweep(r, seed)`` as a suite: it returns ``r``, named after the sweep."""
 
-    @functools.wraps(sweep)
     def suite(seed: int) -> SuiteResult:
         r = SuiteResult(sweep.__name__.replace("_", "-"))
         sweep(r, seed)
         return r
-
+    # As functools.wraps, less ``__wrapped__``, which marks a wrapper put on from outside.
+    suite.__name__, suite.__qualname__, suite.__doc__ = (
+        sweep.__name__, sweep.__qualname__, sweep.__doc__)
     return suite
 
 

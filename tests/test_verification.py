@@ -80,7 +80,15 @@ def test_no_suite_spells_its_own_name():
     literals = {n.value for n in ast.walk(ast.parse(SOURCE)) if isinstance(n, ast.Constant)}
     names = [f.__name__.replace("_", "-") for f in verification.ALL_SUITES]
     assert len(names) == 18 and literals.isdisjoint(names)
-    assert verification.chow_degree_identities(0).name == "chow-degree-identities"
+
+
+def test_a_bare_suite_has_no_wrapped_attribute():
+    # A wrapper put on from outside (the benchmark's tracer) is told apart
+    # from a bare suite by ``__wrapped__``, so ``_suite`` must not set it.
+    for f in verification.ALL_SUITES:
+        assert not hasattr(f, "__wrapped__"), f.__name__
+        assert f.__module__ == "scrollcalc.verification" and f.__qualname__ == f.__name__
+    assert verification.chow_riemann_roch_cross.__doc__.startswith("Twisted Riemann-Roch")
 
 
 def _count_calls(monkeypatch, module, name, counts):
