@@ -62,9 +62,7 @@ def collection(e: int, index: int) -> tuple:
 
 def _pair(e: int, variant: int) -> tuple:
     """The geometric and dual collections of the variant's dual pair."""
-    if type(variant) is not int or variant not in DUAL_PAIRS:
-        raise Inadmissible(f"variant must be 1, 2 or 3, got {variant}",
-                           f"variant in {tuple(DUAL_PAIRS)}")
+    _one_of(variant, tuple(DUAL_PAIRS), "variant")
     return tuple(collection(e, k) for k in DUAL_PAIRS[variant])
 
 
@@ -210,8 +208,7 @@ def h1_values(e: int, alpha: int, beta: int, variant: int = 1) -> dict:
     carrying the violated bound, on every call.  The variant, e, alpha and
     beta are checked in that order, before ``_cached_candidates`` is read.
     """
-    if type(variant) is not int or variant not in DUAL_PAIRS:
-        _pair(e, variant)  # raises
+    _one_of(variant, tuple(DUAL_PAIRS), "variant")
     require_scroll(e)
     if variant == 3 and alpha != 0:
         raise Inadmissible(

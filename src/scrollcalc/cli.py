@@ -2,9 +2,11 @@
 
 Subcommands mirror the library: ``chow``, ``coh``, ``chi``, ``monad``,
 ``table``, ``stability``, ``existence``, ``curves`` and the self-check
-``verify``.  Every subcommand renders either human-readable text (with a
-``--ascii`` fallback for terminals without ξ and Ω) or machine-readable
-JSON via ``--format json``.
+``verify``.  Every subcommand answers in human-readable text (with a
+``--ascii`` fallback for terminals without ξ and Ω) or in JSON via
+``--format json``: its ``_cmd_*`` handler returns ``(exit code, JSON
+payload, text lines)`` and prints nothing, and ``main``, the one place that
+prints an answer, renders only the format asked for.
 
 Convention used throughout: second Chern classes of instantons are written
 on the basis xi*f, f^2, i.e. c2 = alpha*xi*f + beta*f^2 (an equivalent
@@ -12,11 +14,11 @@ convention with alpha attached to xi^2 differs by a factor of e in the
 first coordinate and is *not* used here).
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags, inadmissible
-parameter combinations or an answer with an integer of more than
-``sys.get_int_max_str_digits()`` digits, reported as one ``error: …
-[violated bound: …]`` line; the ``scrollcalc`` script and ``python -m
-scrollcalc`` (``console_main``) exit 141 (128 + SIGPIPE), silently, when
-their reader closes stdout early.
+parameter combinations or a printed answer (in the format asked for) with
+an integer of more than ``sys.get_int_max_str_digits()`` digits, reported
+as one ``error: … [violated bound: …]`` line; the ``scrollcalc`` script and
+``python -m scrollcalc`` (``console_main``) exit 141 (128 + SIGPIPE),
+silently, when their reader closes stdout early.
 
 A process loads only what its subcommand runs: a well-formed argv is read
 straight from the command table, argparse is built only for ``--help`` and
@@ -110,16 +112,7 @@ def _read_flags(argv):
     return args
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        import json
-
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def _cmd_chow(args) -> int:
+def _cmd_chow(args) -> tuple:
     from . import chow
 
     e = args.e
@@ -158,11 +151,10 @@ def _cmd_chow(args) -> int:
         lines.append(f"  D^2           {d2.render(a)}")
         lines.append(f"  D^3           {d3.render(a)}")
         lines.append(f"  delta_H(D)    {payload['delta_H']}")
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_coh(args) -> int:
+def _cmd_coh(args) -> tuple:
     from . import cohomology
 
     s = (cohomology.omega if args.omega else cohomology.line)(args.a, args.b)
@@ -171,18 +163,16 @@ def _cmd_coh(args) -> int:
     payload = {
         "e": args.e,
         "sheaf": sheaf.to_dict(),
-        "h": list(vec),
+        "h": vec,
         "chi": vec.chi,
     }
-    text = (
+    return 0, payload, [
         f"{sheaf.render(args.ascii)} on X_{args.e}: "
         f"h = ({vec.h0}, {vec.h1}, {vec.h2}, {vec.h3}), chi = {vec.chi}"
-    )
-    _emit(args, payload, text)
-    return 0
+    ]
 
 
-def _cmd_chi(args) -> int:
+def _cmd_chi(args) -> tuple:
     from . import chow, cohomology
 
     if (args.alpha is None) != (args.beta is None):
@@ -193,11 +183,10 @@ def _cmd_chi(args) -> int:
     else:
         value = chow.chi_instanton(args.e, args.alpha, args.beta, args.a, args.b)
         what = f"chi(E({args.a},{args.b}))"
-    _emit(args, {"e": args.e, "chi": value}, f"{what} on X_{args.e} = {value}")
-    return 0
+    return 0, {"e": args.e, "chi": value}, [f"{what} on X_{args.e} = {value}"]
 
 
-def _cmd_monad(args) -> int:
+def _cmd_monad(args) -> tuple:
     from . import beilinson
 
     general = [x for x in (args.gamma, args.delta, args.eta) if x is not None]
@@ -217,24 +206,21 @@ def _cmd_monad(args) -> int:
     else:
         m = beilinson.monad_shape(args.e, args.alpha, args.beta, args.variant)
     rep = beilinson.monad_consistency(m)
-    text = "\n".join(
-        [
-            m.render(args.ascii),
-            f"rank defect {rep.rank_defect} (want 2); "
-            f"c1 {rep.c1_defect.render(args.ascii)} "
-            f"(want {rep.expected_c1.render(args.ascii)}); "
-            f"c2 {rep.c2_defect.render(args.ascii)} "
-            f"(want {rep.expected_c2.render(args.ascii)}); "
-            f"chi {rep.chi_defect} (want {rep.expected_chi})",
-            "checks: " + ("all pass" if rep.ok else "FAILED"),
-        ]
-    )
+    lines = [
+        m.render(args.ascii),
+        f"rank defect {rep.rank_defect} (want 2); "
+        f"c1 {rep.c1_defect.render(args.ascii)} "
+        f"(want {rep.expected_c1.render(args.ascii)}); "
+        f"c2 {rep.c2_defect.render(args.ascii)} "
+        f"(want {rep.expected_c2.render(args.ascii)}); "
+        f"chi {rep.chi_defect} (want {rep.expected_chi})",
+        "checks: " + ("all pass" if rep.ok else "FAILED"),
+    ]
     checks = {"rank": rep.rank_ok, "c1": rep.c1_ok, "c2": rep.c2_ok, "chi": rep.chi_ok}
-    _emit(args, {**m.to_dict(), "checks": checks}, text)
-    return 0 if rep.ok else 1
+    return 0 if rep.ok else 1, {**m.to_dict(), "checks": checks}, lines
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple:
     from . import beilinson
 
     table = beilinson.beilinson_table(
@@ -249,32 +235,33 @@ def _cmd_table(args) -> int:
         "cells": [[c._asdict() for c in row] for row in table.cells],
         "top": [s.render(True) for s in table.top_labels],
         "bottom": [s.render(True) for s in table.bottom_labels],
-        "shifts": list(table.shifts),
+        "shifts": table.shifts,
     }
-    _emit(args, payload, table.render(args.ascii, raw=args.raw))
-    return 0
+    return 0, payload, [table.render(args.ascii, raw=args.raw)]
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args) -> tuple:
+    import itertools
+
     from . import chow, instanton
 
     region = instanton.stability_test_region(args.e, tuple(args.window), args.strict)
     payload = {
         "e": args.e,
-        "window": list(args.window),
+        "window": args.window,
         "strict": args.strict,
         "two_mu_H": chow.delta_H(args.e, 0, args.e - 1),
-        "region": [list(p) for p in region],
+        "region": region,
     }
-    lines = [
+    # one line per twist, rendered only when text output joins them
+    lines = itertools.chain([
         f"h0-test twists on X_{args.e} "
         f"({'strict' if args.strict else 'non-strict'}), window {tuple(args.window)}:"
-    ] + [f"  ({a}, {b})  delta_H = {chow.delta_H(args.e, a, b)}" for a, b in region]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    ], (f"  ({a}, {b})  delta_H = {chow.delta_H(args.e, a, b)}" for a, b in region))
+    return 0, payload, lines
 
 
-def _cmd_existence(args) -> int:
+def _cmd_existence(args) -> tuple:
     from . import instanton
 
     p = instanton.InstantonParams(args.e, args.alpha, args.beta)
@@ -288,11 +275,10 @@ def _cmd_existence(args) -> int:
         bits.append(f"earnest: {'undecided' if rep.earnest is None else rep.earnest}")
     if rep.route is not None:
         bits.append(f"route: {rep.route}")
-    _emit(args, rep.to_dict(), "\n".join(bits))
-    return 0
+    return 0, rep.to_dict(), bits
 
 
-def _cmd_curves(args) -> int:
+def _cmd_curves(args) -> tuple:
     from . import instanton
 
     rows = instanton._CURVE_DIVISORS  # --curve-class picks one row, else every row
@@ -304,7 +290,7 @@ def _cmd_curves(args) -> int:
                 "class": ci.curve_class,
                 "degree_H": ci.degree_H,
                 "chi_O": ci.chi_O,
-                "normal_bundle_f_degrees": list(ci.normal_bundle),
+                "normal_bundle_f_degrees": ci.normal_bundle,
                 "h0_N": ci.h0_N,
                 "h1_N": ci.h1_N,
                 "hilbert_dim": ci.hilbert_dim,
@@ -320,11 +306,10 @@ def _cmd_curves(args) -> int:
             f"h0(N) = {ci.h0_N}, h1(N) = {ci.h1_N}, "
             f"Hilbert dimension {ci.hilbert_dim}"
         )
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     from . import verification
 
     seed = verification.DEFAULT_SEED if args.seed is None else args.seed
@@ -344,8 +329,7 @@ def _cmd_verify(args) -> int:
         lines += [f"     finding: {msg}" for msg in r.findings]
     status = f"FAILURES in {len(failed)} suite(s)" if failed else "all suites passed"
     lines.append(f"{status} ({total} cases)")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if not failed else 1
+    return 0 if not failed else 1, payload, lines
 
 
 _REQUIRED = {"type": int, "required": True}
@@ -355,7 +339,8 @@ _COMMON = {
     "--format": {"choices": ("text", "json"), "default": "text", "help": "output format"},
     "--ascii": {"action": "store_true", "help": "ASCII output (xi/Omega instead of ξ/Ω)"},
 }
-# name -> (help line, flags before --format and --ascii, handler)
+# name -> (help line, flags before --format and --ascii, handler); a handler
+# returns (exit code, JSON payload, text lines) and main prints one of them
 _COMMANDS = {
     "chow": ("intersection numbers and standard classes", {
         "--e": _REQUIRED,
@@ -411,22 +396,28 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run the subcommand that ``argv`` names and return its exit code; argv
-    is read from the command table, or by argparse when ``_read_flags``
-    declines it."""
+    """Run the subcommand that ``argv`` names, print its answer in the format
+    asked for and return its exit code; argv is read from the command table,
+    or by argparse when ``_read_flags`` declines it."""
     if argv is None:
         argv = sys.argv[1:]
     try:
         args = _read_flags(argv) or build_parser().parse_args(argv)
         if hasattr(args, "e"):
             require_scroll(args.e)
-        return _COMMANDS[args.command][2](args)
+        code, payload, lines = _COMMANDS[args.command][2](args)
+        if args.format == "json":
+            import json
+
+            answer = json.dumps(payload, indent=2, sort_keys=True)
+        else:
+            answer = "\n".join(lines)
     except ScrollcalcError as exc:
         bound = getattr(exc, "bound", "")
         suffix = f" [violated bound: {bound}]" if bound else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # an answer too long for str(int); nothing is printed yet
+    except ValueError as exc:  # the printed answer has an integer too long for str(int)
         if "integer string conversion" not in str(exc):
             raise
         limit = sys.get_int_max_str_digits()
@@ -434,6 +425,8 @@ def main(argv=None) -> int:
               f"[violated bound: digits <= sys.get_int_max_str_digits() = {limit}]",
               file=sys.stderr)
         return 2
+    print(answer)
+    return code
 
 
 def console_main() -> int:

@@ -73,9 +73,10 @@ def _keys(data, known: tuple):
 
 def _one_of(value, allowed: tuple, name: str):
     """``value`` if it equals an ``allowed`` value of the same type (True is not 1)."""
-    if not any(type(value) is type(a) and value == a for a in allowed):
-        raise Inadmissible(f"{name} {value!r} is not one of {allowed}", f"{name} in {allowed}")
-    return value
+    for a in allowed:
+        if type(value) is type(a) and value == a:
+            return value
+    raise Inadmissible(f"{name} {value!r} is not one of {allowed}", f"{name} in {allowed}")
 
 
 def _int(value):

@@ -46,12 +46,12 @@ def test_collection_shapes():
 def test_bad_pair_or_index_is_inadmissible():
     with pytest.raises(Inadmissible) as exc:
         orthogonality_check(0, 4)
-    assert str(exc.value) == "variant must be 1, 2 or 3, got 4"
+    assert str(exc.value) == "variant 4 is not one of (1, 2, 3)"
     assert exc.value.bound == "variant in (1, 2, 3)"
     for build in (h1_values, monad_shape, beilinson_table):
         with pytest.raises(Inadmissible) as exc:
             build(1, 1, 2, 0)
-        assert str(exc.value) == "variant must be 1, 2 or 3, got 0"
+        assert str(exc.value) == "variant 0 is not one of (1, 2, 3)"
         assert exc.value.bound == "variant in (1, 2, 3)"
     for index in (7, 0, True, 1.0):
         with pytest.raises(Inadmissible) as exc:

@@ -625,3 +625,4 @@ def test_render():
     assert x.render(ascii_only=True) == "-2*xi + f + 3*xi*f^2"
     assert ChowClass(2).render() == "0"
     assert ChowClass(2, xif=1).render() == "ξf"
+    assert ChowClass(1, one=-2, xi=1).render() == "-2 + ξ"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from scrollcalc import beilinson, cli, instanton, verification
+from scrollcalc import beilinson, chow, cli, instanton, verification
 from scrollcalc.beilinson import Monad, monad_shape
 from scrollcalc.chow import ChowClass
 from scrollcalc.cohomology import FormalSheaf, line, omega
@@ -281,8 +281,9 @@ def test_huge_twists_answer_in_bounded_time(args, capsys, rr_chi):
 
 
 # One argv per subcommand whose flags are at the digit limit and whose
-# answer is past it: ext1 = 6 alpha - 4, the cubic chi and D^3 in a, the
-# twists' delta_H and the xi f-curve's H-degree e + 1.
+# answer is past it in both formats: ext1 = 6 alpha - 4, the cubic chi and
+# D^3 in a, stability's 2 mu_H (JSON) and its twist's delta_H (text), both
+# past the limit through e, and the xi f-curve's H-degree e + 1.
 # 0 where the limit is off (PYTHONINTMAXSTRDIGITS=0) or absent (before 3.10.7).
 DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 NINES = "9" * DIGITS
@@ -293,7 +294,7 @@ OVERSIZED = {
     "coh": ["--e", "1", "--a", NINES, "--b", "0"],
     "chi": ["--e", "1", "--a", NINES, "--b", "0"],
     "chow": ["--e", "1", "--a", NINES, "--b", "0"],
-    "stability": ["--e", "0", "--window", "0", "0", "-" + NINES, "-" + NINES],
+    "stability": ["--e", NINES, "--window", "0", "0", "-" + NINES, "-" + NINES],
     "curves": ["--e", NINES],
 }
 
@@ -310,6 +311,29 @@ def test_an_answer_past_the_digit_limit_is_refused(name, fmt, capsys):
         f"error: the answer has an integer of more than {DIGITS} digits "
         f"[violated bound: digits <= sys.get_int_max_str_digits() = {DIGITS}]\n"
     ))
+
+
+@pytest.mark.skipif(DIGITS == 0, reason="int-to-str conversion has no digit limit")
+def test_only_the_printed_format_meets_the_digit_limit(capsys):
+    # At e = 0 only the text's delta_H of the one twist is past the limit.
+    argv = ["stability", "--e", "0", "--window", "0", "0", "-" + NINES, "-" + NINES]
+    assert cli.main(argv) == 2
+    code, data = run_json(argv, capsys)
+    assert code == 0 and data["region"] == [[0, -int(NINES)]]
+
+
+def test_json_output_builds_no_text_line(monkeypatch, capsys):
+    # Each text line of a stability answer calls delta_H once for its twist,
+    # so a JSON answer must call it as often for 223 twists as for one.
+    calls = []
+    real = chow.delta_H
+    monkeypatch.setattr(chow, "delta_H", lambda *args: calls.append(args) or real(*args))
+    counts = {}
+    for window in ("-5 -5 -5 -5", "-10 10 -10 10"):
+        calls.clear()
+        code, data = run_json(["stability", "--e", "1", "--window", *window.split()], capsys)
+        counts[len(data["region"])] = len(calls)
+    assert sorted(counts) == [1, 223] and counts[1] == counts[223]
 
 
 def test_only_the_digit_limit_error_is_refused(monkeypatch):

@@ -81,6 +81,7 @@ def test_omega_plane_numbers_vs_euler_kernel(k):
     assert coh.h_omega_p2(1, k) == h1
     # Serre duality on the plane: h2(Omega(k)) = h0(Omega(-k))
     assert coh.h_omega_p2(2, k) == omega_plane_oracle(-k)[0]
+    assert coh.h_omega_p2(3, k) == 0  # the plane has no H^3
 
 
 def test_line_plane_numbers():

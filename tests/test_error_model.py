@@ -271,7 +271,7 @@ def _rejected_inputs():
          "terms are (Summand, mult) pairs"),
         (lambda: bl.collection(1.5, 1), "expected an int, got 1.5", "type(value) is int"),
         (lambda: bl.h1_values(1, 1, 2, True),
-         "variant must be 1, 2 or 3, got True", "variant in (1, 2, 3)"),
+         "variant True is not one of (1, 2, 3)", "variant in (1, 2, 3)"),
         (lambda: coh.FormalSheaf.of(1, []).chern_data(),
          "the zero sheaf has no Chern data record", "rank >= 1"),
         (lambda: coh.les_chase([good] * 4, 1),
@@ -322,7 +322,7 @@ def _rejected_inputs():
         # Foreign inputs of the monad layer are refused before any cache.
         (lambda: bl.h1_values([1], 0, 0, 1), "expected an int, got [1]", "type(value) is int"),
         (lambda: bl.h1_values(1, 0, 0, [1]),
-         "variant must be 1, 2 or 3, got [1]", "variant in (1, 2, 3)"),
+         "variant [1] is not one of (1, 2, 3)", "variant in (1, 2, 3)"),
         (lambda: bl.beilinson_table([1], 0, 0, 1),
          "expected an int, got [1]", "type(value) is int"),
         (lambda: bl.beilinson_table([1], 0, 0, 1, False),
@@ -332,7 +332,7 @@ def _rejected_inputs():
         (lambda: bl.beilinson_table(1, 0, 0, 1, 1),
          "gamma_zero 1 is not one of (True, False)", "gamma_zero in (True, False)"),
         (lambda: bl.monad_shape(1, 0, 0, {}),
-         "variant must be 1, 2 or 3, got {}", "variant in (1, 2, 3)"),
+         "variant {} is not one of (1, 2, 3)", "variant in (1, 2, 3)"),
         (lambda: bl.monad_general([1], 1, 1, 0, 0, 0),
          "expected an int, got [1]", "type(value) is int"),
         (lambda: bl.monad_consistency(5), "expected a Monad, got 5", "m is a Monad"),
@@ -386,6 +386,8 @@ def _rejected_inputs():
          "strict [1] is not one of (True, False)", "strict in (True, False)"),
         (lambda: inst.stability_test_region(1, (0, 1, 0, 1), 1),
          "strict 1 is not one of (True, False)", "strict in (True, False)"),
+        (lambda: inst.stability_test_region(1, (0, 1, 1, 0)),
+         "empty window: b_min = 1 > b_max = 0", "b_min <= b_max"),
     ]
 
 
