@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 
 from . import chow, cohomology, instanton
 from .chow import ChowClass, _new
-from .cohomology import FormalSheaf, Summand, _summand_record, les_chase, line, omega
+from .cohomology import FormalSheaf, Summand, k_class, les_chase, line, omega
 from .errors import Inadmissible, _decoder, _int, _keys, _one_of, _rebuild, require_scroll
 
 GEOMETRIC_SHIFTS = (0, 0, 0, 2, 2, 2)  # s_i of E_0..E_5: 2 exactly on the twisted half
@@ -536,24 +536,14 @@ class ConsistencyReport(NamedTuple):
 def monad_consistency(m: Monad) -> ConsistencyReport:
     """Check that the middle cohomology of the monad has instanton data:
     rank 2, c1 = (e-1)f, c2 = alpha xi f + beta f^2, and the right chi.
-    Its K-theory class is [B] + [C1] - [A] - [C], on which rank, chi and
-    L = 6 log c are additive (Whitney's formula): one pass over the signed
-    summands adds up their cached seven-int records (``_summand_record``),
-    and c = exp(L/6) (``chow._exp6``), so c1 = L_1/6 and c2 = (12 L_2 +
-    L_1^2)/72; the classes are built unchecked from checked ints."""
+    Its K-theory class is [B] + [C1] - [A] - [C], read in one ``k_class``
+    pass; the classes are built unchecked from checked ints."""
     if type(m) is not Monad:
         raise Inadmissible(f"expected a Monad, got {m!r}", "m is a Monad")
     e, alpha, beta = m.e, m.alpha, m.beta
-    rank = chi = l1 = l2 = l3 = l4 = l5 = 0
     tail = m.c_tail.terms if m.c_tail is not None else ()
-    for sign, terms in ((1, m.B.terms), (1, tail), (-1, m.A.terms), (-1, m.C.terms)):
-        for s, k in terms:
-            k *= sign
-            r, x, d1, d2, d3, d4, d5 = _summand_record(e, s)
-            rank, chi = rank + k * r, chi + k * x
-            l1, l2, l3 = l1 + k * d1, l2 + k * d2, l3 + k * d3
-            l4, l5 = l4 + k * d4, l5 + k * d5
-    _, _, xi, f, xif, ff, _ = chow._exp6(e, l1, l2, l3, l4, l5)
+    rank, chi, (_, _, xi, f, xif, ff, _) = k_class(
+        e, ((1, m.B.terms), (1, tail), (-1, m.A.terms), (-1, m.C.terms)))
     return ConsistencyReport(
         rank, _new(ChowClass, (e, 0, xi, f, 0, 0, 0)), _new(ChowClass, (e, 0, 0, 0, xif, ff, 0)),
         chi, _new(ChowClass, (e, 0, 0, e - 1, 0, 0, 0)),

@@ -100,6 +100,24 @@ def _summand_record(e: int, s: Summand) -> tuple:
     return (s.rank(), _summand_chi(e, s), *chow._log6(s.total_chern(e)))
 
 
+def k_class(e: int, signed_terms) -> tuple:
+    """(rank, chi, c) of the K-theory class sum of sign * m [s] on X_e, over the
+    (Summand s, mult m) pairs of each (sign, terms) in ``signed_terms``, terms
+    checked as a ``FormalSheaf`` holds them.  Rank, chi and L = 6 log c are
+    additive (Whitney's formula), so one pass adds up the summands' cached
+    records (``_summand_record``), and c = exp(L/6) (``chow._exp6``): no ring
+    product."""
+    rank = chi = l1 = l2 = l3 = l4 = l5 = 0
+    for sign, terms in signed_terms:
+        for s, k in terms:
+            k *= sign
+            r, x, d1, d2, d3, d4, d5 = _summand_record(e, s)
+            rank, chi = rank + k * r, chi + k * x
+            l1, l2, l3 = l1 + k * d1, l2 + k * d2, l3 + k * d3
+            l4, l5 = l4 + k * d4, l5 + k * d5
+    return rank, chi, chow._exp6(e, l1, l2, l3, l4, l5)
+
+
 class CohVector(NamedTuple):
     """Dimensions (h0, h1, h2, h3) of the four cohomology groups."""
 
@@ -156,22 +174,14 @@ class FormalSheaf(NamedTuple("FormalSheaf", [("e", int), ("terms", tuple)])):
         return sum(m * s.rank() for s, m in self.terms)
 
     def total_chern(self) -> ChowClass:
-        """exp of the summed 6 log c(s), by Whitney's formula: no ring product."""
-        log = (0, 0, 0, 0, 0)
-        for s, m in self.terms:
-            log = [x + m * y for x, y in zip(log, _summand_record(self.e, s)[2:])]
-        return chow._exp6(self.e, *log)
+        """c of the sum, by Whitney's formula (``k_class``)."""
+        return k_class(self.e, ((1, self.terms),))[2]
 
     def chern_data(self) -> ChernData:
-        if self.rank() == 0:
+        rank, _, c = k_class(self.e, ((1, self.terms),))
+        if rank == 0:
             raise Inadmissible("the zero sheaf has no Chern data record", "rank >= 1")
-        c = self.total_chern()
-        return ChernData(
-            self.rank(),
-            c.homogeneous_part(1),
-            c.homogeneous_part(2),
-            c.homogeneous_part(3),
-        )
+        return ChernData(rank, c.homogeneous_part(1), c.homogeneous_part(2), c.homogeneous_part(3))
 
     def coh_vector(self) -> CohVector:
         e, h0, h1, h2, h3 = self.e, 0, 0, 0, 0

@@ -1,11 +1,14 @@
 """Dual collections, tables and monads."""
 
+import ast
 import contextlib
 import importlib
 import itertools
 import json
 import pkgutil
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +16,7 @@ import scrollcalc
 from scrollcalc import beilinson as bl
 from scrollcalc import chow
 from scrollcalc import cohomology as coh
-from scrollcalc import verification
+from scrollcalc import instanton, verification
 from scrollcalc.beilinson import (
     Monad,
     beilinson_table,
@@ -117,6 +120,22 @@ def test_invariant_failures_surface_as_reports(monkeypatch):
     assert str(orthogonality_check(0, 1).violations[:4]) in orth.failures[0]
     strong = verification.beilinson_strongness(0)
     assert strong.cases == 90 and strong.failures
+    # A raise of the bounds rule fails its case of instanton-existence-vs-monad;
+    # existence_report, which reads the rule too, keeps the real one.
+    monkeypatch.undo()
+    cases = verification.instanton_existence_vs_monad(0).cases
+    calls = []
+
+    def refuse(p, s):
+        calls.append((p, s))
+        raise Inadmissible("refused", "none")
+
+    monkeypatch.setattr(verification, "instanton",
+                        SimpleNamespace(**{**vars(instanton), "twisted_bounds": refuse}))
+    existence = verification.instanton_existence_vs_monad(0)
+    assert existence.cases == cases and len(existence.failures) == len(calls) > 0
+    assert all(f.startswith("h1 = -") and " < 0 unexplained at " in f
+               for f in existence.failures)
 
 
 def test_beilinson_entry_points_refuse_negative_e():
@@ -724,6 +743,33 @@ def test_monad_consistency_matches_the_ring_quotient():
                 assert checked == checked.homogeneous_part(codims[name]), (got, name)
             else:
                 assert type(value) is int, (got, name)
+
+
+def _names(tree):
+    """Every name, attribute and imported name that ``tree`` spells."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_the_k_theory_pass_has_one_owner():
+    # Whitney's pass over the summand records is written once, in
+    # ``cohomology.k_class``, which ``monad_consistency`` and ``FormalSheaf``
+    # read: beilinson names neither the record nor the exp it takes.
+    src = Path(scrollcalc.__file__).parent
+    assert {"_summand_record", "_exp6"}.isdisjoint(
+        _names(ast.parse((src / "beilinson.py").read_text(encoding="utf-8"))))
+    summers = {
+        f.name
+        for path in src.glob("*.py")
+        for f in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(f, ast.FunctionDef) and "_summand_record" in _names(f)
+    }
+    assert summers == {"k_class"}
 
 
 def test_monad_render():

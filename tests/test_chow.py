@@ -557,6 +557,24 @@ def test_rr_cross_suite_catches_one_wrong_twist(monkeypatch):
     monkeypatch.setattr(chow, "twist_chern", off_at_one_probe)
     result = verification.chow_riemann_roch_cross(verification.DEFAULT_SEED)
     assert result.failures == [f"chi_rr not affine in (alpha,beta) at {_TWIST}"]
+    cases = result.cases
+    # A raise of chi_rr on a random sheaf's data fails that case, not the
+    # suite: only split sheaves O(a1, b1) + O(a2, b2) with a1 + a2 odd have an
+    # odd xi coefficient in c1; every twist of instanton data has an even one.
+    monkeypatch.undo()
+    rr, raised = chow.chi_rr, []
+
+    def raising_at_odd_xi(data):
+        if data.c1.xi % 2:
+            raised.append(data)
+            raise NonIntegralValue("refused")
+        return rr(data)
+
+    monkeypatch.setattr(chow, "chi_rr", raising_at_odd_xi)
+    result = verification.chow_riemann_roch_cross(verification.DEFAULT_SEED)
+    assert result.cases == cases and len(result.failures) == len(raised) > 0
+    assert all(f.startswith("chi_rr failed on ") and f.endswith(": refused")
+               for f in result.failures)
 
 
 def _chi_instanton_expanded(e, alpha, beta, a, b):

@@ -471,6 +471,26 @@ def test_total_chern_is_exact_for_huge_multiplicities():
         assert sheaf.total_chern() == want
 
 
+signed_terms = st.lists(st.tuples(
+    st.sampled_from((1, -1)),
+    st.lists(st.tuples(summands, st.integers(1, 4)), max_size=4),
+), max_size=4)
+
+
+@given(st.integers(0, 6), signed_terms)
+def test_k_class_is_the_signed_whitney_product(e, signed):
+    # rank and chi add up over the summands, and c is the ring product of
+    # c(s)^m, with c(s)^-1 for a negative sign.
+    rank, chi, c = coh.k_class(e, signed)
+    flat = [(sign * m, s) for sign, terms in signed for s, m in terms]
+    assert rank == sum(k * s.rank() for k, s in flat)
+    assert chi == sum(k * coh.h_vector(e, s).chi for k, s in flat)
+    want = chow.unit(e)
+    for k, s in flat:
+        want = want * (s.total_chern(e) if k > 0 else s.total_chern(e).inverse()) ** abs(k)
+    assert c == want
+
+
 # ---------------------------------------------------------------------------
 # The chase
 
